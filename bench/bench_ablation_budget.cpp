@@ -34,11 +34,10 @@ int main() {
     auto split = coverage_split(ctx.data, cov, 0.1, 0.8, rng);
 
     const auto learner = make_learner(learner_kind, 901, !e.full);
-    FroteConfig config;
-    config.tau = e.tau;
-    config.eta = ctx.default_eta;
-    const auto analysis = sweep_budget(split.train, split.test, *learner,
-                                       frs, config, budgets);
+    Engine::Builder base;
+    base.rules(frs).tau(e.tau).eta(ctx.default_eta);
+    const auto analysis =
+        sweep_budget(split.train, split.test, *learner, base, budgets);
 
     std::cout << "\n--- " << learner_name(learner_kind) << " ---\n";
     TextTable table({"q", "N added", "MRA", "outside-F1", "J"});

@@ -8,8 +8,7 @@
 //
 // The per-acceptance series comes from a ProgressObserver attached to the
 // harness's editing Session (RunConfig::capture_trace): each accepted step
-// re-evaluates test-set J̄ — the Engine/Session form of what the old
-// AcceptCallback hook provided.
+// re-evaluates test-set J̄.
 #include <cstdint>
 #include <iostream>
 #include <string>

@@ -14,7 +14,6 @@
 
 #include "frote/core/checkpoint.hpp"
 #include "frote/core/engine.hpp"
-#include "frote/core/frote.hpp"
 #include "frote/core/generate.hpp"
 #include "frote/core/registry.hpp"
 #include "frote/core/scenario.hpp"
@@ -260,25 +259,8 @@ void BM_ClassicSmote(benchmark::State& state) {
 BENCHMARK(BM_ClassicSmote);
 
 void BM_FroteIteration(benchmark::State& state) {
-  // One full FROTE edit at τ = 2 — the end-to-end per-iteration cost,
-  // through the legacy frote_edit() shim.
-  const auto& data = adult(1000);
-  FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
-  FroteConfig config;
-  config.tau = 2;
-  config.eta = 20;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frote_edit(data, *learner, frs, config).instances_added);
-  }
-}
-BENCHMARK(BM_FroteIteration);
-
-void BM_EngineSessionRun(benchmark::State& state) {
-  // The same τ = 2 workload through Engine/Session directly. The delta vs
-  // BM_FroteIteration is the session-step overhead the CI baseline
-  // (BENCH_micro.json) tracks; tests/test_engine_perf.cpp bounds it at 5%.
+  // One full FROTE edit at τ = 2 — open, run and finalize a session — the
+  // end-to-end per-iteration cost.
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
   const auto learner = make_learner(LearnerKind::kRF, 42, true);
@@ -290,7 +272,7 @@ void BM_EngineSessionRun(benchmark::State& state) {
     benchmark::DoNotOptimize(std::move(session).result().instances_added);
   }
 }
-BENCHMARK(BM_EngineSessionRun);
+BENCHMARK(BM_FroteIteration);
 
 void BM_SessionStep(benchmark::State& state) {
   // Amortized cost of one step() (select → generate → retrain → gate) on a
@@ -327,7 +309,7 @@ void BM_SessionStepAccept(benchmark::State& state) {
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .eta(20)
-                          .selection(SelectionStrategy::kIp)
+                          .selector("ip")
                           .acceptance(std::make_shared<AlwaysAcceptPolicy>())
                           .build()
                           .value();
@@ -353,7 +335,7 @@ void BM_SessionStepReject(benchmark::State& state) {
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .eta(20)
-                          .selection(SelectionStrategy::kIp)
+                          .selector("ip")
                           .acceptance(std::make_shared<NeverAcceptPolicy>())
                           .build()
                           .value();

@@ -6,6 +6,7 @@
 // "win-loss-tie 11-8-5"); both ≥ 0 on average.
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -37,14 +38,14 @@ int main() {
     const auto& ctx = bench::context(dataset);
     for (LearnerKind learner : all_learners()) {
       std::vector<double> d_random, d_ip;
-      for (auto strategy : {SelectionStrategy::kRandom, SelectionStrategy::kIp}) {
+      for (const std::string selector : {"random", "ip"}) {
         auto config = bench::base_run_config();
-        config.selection = strategy;
+        config.selector = selector;
         // Same seeds for both strategies: paired comparison as in the paper.
         const auto outcomes =
             bench::run_many(ctx, learner, config, e.runs, 4100);
         for (const auto& outcome : outcomes) {
-          (strategy == SelectionStrategy::kRandom ? d_random : d_ip)
+          (selector == "random" ? d_random : d_ip)
               .push_back(outcome.final.j_bar - outcome.initial.j_bar);
         }
       }

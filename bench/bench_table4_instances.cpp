@@ -4,6 +4,7 @@
 // Expected shape: comparable ΔJ̄, but IP generally adds FEWER instances than
 // random for the same improvement.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -35,15 +36,14 @@ int main() {
     const auto& ctx = bench::context(dataset);
     for (LearnerKind learner : all_learners()) {
       std::vector<double> d_random, d_ip, add_random, add_ip;
-      for (auto strategy :
-           {SelectionStrategy::kRandom, SelectionStrategy::kIp}) {
+      for (const std::string selector : {"random", "ip"}) {
         auto config = bench::base_run_config();
-        config.selection = strategy;
+        config.selector = selector;
         const auto outcomes =
             bench::run_many(ctx, learner, config, e.runs, 5100);
         for (const auto& outcome : outcomes) {
           const double dj = outcome.final.j_bar - outcome.initial.j_bar;
-          if (strategy == SelectionStrategy::kRandom) {
+          if (selector == "random") {
             d_random.push_back(dj);
             add_random.push_back(outcome.added_frac);
           } else {

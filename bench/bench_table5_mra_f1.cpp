@@ -4,6 +4,7 @@
 // Expected shape: ΔJ̄ is dominated by ΔMRA — large positive MRA improvements
 // with near-zero (sometimes slightly negative) ΔF-Score.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -35,16 +36,15 @@ int main() {
     const auto& ctx = bench::context(dataset);
     for (LearnerKind learner : all_learners()) {
       std::vector<double> mra_random, mra_ip, f1_random, f1_ip;
-      for (auto strategy :
-           {SelectionStrategy::kRandom, SelectionStrategy::kIp}) {
+      for (const std::string selector : {"random", "ip"}) {
         auto config = bench::base_run_config();
-        config.selection = strategy;
+        config.selector = selector;
         const auto outcomes =
             bench::run_many(ctx, learner, config, e.runs, 6100);
         for (const auto& outcome : outcomes) {
           const double dmra = outcome.final.mra - outcome.initial.mra;
           const double df1 = outcome.final.f1 - outcome.initial.f1;
-          if (strategy == SelectionStrategy::kRandom) {
+          if (selector == "random") {
             mra_random.push_back(dmra);
             f1_random.push_back(df1);
           } else {

@@ -22,6 +22,21 @@ Expected<Session, FroteError> Engine::open(const Dataset& data,
     return FroteError::invalid_argument(
         "FROTE requires a non-empty input dataset");
   }
+  // kDrop removes every covered row whose label the covering rule's π gives
+  // zero probability; if that is every row there is nothing to train on.
+  if (impl_->config.mod_strategy == ModStrategy::kDrop) {
+    bool keeps_a_row = false;
+    for (std::size_t i = 0; i < data.size() && !keeps_a_row; ++i) {
+      const int covering = impl_->frs.first_covering_rule(data.row(i));
+      keeps_a_row =
+          covering < 0 || impl_->frs.rule(static_cast<std::size_t>(covering))
+                                  .pi.prob(data.label(i)) > 0.0;
+    }
+    if (!keeps_a_row) {
+      return FroteError::invalid_argument(
+          "the drop mod strategy removes every row of the input dataset");
+    }
+  }
   return Session(impl_, data, learner);
 }
 
@@ -29,11 +44,6 @@ Expected<Session, FroteError> Engine::open(const Dataset& data,
 // Engine::Builder
 
 Engine::Builder::Builder() = default;
-
-Engine::Builder& Engine::Builder::from_config(const FroteConfig& config) {
-  config_ = config;
-  return *this;
-}
 
 Engine::Builder& Engine::Builder::rules(FeedbackRuleSet frs) {
   frs_ = std::move(frs);
@@ -78,14 +88,6 @@ Engine::Builder& Engine::Builder::mod_strategy(ModStrategy strategy) {
   return *this;
 }
 
-Engine::Builder& Engine::Builder::selection(SelectionStrategy strategy) {
-  config_.selection = strategy;
-  // Last selector choice wins, like the selector() overloads.
-  selector_name_.clear();
-  config_.custom_selector = nullptr;
-  return *this;
-}
-
 Engine::Builder& Engine::Builder::rule_confidence(double confidence) {
   config_.rule_confidence = confidence;
   return *this;
@@ -98,14 +100,6 @@ Engine::Builder& Engine::Builder::accept_always(bool always) {
 
 Engine::Builder& Engine::Builder::selector(std::string name) {
   selector_name_ = std::move(name);
-  config_.custom_selector = nullptr;  // last selector call wins
-  return *this;
-}
-
-Engine::Builder& Engine::Builder::selector(
-    std::shared_ptr<const BaseInstanceSelector> selector) {
-  config_.custom_selector = std::move(selector);
-  selector_name_.clear();  // last selector call wins
   return *this;
 }
 
@@ -166,24 +160,16 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   auto impl = std::make_shared<Impl>();
   impl->config = config_;
   impl->frs = frs_;
-  // Selector: an explicit component instance wins, then a registry name
-  // (resolved here, against the engine's own rule set — selectors holding a
-  // rule-set reference must never bind to a caller temporary), then the
-  // SelectionStrategy enum.
-  if (config_.custom_selector != nullptr) {
-    impl->selector = config_.custom_selector;
-  } else if (!selector_name_.empty()) {
-    SelectorSpec selector_spec;
-    selector_spec.k = config_.k;
-    selector_spec.frs = &impl->frs;
-    selector_spec.threads = config_.threads;
-    auto named = make_named_selector(selector_name_, selector_spec);
-    if (!named) return named.error();
-    impl->selector = std::move(*named);
-  } else {
-    impl->selector = std::shared_ptr<const BaseInstanceSelector>(
-        make_selector(config_.selection, config_.k, config_.threads));
-  }
+  // The selector resolves here, against the engine's own rule set:
+  // selectors holding a rule-set reference must never bind to a caller
+  // temporary.
+  SelectorSpec selector_spec;
+  selector_spec.k = config_.k;
+  selector_spec.frs = &impl->frs;
+  selector_spec.threads = config_.threads;
+  auto selector = make_named_selector(selector_name_, selector_spec);
+  if (!selector) return selector.error();
+  impl->selector = std::move(*selector);
   impl->generator = generator_
                         ? generator_
                         : std::make_shared<const SmoteNcInstanceGenerator>();
@@ -223,16 +209,7 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   spec.mod_strategy = mod_strategy_name(config_.mod_strategy);
   spec.rule_confidence = config_.rule_confidence;
   spec.accept_always = config_.accept_always;
-  if (!selector_name_.empty()) {
-    spec.selector = selector_name_;
-  } else if (config_.custom_selector == nullptr) {
-    spec.selector =
-        config_.selection == SelectionStrategy::kIp ? "ip" : "random";
-  }
-  std::string gap = spec_gap_;
-  if (gap.empty() && config_.custom_selector != nullptr) {
-    gap = "custom selector instance";
-  }
+  spec.selector = selector_name_;
   if (spec_ != nullptr && !rules_overridden_) {
     impl->spec_rules_valid = true;  // provenance text still matches frs
   } else {
@@ -240,8 +217,8 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
     impl->spec_rules_valid = frs_.empty();
   }
   impl->spec = std::move(spec);
-  impl->spec_representable = gap.empty();
-  impl->spec_gap = std::move(gap);
+  impl->spec_representable = spec_gap_.empty();
+  impl->spec_gap = spec_gap_;
   return Engine(std::move(impl));
 }
 
@@ -258,9 +235,7 @@ Session::Session(std::shared_ptr<const Engine::Impl> engine,
   const FeedbackRuleSet& frs = engine_->frs;
 
   // Input modification (relabel / drop / none), then line 1's defaults:
-  // η ← q|D|/τ unless fixed; the budget q|D| uses the *input* size. Kept
-  // expression-for-expression identical to the pre-Engine frote_edit() so
-  // seed → bit-identical output holds across the shim.
+  // η ← q|D|/τ unless fixed; the budget q|D| uses the *input* size.
   apply_mod_strategy(active_, frs, config.mod_strategy);
   eta_ = config.eta != 0
              ? config.eta
@@ -299,8 +274,6 @@ Session::Session(std::shared_ptr<const Engine::Impl> engine,
   // Line 4: P ← PreSelectBP(D̂, F), plus the fitted SMOTE-NC distance (the
   // workspace's moments-based fit — bit-identical to MixedDistance::fit).
   bp_ = preselect_base_population(active_, frs, config.k);
-  FROTE_CHECK_MSG(!active_.empty(),
-                  "the mod strategy removed every row of the input dataset");
   ws_->bind(active_);
 }
 

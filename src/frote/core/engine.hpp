@@ -22,9 +22,6 @@
 //   auto session = engine.open(train, learner).value();
 //   session.run();                       // or: while (!session.finished())
 //   auto result = std::move(session).result();  //       session.step();
-//
-// The legacy free function frote_edit() (core/frote.hpp) is a thin shim over
-// this API and produces bit-identical output for the same seed.
 #pragma once
 
 #include <memory>
@@ -47,7 +44,8 @@ class Engine {
   /// Open an editing session on `data` with black-box trainer `learner`.
   /// Copies `data`, applies the mod strategy and trains the initial model —
   /// this is the pre-loop part of Algorithm 1 (lines 1–5). Both referents
-  /// must outlive the session. Fails (kInvalidArgument) on an empty dataset.
+  /// must outlive the session. Fails (kInvalidArgument) on an empty dataset
+  /// and when the mod strategy would drop every row.
   Expected<Session, FroteError> open(const Dataset& data,
                                      const Learner& learner) const;
 
@@ -60,10 +58,9 @@ class Engine {
   /// engines built via Builder::from_spec (the stored provenance — learner
   /// and dataset reference included — is returned with the scalar knobs
   /// re-synced). Engines assembled imperatively are representable as long
-  /// as every component is registry-named (scalar knobs + the
-  /// SelectionStrategy enum); custom component instances yield
-  /// kInvalidArgument. The no-argument form needs rule text from the spec
-  /// provenance — rules installed as in-process objects require the
+  /// as they install no generator, acceptance or stopping instance; those
+  /// yield kInvalidArgument. The no-argument form needs rule text from the
+  /// spec provenance — rules installed as in-process objects require the
   /// schema-taking overload to re-serialise them. Caveat for synthesized
   /// specs (no from_spec provenance): the learner and dataset fields are
   /// open()-time arguments an Engine never sees, so they hold the spec
@@ -86,11 +83,6 @@ class Engine::Builder {
  public:
   Builder();
 
-  /// Seed all scalar knobs from a legacy FroteConfig (the shim path and the
-  /// easiest migration entry point). custom_selector and accept_always are
-  /// mapped onto their component equivalents.
-  Builder& from_config(const FroteConfig& config);
-
   /// Seed the builder from a declarative spec (core/spec.hpp): scalar
   /// knobs, the selector and stopping criterion by registry name, and the
   /// rule text parsed against `schema`. Fails with a typed error on
@@ -110,22 +102,21 @@ class Engine::Builder {
   /// bit-identical output for every thread count.
   Builder& threads(int threads);
   Builder& mod_strategy(ModStrategy strategy);
-  Builder& selection(SelectionStrategy strategy);
   Builder& rule_confidence(double confidence);
   /// Convenience for the ablation switch; equivalent to
   /// acceptance(std::make_shared<AlwaysAcceptPolicy>()).
   Builder& accept_always(bool always);
 
   /// Select the base-instance selector by registry name
-  /// (make_named_selector: "random", "ip", "online-proxy", or anything
-  /// registered at runtime). Resolution happens inside build(), after the
-  /// rule set is fixed, so selectors that hold a rule-set reference
-  /// (online-proxy) bind to the engine's own copy — never to a caller
-  /// temporary.
+  /// (make_named_selector: "random" — the default — "ip", "online-proxy",
+  /// or anything registered at runtime with register_selector). Resolution
+  /// happens inside build(), after the rule set is fixed, so selectors that
+  /// hold a rule-set reference (online-proxy) bind to the engine's own copy
+  /// — never to a caller temporary. An unregistered name fails build() with
+  /// kUnknownComponent.
   Builder& selector(std::string name);
 
   /// Component overrides (pluggable stages).
-  Builder& selector(std::shared_ptr<const BaseInstanceSelector> selector);
   Builder& generator(std::shared_ptr<const InstanceGenerator> generator);
   Builder& acceptance(std::shared_ptr<const AcceptancePolicy> policy);
   Builder& stopping(std::shared_ptr<const StoppingCriterion> criterion);
@@ -140,7 +131,7 @@ class Engine::Builder {
  private:
   FroteConfig config_;
   FeedbackRuleSet frs_;
-  std::string selector_name_;  // registry-resolved in build(); "" = unset
+  std::string selector_name_ = "random";  // registry-resolved in build()
   std::shared_ptr<const InstanceGenerator> generator_;
   std::shared_ptr<const AcceptancePolicy> acceptance_;
   std::shared_ptr<const StoppingCriterion> stopping_;

@@ -1,7 +1,5 @@
 #include "frote/core/frote.hpp"
 
-#include "frote/core/engine.hpp"
-
 namespace frote {
 
 std::size_t apply_mod_strategy(Dataset& data, const FeedbackRuleSet& frs,
@@ -26,26 +24,6 @@ std::size_t apply_mod_strategy(Dataset& data, const FeedbackRuleSet& frs,
   }
   if (strategy == ModStrategy::kDrop) data.remove_rows(to_drop);
   return affected;
-}
-
-FroteResult frote_edit(const Dataset& data, const Learner& learner,
-                       const FeedbackRuleSet& frs, const FroteConfig& config,
-                       const AcceptCallback& on_accept) {
-  // Compatibility shim: Algorithm 1's loop lives in Session::step()
-  // (core/engine.cpp); this assembles the equivalent Engine and runs a
-  // session to completion. Output is bit-identical to the pre-Engine
-  // implementation for the same seed (tests/test_engine_api.cpp).
-  auto engine = Engine::Builder().from_config(config).rules(frs).build();
-  if (!engine) throw Error(engine.error().message);
-  auto session = engine->open(data, learner);
-  if (!session) throw Error(session.error().message);
-  if (on_accept) {
-    auto observer = std::make_shared<CallbackObserver>();
-    observer->accept = on_accept;
-    session->add_observer(std::move(observer));
-  }
-  session->run();
-  return std::move(*session).result();
 }
 
 }  // namespace frote

@@ -5,22 +5,13 @@
 // that retraining A on D̂ aligns the model with F (minimises objective (3))
 // without degrading outside-coverage performance.
 //
-// Usage (one-shot legacy entry point):
-//   FroteConfig config;                      // τ, q, k, strategy...
-//   auto result = frote_edit(train, learner, frs, config);
-//   const Model& edited = *result.model;     // retrained on result.augmented
-//
-// frote_edit() is a thin compatibility shim over the composable Engine /
-// Session API (core/engine.hpp) and produces bit-identical output for the
-// same seed. New code that wants to pause, inspect, or customize the loop
-// should build an Engine instead; include "frote/frote_api.hpp" for the
-// whole public surface plus the migration notes.
+// This header holds the loop's plain data: the scalar configuration, the
+// mod strategy and the result record. The loop itself runs through
+// Engine::Builder → Engine::open → Session (core/engine.hpp).
 #pragma once
 
-#include <functional>
 #include <memory>
 
-#include "frote/core/selection.hpp"
 #include "frote/metrics/metrics.hpp"
 #include "frote/ml/model.hpp"
 #include "frote/rules/ruleset.hpp"
@@ -41,11 +32,6 @@ struct FroteConfig {
   std::size_t k = 5;
   /// Instances generated per iteration; 0 ⇒ the paper's q·|D|/τ default.
   std::size_t eta = 0;
-  SelectionStrategy selection = SelectionStrategy::kRandom;
-  /// When set, overrides `selection` with a caller-provided strategy (e.g.
-  /// the supplement's online-learning proxy, core/online_proxy.hpp). Must
-  /// outlive the frote_edit call.
-  std::shared_ptr<const BaseInstanceSelector> custom_selector;
   ModStrategy mod_strategy = ModStrategy::kRelabel;
   /// Probability of following the rule's label during generation; < 1
   /// activates the probabilistic-rule scheme of supplement B (Table 6).
@@ -84,25 +70,5 @@ struct FroteResult {
 /// relabelled to the rule's mode class or dropped. Returns #rows affected.
 std::size_t apply_mod_strategy(Dataset& data, const FeedbackRuleSet& frs,
                                ModStrategy strategy);
-
-/// Optional per-acceptance hook (model retrained on the accepted D′ and the
-/// cumulative instance count) — lets experiments trace test-set J̄ growth.
-/// Superseded by ProgressObserver (core/stages.hpp); the shim adapts it.
-using AcceptCallback =
-    std::function<void(const Model& model, std::size_t instances_added)>;
-
-/// Run Algorithm 1 end to end. `data` is the input dataset D (already
-/// mod-applied if the caller wants a strategy other than
-/// config.mod_strategy == kNone; this function applies config.mod_strategy
-/// itself first). Implemented as a shim over Engine/Session: equivalent to
-/// building an Engine from `config` + `frs`, opening a session on
-/// (data, learner) and running it to the default τ/budget stopping
-/// criterion. Throws frote::Error on invalid configuration or empty data —
-/// note the Builder validates more than the old implementation did: degenerate
-/// configs that were previously tolerated (k == 0, rule_confidence outside
-/// [0, 1]) now throw instead of running with unspecified behaviour.
-FroteResult frote_edit(const Dataset& data, const Learner& learner,
-                       const FeedbackRuleSet& frs, const FroteConfig& config,
-                       const AcceptCallback& on_accept = {});
 
 }  // namespace frote

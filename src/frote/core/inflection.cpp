@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "frote/core/engine.hpp"
-
 namespace frote {
 
 InflectionAnalysis sweep_budget(const Dataset& train, const Dataset& test,
                                 const Learner& learner,
-                                const FeedbackRuleSet& frs,
-                                const FroteConfig& base_config,
+                                const Engine::Builder& base,
                                 const std::vector<double>& budgets) {
   FROTE_CHECK(!budgets.empty());
   InflectionAnalysis analysis;
@@ -18,13 +15,12 @@ InflectionAnalysis sweep_budget(const Dataset& train, const Dataset& test,
   for (double q : sorted) {
     // One engine per budget; each sweep point is an independent session over
     // the same train split (same seed ⇒ same splits/rules).
-    const auto engine =
-        Engine::Builder().from_config(base_config).q(q).rules(frs).build()
-            .value();
+    const auto engine = Engine::Builder(base).q(q).build().value();
     auto session = engine.open(train, learner).value();
     session.run();
     const auto result = std::move(session).result();
-    const auto breakdown = evaluate_objective(*result.model, frs, test);
+    const auto breakdown =
+        evaluate_objective(*result.model, engine.rules(), test);
     BudgetPoint point;
     point.q = q;
     point.instances_added = result.instances_added;

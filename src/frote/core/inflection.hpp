@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "frote/core/frote.hpp"
+#include "frote/core/engine.hpp"
 
 namespace frote {
 
@@ -31,12 +31,12 @@ struct InflectionAnalysis {
   bool inflection_found = false;  // true when J̄ declines after best_index
 };
 
-/// Run FROTE once per q in `budgets` (same seed ⇒ same splits/rules) and
-/// evaluate on `test`.
+/// Run FROTE once per q in `budgets` — `base` with its q overridden, same
+/// seed ⇒ same splits — and evaluate against the engine's rules on `test`.
+/// Throws frote::Error when `base` does not build or `train` cannot open.
 InflectionAnalysis sweep_budget(const Dataset& train, const Dataset& test,
                                 const Learner& learner,
-                                const FeedbackRuleSet& frs,
-                                const FroteConfig& base_config,
+                                const Engine::Builder& base,
                                 const std::vector<double>& budgets);
 
 }  // namespace frote

@@ -286,16 +286,4 @@ std::vector<SelectedInstance> IpSelector::select(
   return out;
 }
 
-std::unique_ptr<BaseInstanceSelector> make_selector(SelectionStrategy strategy,
-                                                    std::size_t k,
-                                                    int threads) {
-  if (strategy == SelectionStrategy::kRandom) {
-    return std::make_unique<RandomSelector>();
-  }
-  IpSelectorConfig config;
-  config.k = k;
-  config.threads = threads;
-  return std::make_unique<IpSelector>(config);
-}
-
 }  // namespace frote

@@ -3,7 +3,6 @@
 // prefers borderline instances while keeping per-rule lower/upper bounds.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "frote/core/base_population.hpp"
@@ -21,8 +20,6 @@ struct SelectedInstance {
   std::size_t rule_index = 0;
   std::size_t bp_slot = 0;
 };
-
-enum class SelectionStrategy { kRandom, kIp };
 
 class BaseInstanceSelector {
  public:
@@ -96,8 +93,5 @@ class IpSelector : public BaseInstanceSelector {
  private:
   IpSelectorConfig config_;
 };
-
-std::unique_ptr<BaseInstanceSelector> make_selector(
-    SelectionStrategy strategy, std::size_t k = 5, int threads = 0);
 
 }  // namespace frote

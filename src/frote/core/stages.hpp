@@ -1,23 +1,20 @@
-// Pipeline stages of the FROTE editing loop (Algorithm 1), promoted to
-// first-class interfaces.
+// Pipeline stages of the FROTE editing loop (Algorithm 1) as interfaces.
 //
 // The loop body — select base instances → generate synthetics → retrain →
-// accept/reject → observe — used to be fused inside frote_edit(). Each stage
-// is now a component the Engine composes, alongside the pre-existing
-// `BaseInstanceSelector` (core/selection.hpp):
+// accept/reject → observe — is a sequence of components the Engine
+// composes, alongside `BaseInstanceSelector` (core/selection.hpp):
 //
 //   InstanceGenerator  — line 8's Generate(B): selected base instances to a
 //                        batch of synthetic rows
 //   AcceptancePolicy   — lines 12–16's Ĵ test (accept_always is a policy
 //                        here, not a config bool)
 //   StoppingCriterion  — when run() stops: τ, the q·|D| budget, plateaus
-//   ProgressObserver   — per-step/per-accept hooks; subsumes the old
-//                        AcceptCallback and the FroteResult trace for
-//                        consumers that want live progress
+//   ProgressObserver   — per-step/per-accept hooks: live access to what the
+//                        FroteResult trace records after the fact
 //
 // All components must be deterministic given the Rng they are handed —
-// tests/test_determinism.cpp and the shim-equivalence suite lock seed →
-// bit-identical output.
+// tests/test_determinism.cpp locks seed → bit-identical output, pinned to
+// committed digests.
 #pragma once
 
 #include <cstddef>
@@ -145,7 +142,7 @@ class JHatImprovementPolicy : public AcceptancePolicy {
   }
 };
 
-/// The ablation switch formerly spelled `FroteConfig::accept_always`.
+/// The ablation switch; Builder::accept_always(true) installs it.
 class AlwaysAcceptPolicy : public AcceptancePolicy {
  public:
   bool accept(const AcceptanceContext&) const override { return true; }
@@ -204,10 +201,10 @@ class AnyOfStoppingCriterion : public StoppingCriterion {
   std::vector<std::shared_ptr<const StoppingCriterion>> criteria_;
 };
 
-/// Stage: progress hooks. Replaces the old AcceptCallback (on_accept) and
-/// gives live access to what FroteResult::trace records after the fact.
-/// Engine-level observers see every session the engine opens; observers
-/// added to a Session see only that session's events after attachment.
+/// Stage: progress hooks, giving live access to what FroteResult::trace
+/// records after the fact. Engine-level observers see every session the
+/// engine opens; observers added to a Session see only that session's
+/// events after attachment.
 class ProgressObserver {
  public:
   virtual ~ProgressObserver() = default;
@@ -220,8 +217,7 @@ class ProgressObserver {
   /// A step completed (any status except kFinished).
   virtual void on_step(const StepReport& report) { (void)report; }
   /// A step was accepted (fires after on_step for that step), with the
-  /// retrained model and the cumulative instance count — the old
-  /// AcceptCallback signature.
+  /// retrained model and the cumulative instance count.
   virtual void on_accept(const Model& model, std::size_t instances_added) {
     (void)model;
     (void)instances_added;
@@ -229,7 +225,7 @@ class ProgressObserver {
 };
 
 /// Adapter: wrap plain std::functions as an observer. Unset callbacks are
-/// skipped. Used by the frote_edit() shim to honour its AcceptCallback.
+/// skipped.
 class CallbackObserver : public ProgressObserver {
  public:
   std::function<void(const Model&, double)> session_start;

@@ -32,8 +32,7 @@ EngineSpec harness_spec(const ExperimentContext& ctx, LearnerKind learner,
   spec.seed = engine_seed;
   spec.mod_strategy = mod_strategy_name(config.mod);
   spec.rule_confidence = config.rule_confidence;
-  spec.selector =
-      config.selection == SelectionStrategy::kIp ? "ip" : "random";
+  spec.selector = config.selector;
   switch (learner) {
     case LearnerKind::kLR: spec.learner = "lr"; break;
     case LearnerKind::kRF: spec.learner = "rf"; break;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "frote/core/frote.hpp"
@@ -38,7 +39,8 @@ struct RunConfig {
   double tcf = 0.2;
   double outside_train_fraction = 0.8;
   ModStrategy mod = ModStrategy::kRelabel;
-  SelectionStrategy selection = SelectionStrategy::kRandom;
+  /// Base-instance selector by registry name ("random", "ip", ...).
+  std::string selector = "random";
   double rule_confidence = 1.0;
   std::size_t tau = 200;  // paper's iteration limit
   double q = 0.5;         // paper's oversampling fraction

@@ -20,7 +20,7 @@ std::vector<LearnerKind> all_learners() {
 
 std::unique_ptr<Learner> make_learner(LearnerKind kind, std::uint64_t seed,
                                       bool fast, int threads) {
-  // The enum is a typed view onto the shared registry (exp/registry.hpp);
+  // The enum is a typed view onto the shared registry (core/registry.hpp);
   // the paper hyper-parameters live in the registry's factories.
   const char* name = nullptr;
   switch (kind) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "frote/core/audit.hpp"
+#include "frote/core/engine.hpp"
 #include "frote/core/generate.hpp"
 #include "frote/core/inflection.hpp"
 #include "frote/core/online_proxy.hpp"
@@ -17,24 +18,30 @@ namespace frote {
 namespace {
 
 struct EditFixture {
-  Dataset train;
-  FeedbackRuleSet frs;
-  FroteConfig config;
+  Dataset train = testing::threshold_dataset(300, 5.0, 50);
+  FeedbackRuleSet frs{std::vector<FeedbackRule>{testing::x_gt_rule(7.0, 0)}};
   DecisionTreeLearner learner;
 
-  EditFixture() {
-    train = testing::threshold_dataset(300, 5.0, 50);
-    frs = FeedbackRuleSet({testing::x_gt_rule(7.0, 0)});
-    config.tau = 10;
-    config.eta = 15;
+  Engine::Builder builder() const {
+    Engine::Builder b;
+    b.rules(frs).tau(10).eta(15);
+    return b;
+  }
+
+  Engine engine = builder().build().value();
+
+  FroteResult edit() const {
+    auto session = engine.open(train, learner).value();
+    session.run();
+    return std::move(session).result();
   }
 };
 
 TEST(Audit, RecordCapturesEditLineage) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result = fx.edit();
   const auto record =
-      build_audit_record(fx.train, fx.frs, fx.config, result);
+      build_audit_record(fx.train, fx.frs, fx.engine.config(), result);
   EXPECT_EQ(record.original_rows, fx.train.size());
   EXPECT_EQ(record.final_rows, result.augmented.size());
   EXPECT_EQ(record.synthetic_rows, result.instances_added);
@@ -47,9 +54,9 @@ TEST(Audit, RecordCapturesEditLineage) {
 
 TEST(Audit, RulesInReportAreReparsable) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result = fx.edit();
   const auto record =
-      build_audit_record(fx.train, fx.frs, fx.config, result);
+      build_audit_record(fx.train, fx.frs, fx.engine.config(), result);
   for (const auto& text : record.rules) {
     const auto reparsed = parse_rule(text, fx.train.schema());
     EXPECT_TRUE(reparsed.clause == fx.frs.rule(0).clause);
@@ -58,9 +65,9 @@ TEST(Audit, RulesInReportAreReparsable) {
 
 TEST(Audit, ReportContainsAllSections) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result = fx.edit();
   const auto report = audit_report_string(
-      build_audit_record(fx.train, fx.frs, fx.config, result));
+      build_audit_record(fx.train, fx.frs, fx.engine.config(), result));
   for (const char* section :
        {"[CONFIG]", "[RULES]", "[MODIFICATION]", "[ITERATIONS]", "[RESULT]"}) {
     EXPECT_NE(report.find(section), std::string::npos) << section;
@@ -70,9 +77,9 @@ TEST(Audit, ReportContainsAllSections) {
 
 TEST(Audit, TraceRowsMatchIterations) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result = fx.edit();
   const auto record =
-      build_audit_record(fx.train, fx.frs, fx.config, result);
+      build_audit_record(fx.train, fx.frs, fx.engine.config(), result);
   // Trace has the initial point plus one row per loop iteration that
   // produced candidates.
   EXPECT_GE(record.trace.size(), 1u);
@@ -87,7 +94,7 @@ TEST(Inflection, SweepIsDeterministicAndOrdered) {
   }
   const std::vector<double> budgets = {0.3, 0.1, 0.0};  // unsorted on purpose
   const auto analysis =
-      sweep_budget(fx.train, test, fx.learner, fx.frs, fx.config, budgets);
+      sweep_budget(fx.train, test, fx.learner, fx.builder(), budgets);
   ASSERT_EQ(analysis.points.size(), 3u);
   EXPECT_DOUBLE_EQ(analysis.points[0].q, 0.0);
   EXPECT_DOUBLE_EQ(analysis.points[2].q, 0.3);
@@ -99,8 +106,8 @@ TEST(Inflection, SweepIsDeterministicAndOrdered) {
 TEST(Inflection, LargerBudgetsAllowMoreInstances) {
   EditFixture fx;
   auto test = testing::threshold_dataset(150, 5.0, 52);
-  const auto analysis = sweep_budget(fx.train, test, fx.learner, fx.frs,
-                                     fx.config, {0.05, 0.8});
+  const auto analysis =
+      sweep_budget(fx.train, test, fx.learner, fx.builder(), {0.05, 0.8});
   ASSERT_EQ(analysis.points.size(), 2u);
   EXPECT_LE(analysis.points[0].instances_added,
             analysis.points[1].instances_added);

@@ -7,6 +7,7 @@
 
 #include "frote/core/frote.hpp"
 #include "frote/core/generate.hpp"
+#include "frote/core/selection.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "test_util.hpp"
 

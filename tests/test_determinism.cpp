@@ -4,12 +4,16 @@
 // a different order will fail here, not in production.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "frote/core/frote.hpp"
+#include "frote/core/engine.hpp"
+#include "frote/core/spec.hpp"
 #include "frote/exp/learners.hpp"
 #include "frote/ml/decision_tree.hpp"
+#include "frote/util/hash.hpp"
 #include "frote/util/parallel.hpp"
 #include "frote/util/rng.hpp"
 #include "test_util.hpp"
@@ -33,19 +37,43 @@ void expect_bit_identical(const Dataset& a, const Dataset& b) {
   }
 }
 
-FroteResult run_frote(std::uint64_t seed) {
+/// FNV-1a over D̂'s shape, then every row in order: label, then each
+/// feature value's bit pattern.
+std::uint64_t dataset_digest(const Dataset& data) {
+  Fnv1a64 h;
+  h.update_u64(data.size());
+  h.update_u64(data.num_features());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    h.update_u64(
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(data.label(i))));
+    for (const double value : data.row(i)) {
+      h.update_u64(std::bit_cast<std::uint64_t>(value));
+    }
+  }
+  return h.digest();
+}
+
+// kNone keeps the conflicting labels in place, so alignment must come from
+// synthetic instances — guaranteeing the RNG-driven path actually runs.
+FroteResult run_frote(std::uint64_t seed,
+                      ModStrategy mod = ModStrategy::kNone,
+                      const std::string& selector = "random") {
   auto data = testing::threshold_dataset(150, 5.0, /*seed=*/11);
   FeedbackRuleSet frs({testing::x_gt_rule(7.0, 0)});
   DecisionTreeLearner learner;
-  FroteConfig config;
-  config.tau = 6;
-  config.q = 0.4;
-  config.k = 5;
-  config.seed = seed;
-  // kNone keeps the conflicting labels in place, so alignment must come from
-  // synthetic instances — guaranteeing the RNG-driven path actually runs.
-  config.mod_strategy = ModStrategy::kNone;
-  return frote_edit(data, learner, frs, config);
+  const auto engine = Engine::Builder()
+                          .rules(frs)
+                          .tau(6)
+                          .q(0.4)
+                          .k(5)
+                          .seed(seed)
+                          .mod_strategy(mod)
+                          .selector(selector)
+                          .build()
+                          .value();
+  auto session = engine.open(data, learner).value();
+  session.run();
+  return std::move(session).result();
 }
 
 TEST(Determinism, SameSeedSameAugmentation) {
@@ -78,6 +106,34 @@ TEST(Determinism, DifferentSeedsDiverge) {
     }
   }
   EXPECT_FALSE(identical);
+}
+
+TEST(Determinism, EditDigestsArePinnedAcrossCommits) {
+  // Same-seed-twice cannot catch drift that changes both runs alike; these
+  // constants can. Each is the D̂ digest of the edit above for one mod
+  // strategy × selector pair. A change here is a change to the output bytes
+  // of Algorithm 1 — update the constants only when that is intended.
+  struct Pinned {
+    ModStrategy mod;
+    const char* selector;
+    std::size_t rows;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {ModStrategy::kNone, "random", 200, 0x4badc073081488d3ull},
+      {ModStrategy::kNone, "ip", 210, 0x455f06ddd839e304ull},
+      {ModStrategy::kRelabel, "random", 150, 0xc2bae435f6569003ull},
+      {ModStrategy::kRelabel, "ip", 150, 0xc2bae435f6569003ull},
+      {ModStrategy::kDrop, "random", 114, 0x84be8f5e87492a34ull},
+      {ModStrategy::kDrop, "ip", 114, 0x92cad61ee9125b83ull},
+  };
+  for (const auto& p : pinned) {
+    const auto result = run_frote(99, p.mod, p.selector);
+    EXPECT_EQ(result.augmented.size(), p.rows)
+        << mod_strategy_name(p.mod) << "/" << p.selector;
+    EXPECT_EQ(dataset_digest(result.augmented), p.digest)
+        << mod_strategy_name(p.mod) << "/" << p.selector;
+  }
 }
 
 TEST(Determinism, RngStreamIsStableAcrossInstances) {

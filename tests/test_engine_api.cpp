@@ -1,17 +1,17 @@
-// Engine/Session API contract: builder validation, step()-vs-run()
-// equivalence, observer ordering, pluggable stopping/acceptance, and the
-// load-bearing shim guarantee — frote_edit() and Engine/Session produce
-// bit-identical augmented datasets for the same seed (this extends
-// tests/test_determinism.cpp's seed → bit-identical contract across the two
-// API surfaces, for all three mod strategies).
+// Engine/Session API contract: builder validation, open() preconditions,
+// step()-vs-run() equivalence, observer ordering and pluggable
+// stopping/acceptance. tests/test_determinism.cpp pins the output bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "frote/core/engine.hpp"
+#include "frote/core/session_pool.hpp"
+#include "frote/data/csv.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "test_util.hpp"
 
@@ -43,15 +43,10 @@ struct Fixture {
     return b;
   }
 
-  FroteConfig config(ModStrategy mod = ModStrategy::kNone,
-                     std::uint64_t seed = 99) const {
-    FroteConfig c;
-    c.tau = 6;
-    c.q = 0.4;
-    c.k = 5;
-    c.seed = seed;
-    c.mod_strategy = mod;
-    return c;
+  FroteResult run(const Engine::Builder& b) const {
+    auto session = b.build().value().open(train, learner).value();
+    session.run();
+    return std::move(session).result();
   }
 };
 
@@ -116,51 +111,49 @@ TEST(Engine, OpenRejectsEmptyDataset) {
   EXPECT_EQ(session.error().code, FroteErrorCode::kInvalidArgument);
 }
 
-// ---------------------------------------------------------------------------
-// Shim equivalence: frote_edit() over Engine/Session must be bit-identical
-// to driving the Session directly, for every mod strategy.
+/// Every row has x > -1 and label pos; the rule "x > -1 ⇒ neg" covers and
+/// contradicts each one, so the drop mod strategy leaves nothing.
+Dataset all_contradicted_rows() {
+  return testing::threshold_dataset(60, /*threshold=*/-1.0, /*seed=*/11);
+}
 
-void expect_shim_matches_session(ModStrategy mod) {
+TEST(Engine, OpenRejectsDatasetTheDropStrategyEmpties) {
   Fixture fx;
-  const auto shim = frote_edit(fx.train, fx.learner, fx.frs, fx.config(mod));
-
-  const auto engine = fx.builder(mod).build().value();
-  auto session = engine.open(fx.train, fx.learner).value();
-  session.run();
-  const auto direct = std::move(session).result();
-
-  EXPECT_EQ(shim.instances_added, direct.instances_added);
-  EXPECT_EQ(shim.iterations_run, direct.iterations_run);
-  EXPECT_EQ(shim.iterations_accepted, direct.iterations_accepted);
-  ASSERT_EQ(shim.trace.size(), direct.trace.size());
-  for (std::size_t i = 0; i < shim.trace.size(); ++i) {
-    EXPECT_EQ(shim.trace[i].iteration, direct.trace[i].iteration);
-    EXPECT_EQ(shim.trace[i].instances_added, direct.trace[i].instances_added);
-    EXPECT_EQ(shim.trace[i].train_j_hat_bar, direct.trace[i].train_j_hat_bar);
-    EXPECT_EQ(shim.trace[i].accepted, direct.trace[i].accepted);
-  }
-  expect_bit_identical(shim.augmented, direct.augmented);
+  const auto engine = Engine::Builder()
+                          .rules(FeedbackRuleSet(std::vector<FeedbackRule>{
+                              testing::x_gt_rule(-1.0, 0)}))
+                          .mod_strategy(ModStrategy::kDrop)
+                          .build()
+                          .value();
+  const auto session = engine.open(all_contradicted_rows(), fx.learner);
+  ASSERT_FALSE(session.has_value());
+  EXPECT_EQ(session.error().code, FroteErrorCode::kInvalidArgument);
+  EXPECT_NE(session.error().message.find("every row"), std::string::npos);
 }
 
-TEST(EngineShim, BitIdenticalToSessionModNone) {
-  expect_shim_matches_session(ModStrategy::kNone);
-}
+TEST(SessionPool, CreateReturnsTypedErrorWhenDropEmptiesTheDataset) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "frote_test_engine_api_drop_all";
+  std::filesystem::create_directories(dir);
+  const std::string csv = (dir / "contradicted.csv").string();
+  const Dataset data = all_contradicted_rows();
+  save_csv(data, csv);
 
-TEST(EngineShim, BitIdenticalToSessionModRelabel) {
-  expect_shim_matches_session(ModStrategy::kRelabel);
-}
+  EngineSpec spec;
+  spec.mod_strategy = "drop";
+  spec.learner = "rf";
+  spec.learner_fast = true;
+  spec.rules = {testing::x_gt_rule(-1.0, 0).to_string(data.schema())};
+  DatasetSpec dataset;
+  dataset.kind = "csv";
+  dataset.path = csv;
+  spec.dataset = dataset;
 
-TEST(EngineShim, BitIdenticalToSessionModDrop) {
-  expect_shim_matches_session(ModStrategy::kDrop);
-}
-
-TEST(EngineShim, AugmentationIsExercised) {
-  // The equivalence above must not be vacuous: the kNone scenario has to add
-  // synthetic instances (same guard as test_determinism.cpp).
-  Fixture fx;
-  const auto result =
-      frote_edit(fx.train, fx.learner, fx.frs, fx.config(ModStrategy::kNone));
-  EXPECT_GT(result.instances_added, 0u);
+  SessionPool pool(SessionPoolConfig{});
+  const auto created = pool.create(spec);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(created.has_value());
+  EXPECT_EQ(created.error().code, FroteErrorCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,34 +293,18 @@ TEST(Observer, SessionLevelObserverSeesSameStepsAsEngineLevel) {
   EXPECT_EQ(engine_tail, session_observer->events);
 }
 
-TEST(Observer, ShimAcceptCallbackStillFires) {
-  Fixture fx;
-  std::size_t calls = 0;
-  const auto result =
-      frote_edit(fx.train, fx.learner, fx.frs, fx.config(ModStrategy::kNone),
-                 [&](const Model&, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, result.iterations_accepted);
-}
-
 // ---------------------------------------------------------------------------
 // Pluggable policies and stopping criteria
 
-TEST(Policies, AlwaysAcceptPolicyMatchesLegacyFlag) {
+TEST(Policies, AlwaysAcceptPolicyMatchesAcceptAlwaysFlag) {
   Fixture fx;
-  auto legacy_config = fx.config(ModStrategy::kNone);
-  legacy_config.accept_always = true;
-  const auto legacy = frote_edit(fx.train, fx.learner, fx.frs, legacy_config);
+  const auto flag = fx.run(fx.builder(ModStrategy::kNone).accept_always(true));
+  const auto direct =
+      fx.run(fx.builder(ModStrategy::kNone)
+                 .acceptance(std::make_shared<AlwaysAcceptPolicy>()));
 
-  const auto engine = fx.builder(ModStrategy::kNone)
-                          .acceptance(std::make_shared<AlwaysAcceptPolicy>())
-                          .build()
-                          .value();
-  auto session = engine.open(fx.train, fx.learner).value();
-  session.run();
-  const auto direct = std::move(session).result();
-
-  EXPECT_EQ(legacy.instances_added, direct.instances_added);
-  expect_bit_identical(legacy.augmented, direct.augmented);
+  EXPECT_EQ(flag.instances_added, direct.instances_added);
+  expect_bit_identical(flag.augmented, direct.augmented);
   // accept-always means every trained batch was kept.
   EXPECT_EQ(direct.iterations_accepted, direct.trace.size() - 1);
 }

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "frote/core/frote.hpp"
+#include "frote/core/engine.hpp"
 #include "frote/ml/knn_classifier.hpp"
 #include "frote/ml/naive_bayes.hpp"
 #include "test_util.hpp"
@@ -121,10 +121,11 @@ TEST_P(ModelAgnosticism, FroteEditsAnyLearner) {
     learner = std::make_unique<KnnClassifierLearner>();
   }
   const auto initial = learner->train(sparse);
-  FroteConfig config;
-  config.tau = 15;
-  config.eta = 25;
-  auto result = frote_edit(sparse, *learner, frs, config);
+  const auto engine =
+      Engine::Builder().rules(frs).tau(15).eta(25).build().value();
+  auto session = engine.open(sparse, *learner).value();
+  session.run();
+  const auto result = std::move(session).result();
   const auto before = rule_agreement(*initial, frs.rule(0), result.augmented);
   const auto after =
       rule_agreement(*result.model, frs.rule(0), result.augmented);

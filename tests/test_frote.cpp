@@ -4,9 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "frote/core/frote.hpp"
+#include "frote/core/engine.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "frote/ml/logistic_regression.hpp"
 #include "test_util.hpp"
@@ -45,12 +46,19 @@ Scenario policy_change_scenario(std::uint64_t seed = 21, double tcf = 0.08) {
   return s;
 }
 
-FroteConfig quick_config() {
-  FroteConfig config;
-  config.tau = 25;
-  config.q = 0.5;
-  config.eta = 20;
-  return config;
+Engine::Builder quick_builder() {
+  Engine::Builder builder;
+  builder.tau(25).q(0.5).eta(20);
+  return builder;
+}
+
+/// Run one edit of `data` towards `frs` to completion.
+FroteResult edit(Engine::Builder builder, const Dataset& data,
+                 const Learner& learner, const FeedbackRuleSet& frs) {
+  const auto engine = builder.rules(frs).build().value();
+  auto session = engine.open(data, learner).value();
+  session.run();
+  return std::move(session).result();
 }
 
 TEST(Frote, ImprovesTestJBarOverInitialModel) {
@@ -61,7 +69,7 @@ TEST(Frote, ImprovesTestJBarOverInitialModel) {
   const auto initial = learner.train(s.train);
   const double j_initial = test_j_bar(*initial, s.frs, s.test);
 
-  auto result = frote_edit(s.train, learner, s.frs, quick_config());
+  auto result = edit(quick_builder(), s.train, learner, s.frs);
   const double j_final = test_j_bar(*result.model, s.frs, s.test);
   EXPECT_GT(j_final, j_initial);
   EXPECT_GT(result.instances_added, 0u);
@@ -70,9 +78,8 @@ TEST(Frote, ImprovesTestJBarOverInitialModel) {
 TEST(Frote, RelabelAloneHandledThenAugmentationRefines) {
   auto s = policy_change_scenario(33);
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  config.mod_strategy = ModStrategy::kRelabel;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = edit(quick_builder().mod_strategy(ModStrategy::kRelabel),
+                     s.train, learner, s.frs);
   // Relabel + augmentation must reach near-perfect rule agreement.
   const auto breakdown = evaluate_objective(*result.model, s.frs, s.test);
   EXPECT_GT(breakdown.mra, 0.9);
@@ -82,28 +89,22 @@ TEST(Frote, RelabelAloneHandledThenAugmentationRefines) {
 TEST(Frote, QuotaBoundsInstancesAdded) {
   auto s = policy_change_scenario(44);
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  config.q = 0.1;
-  config.eta = 10;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = edit(quick_builder().q(0.1).eta(10), s.train, learner, s.frs);
   // N may exceed q|D| by at most one batch (the loop checks before adding).
-  EXPECT_LE(result.instances_added,
-            static_cast<std::size_t>(0.1 * 400) + config.eta);
+  EXPECT_LE(result.instances_added, static_cast<std::size_t>(0.1 * 400) + 10);
 }
 
 TEST(Frote, IterationLimitRespected) {
   auto s = policy_change_scenario(55);
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  config.tau = 7;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = edit(quick_builder().tau(7), s.train, learner, s.frs);
   EXPECT_LE(result.iterations_run, 7u);
 }
 
 TEST(Frote, EmptyFrsIsNoOp) {
   auto s = policy_change_scenario(66);
   DecisionTreeLearner learner;
-  auto result = frote_edit(s.train, learner, FeedbackRuleSet{}, quick_config());
+  auto result = edit(quick_builder(), s.train, learner, FeedbackRuleSet{});
   EXPECT_EQ(result.instances_added, 0u);
   EXPECT_EQ(result.augmented.size(), s.train.size());
 }
@@ -111,9 +112,8 @@ TEST(Frote, EmptyFrsIsNoOp) {
 TEST(Frote, AugmentedDatasetContainsOriginalRows) {
   auto s = policy_change_scenario(77);
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  config.mod_strategy = ModStrategy::kNone;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = edit(quick_builder().mod_strategy(ModStrategy::kNone),
+                     s.train, learner, s.frs);
   ASSERT_GE(result.augmented.size(), s.train.size());
   for (std::size_t i = 0; i < s.train.size(); ++i) {
     EXPECT_EQ(result.augmented.label(i), s.train.label(i));
@@ -126,9 +126,9 @@ TEST(Frote, AugmentedDatasetContainsOriginalRows) {
 TEST(Frote, SyntheticRowsSatisfyTheRule) {
   auto s = policy_change_scenario(88);
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  config.mod_strategy = ModStrategy::kNone;  // keep row count bookkeeping easy
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  // kNone keeps row count bookkeeping easy.
+  auto result = edit(quick_builder().mod_strategy(ModStrategy::kNone),
+                     s.train, learner, s.frs);
   for (std::size_t i = s.train.size(); i < result.augmented.size(); ++i) {
     EXPECT_TRUE(s.frs.rule(0).covers(result.augmented.row(i)));
     EXPECT_EQ(result.augmented.label(i), 0);
@@ -138,8 +138,8 @@ TEST(Frote, SyntheticRowsSatisfyTheRule) {
 TEST(Frote, DeterministicGivenSeed) {
   auto s = policy_change_scenario(99);
   DecisionTreeLearner learner;
-  auto r1 = frote_edit(s.train, learner, s.frs, quick_config());
-  auto r2 = frote_edit(s.train, learner, s.frs, quick_config());
+  auto r1 = edit(quick_builder(), s.train, learner, s.frs);
+  auto r2 = edit(quick_builder(), s.train, learner, s.frs);
   EXPECT_EQ(r1.instances_added, r2.instances_added);
   ASSERT_EQ(r1.augmented.size(), r2.augmented.size());
   for (std::size_t i = 0; i < r1.augmented.size(); ++i) {
@@ -150,7 +150,7 @@ TEST(Frote, DeterministicGivenSeed) {
 TEST(Frote, TraceIsMonotoneInInstancesAndStartsAtZero) {
   auto s = policy_change_scenario(111);
   DecisionTreeLearner learner;
-  auto result = frote_edit(s.train, learner, s.frs, quick_config());
+  auto result = edit(quick_builder(), s.train, learner, s.frs);
   ASSERT_FALSE(result.trace.empty());
   EXPECT_EQ(result.trace.front().instances_added, 0u);
   std::size_t last_accepted = 0;
@@ -166,7 +166,7 @@ TEST(Frote, TraceIsMonotoneInInstancesAndStartsAtZero) {
 TEST(Frote, AcceptedJHatNeverDecreases) {
   auto s = policy_change_scenario(122);
   DecisionTreeLearner learner;
-  auto result = frote_edit(s.train, learner, s.frs, quick_config());
+  auto result = edit(quick_builder(), s.train, learner, s.frs);
   double last = -1.0;
   for (const auto& point : result.trace) {
     if (!point.accepted) continue;
@@ -178,32 +178,30 @@ TEST(Frote, AcceptedJHatNeverDecreases) {
 TEST(Frote, AcceptAlwaysAblationAddsMore) {
   auto s = policy_change_scenario(133);
   DecisionTreeLearner learner;
-  auto strict = quick_config();
-  auto always = quick_config();
-  always.accept_always = true;
-  auto r_strict = frote_edit(s.train, learner, s.frs, strict);
-  auto r_always = frote_edit(s.train, learner, s.frs, always);
+  auto r_strict = edit(quick_builder(), s.train, learner, s.frs);
+  auto r_always =
+      edit(quick_builder().accept_always(true), s.train, learner, s.frs);
   EXPECT_GE(r_always.instances_added, r_strict.instances_added);
 }
 
-TEST(Frote, OnAcceptCallbackFires) {
+TEST(Frote, OnAcceptObserverFires) {
   auto s = policy_change_scenario(144);
   DecisionTreeLearner learner;
   std::size_t calls = 0;
-  auto result = frote_edit(s.train, learner, s.frs, quick_config(),
-                           [&](const Model&, std::size_t) { ++calls; });
+  auto counter = std::make_shared<CallbackObserver>();
+  counter->accept = [&](const Model&, std::size_t) { ++calls; };
+  auto result =
+      edit(quick_builder().observer(counter), s.train, learner, s.frs);
   EXPECT_EQ(calls, result.iterations_accepted);
 }
 
 TEST(Frote, WorksWithIpSelection) {
   auto s = policy_change_scenario(155);
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  config.selection = SelectionStrategy::kIp;
-  config.tau = 10;
   const auto initial = learner.train(s.train);
   const double j_initial = test_j_bar(*initial, s.frs, s.test);
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result =
+      edit(quick_builder().selector("ip").tau(10), s.train, learner, s.frs);
   EXPECT_GE(test_j_bar(*result.model, s.frs, s.test), j_initial);
 }
 
@@ -221,14 +219,11 @@ TEST(Frote, LinearModelNeedsAndGetsBoundaryShift) {
   LogisticRegressionConfig lr_config;
   lr_config.max_iter = 200;
   LogisticRegressionLearner learner(lr_config);
-  FroteConfig config;
-  config.tau = 20;
-  config.q = 2.0;
-  config.eta = 50;
-  config.mod_strategy = ModStrategy::kNone;
+  Engine::Builder builder;
+  builder.tau(20).q(2.0).eta(50).mod_strategy(ModStrategy::kNone);
   const auto initial = learner.train(train);
   const auto before = evaluate_objective(*initial, frs, test);
-  auto result = frote_edit(train, learner, frs, config);
+  auto result = edit(builder, train, learner, frs);
   const auto after = evaluate_objective(*result.model, frs, test);
   EXPECT_GT(after.mra, before.mra);
   // Outside-coverage F1 must not collapse (the paper's key claim).
@@ -249,8 +244,7 @@ TEST(Frote, ZeroCoverageRuleHandledThroughRelaxation) {
   train.remove_rows(covered);
   FeedbackRuleSet frs({rule});
   DecisionTreeLearner learner;
-  auto config = quick_config();
-  auto result = frote_edit(train, learner, frs, config);
+  auto result = edit(quick_builder(), train, learner, frs);
   // Synthetic instances must exist in the empty region and satisfy the rule.
   bool any_synthetic_in_region = false;
   for (std::size_t i = train.size(); i < result.augmented.size(); ++i) {

@@ -66,7 +66,7 @@ Engine make_engine(ModStrategy mod, std::uint64_t seed = 99) {
       .k(5)
       .eta(10)
       .seed(seed)
-      .selection(SelectionStrategy::kIp)
+      .selector("ip")
       .mod_strategy(mod)
       .build()
       .value();

@@ -139,7 +139,7 @@ FroteResult run_threaded_edit(ModStrategy mod, int threads,
                           .k(5)
                           .seed(99)
                           .mod_strategy(mod)
-                          .selection(SelectionStrategy::kIp)
+                          .selector("ip")
                           .threads(threads)
                           .build()
                           .value();

@@ -1,4 +1,4 @@
-// Named-component registry (exp/registry.hpp): the single string → component
+// Named-component registry (core/registry.hpp): the single string → component
 // mapping shared by the CLI and the experiment harness.
 #include <gtest/gtest.h>
 

@@ -127,22 +127,22 @@ TEST(EngineSpec, SpecDrivenEngineMatchesImperativeEngine) {
 }
 
 TEST(EngineSpec, LastSelectorChoiceWins) {
-  // The three selector setters (registry name, enum, component instance)
-  // override each other in call order; to_spec() reflects the final one.
+  // selector(name) overrides the spec's selector, and later calls override
+  // earlier ones; to_spec() reflects the final name.
   const auto schema = testing::mixed_schema();
   auto engine = Engine::Builder::from_spec(small_spec(), *schema)  // random
                     .value()
-                    .selection(SelectionStrategy::kIp)
+                    .selector("ip")
                     .build()
                     .value();
   EXPECT_EQ(engine.to_spec()->selector, "ip");
-  auto back_to_name = Engine::Builder::from_spec(small_spec(), *schema)
-                          .value()
-                          .selection(SelectionStrategy::kIp)
-                          .selector("online-proxy")
-                          .build()
-                          .value();
-  EXPECT_EQ(back_to_name.to_spec()->selector, "online-proxy");
+  auto renamed = Engine::Builder::from_spec(small_spec(), *schema)
+                     .value()
+                     .selector("ip")
+                     .selector("online-proxy")
+                     .build()
+                     .value();
+  EXPECT_EQ(renamed.to_spec()->selector, "online-proxy");
 }
 
 TEST(EngineSpec, UnknownComponentNamesAreTypedErrors) {
@@ -213,7 +213,7 @@ TEST(EngineSpec, ImperativeEnginesSynthesizeSpecsWhenRepresentable) {
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .tau(7)
-                          .selection(SelectionStrategy::kIp)
+                          .selector("ip")
                           .build()
                           .value();
   // Rule text needs a schema on this path.
@@ -227,6 +227,17 @@ TEST(EngineSpec, ImperativeEnginesSynthesizeSpecsWhenRepresentable) {
   EXPECT_EQ(spec->rules[0], "IF x > 6 THEN class = pos");
 
   // A custom component instance has no declarative name: typed refusal.
+  const auto custom = Engine::Builder()
+                          .rules(frs)
+                          .acceptance(std::make_shared<AlwaysAcceptPolicy>())
+                          .build()
+                          .value();
+  auto unrepresentable = custom.to_spec(*testing::mixed_schema());
+  ASSERT_FALSE(unrepresentable.has_value());
+  EXPECT_EQ(unrepresentable.error().code, FroteErrorCode::kInvalidArgument);
+}
+
+TEST(EngineSpec, CustomSelectorsAreNamedThroughTheRegistry) {
   struct NullSelector final : BaseInstanceSelector {
     std::vector<SelectedInstance> select(const Dataset&,
                                          const BasePopulation&, const Model&,
@@ -234,14 +245,32 @@ TEST(EngineSpec, ImperativeEnginesSynthesizeSpecsWhenRepresentable) {
       return {};
     }
   };
-  const auto custom = Engine::Builder()
-                          .rules(frs)
-                          .selector(std::make_shared<NullSelector>())
-                          .build()
-                          .value();
-  auto unrepresentable = custom.to_spec(*testing::mixed_schema());
-  ASSERT_FALSE(unrepresentable.has_value());
-  EXPECT_EQ(unrepresentable.error().code, FroteErrorCode::kInvalidArgument);
+  register_selector(
+      "test-null",
+      [](const SelectorSpec&)
+          -> Expected<std::shared_ptr<const BaseInstanceSelector>> {
+        return std::shared_ptr<const BaseInstanceSelector>(
+            std::make_shared<NullSelector>());
+      });
+  FeedbackRuleSet frs({testing::x_gt_rule(6.0, 1)});
+  const auto engine =
+      Engine::Builder().rules(frs).selector("test-null").build();
+  ASSERT_TRUE(engine.has_value()) << engine.error().message;
+  auto data = testing::threshold_dataset(60, 5.0, 3);
+  auto learner = make_named_learner("nb").value();
+  auto session = engine->open(data, *learner);
+  ASSERT_TRUE(session.has_value()) << session.error().message;
+  // The null selector picks nothing, so the first step exhausts.
+  EXPECT_EQ(session->step().status, StepStatus::kExhausted);
+
+  const auto spec = engine->to_spec(*testing::mixed_schema());
+  ASSERT_TRUE(spec.has_value()) << spec.error().message;
+  EXPECT_EQ(spec->selector, "test-null");
+
+  const auto unregistered =
+      Engine::Builder().rules(frs).selector("test-unregistered").build();
+  ASSERT_FALSE(unregistered.has_value());
+  EXPECT_EQ(unregistered.error().code, FroteErrorCode::kUnknownComponent);
 }
 
 TEST(StoppingSpec, RoundTripAndBehaviour) {

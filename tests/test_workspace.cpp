@@ -274,7 +274,7 @@ FroteResult run_ip_session(int threads) {
                           .q(0.4)
                           .seed(99)
                           .mod_strategy(ModStrategy::kNone)
-                          .selection(SelectionStrategy::kIp)
+                          .selector("ip")
                           .threads(threads)
                           .build()
                           .value();
