@@ -21,7 +21,9 @@
 #include "frote/exp/learners.hpp"
 #include "frote/metrics/metrics.hpp"
 #include "frote/opt/ip.hpp"
+#include "frote/opt/lp.hpp"
 #include "frote/smote/smote.hpp"
+#include "ip5_instances.hpp"  // tests/; gtest-free by design
 
 #ifdef FROTE_SERVE_BINARY
 #include "serve_harness.hpp"  // tests/; gtest-free by design
@@ -233,6 +235,25 @@ void BM_IpSelectionWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IpSelectionWarm)->Arg(1000)->Arg(4000)->Arg(8000);
+
+void BM_SolveLp(benchmark::State& state) {
+  // IP selection's "LP/IP solve" stage alone: the IP-(5) relaxation over p
+  // base-population binaries and m = 3 rules (tests/ip5_instances.hpp;
+  // p = 3000 has the adult edit's shape, about 400 steps). The counters
+  // export the pivot path so the cost model in opt/lp.hpp (time roughly
+  // iterations × (p+m), plus m·(p+m) per pivot) can be checked against
+  // the measured time.
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const LpProblem lp = make_ip5_lp(p, 3, 1000 * p + 3);
+  LpResult result;
+  for (auto _ : state) {
+    result = solve_lp(lp);
+    benchmark::DoNotOptimize(result.objective);
+  }
+  state.counters["lp_iterations"] = static_cast<double>(result.iterations);
+  state.counters["bound_flips"] = static_cast<double>(result.bound_flips);
+}
+BENCHMARK(BM_SolveLp)->Arg(300)->Arg(3000)->Arg(30000);
 
 void BM_RandomSelection(benchmark::State& state) {
   const auto& data = adult(2000);

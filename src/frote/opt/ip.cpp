@@ -34,6 +34,11 @@ std::size_t most_fractional(const std::vector<double>& x,
 IpResult solve_binary_ip(const LpProblem& problem,
                          const std::vector<std::size_t>& binary_vars,
                          const IpConfig& config) {
+  for (std::size_t j : binary_vars) {
+    FROTE_CHECK_MSG(j < problem.num_vars,
+                    "binary variable " << j << " out of range for "
+                                       << problem.num_vars << " variables");
+  }
   IpResult result;
   std::vector<Node> stack;
   stack.push_back({problem.lo, problem.hi});
@@ -46,10 +51,7 @@ IpResult solve_binary_ip(const LpProblem& problem,
     stack.pop_back();
     ++result.nodes_explored;
 
-    LpProblem sub = problem;
-    sub.lo = node.lo;
-    sub.hi = node.hi;
-    const LpResult relax = solve_lp(sub);
+    const LpResult relax = detail::solve_lp_bounded(problem, node.lo, node.hi);
     if (relax.status != LpStatus::kOptimal) continue;
     if (relax.objective <= incumbent + 1e-9) continue;  // bound prune
 

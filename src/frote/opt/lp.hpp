@@ -1,11 +1,25 @@
 // Dense bounded-variable primal simplex.
 //
-// FROTE's IP (5) is tiny — one row per feedback rule (m ≤ 20), one column
-// per base-population instance (p ≤ a few hundred) — so a textbook dense
-// simplex with explicit basis refactorisation each iteration is both simple
-// and fast. Range constraints l ≤ a'z ≤ u are pre-converted by the caller
-// into equalities with bounded slacks. Artificial variables with Big-M costs
-// provide the initial basis.
+// FROTE's IP (5) is short and wide: one row per feedback rule (m ≤ 20),
+// one binary per base-population instance plus one slack per rule, so
+// n = p + m user columns with p in the thousands (3,014–5,344 on the
+// 8000-row adult edit). Range constraints l ≤ a'z ≤ u are pre-converted by
+// the caller into equalities with bounded slacks. Artificial variables with
+// Big-M costs provide the initial basis.
+//
+// Each iteration either pivots (a basic variable leaves) or bound-flips
+// (the entering variable crosses to its other bound, basis unchanged). The
+// duals y (B'y = c_B, a dense m×m solve) and the reduced costs of all n+m
+// columns depend on the basis alone, so they are recomputed after a pivot
+// only; a flip reuses them. Cost model per solve, with iterations =
+// pivots + bound_flips (both reported in LpResult):
+//   pivots × m·(n+m) mult-subs      reduced-cost refresh
+//   + iterations × (n+m) compares   Dantzig pricing scan
+//   + iterations × O(m³)            direction solve B d = A_q
+// The refresh walks A row by row yet applies each column's subtractions in
+// the same order as a per-column dot product, so the reduced costs, the
+// pivot path and the returned vertex are bit-identical to recomputing them
+// every iteration.
 #pragma once
 
 #include <cstddef>
@@ -38,11 +52,23 @@ struct LpResult {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> x;
+  /// Simplex steps taken (pivots + bound flips); reports, not knobs.
+  std::size_t iterations = 0;
+  std::size_t bound_flips = 0;
 };
 
 /// Solve with the bounded-variable simplex. `max_iterations` guards against
 /// cycling (Bland's rule is applied when progress stalls).
 LpResult solve_lp(const LpProblem& problem, std::size_t max_iterations = 5000);
+
+namespace detail {
+/// solve_lp with `lo`/`hi` in place of problem.lo/hi: branch & bound's
+/// per-node entry, so a node never copies the problem's dense A.
+LpResult solve_lp_bounded(const LpProblem& problem,
+                          const std::vector<double>& lo,
+                          const std::vector<double>& hi,
+                          std::size_t max_iterations = 5000);
+}  // namespace detail
 
 constexpr double kLpInfinity = std::numeric_limits<double>::infinity();
 

@@ -1,10 +1,96 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "frote/opt/ip.hpp"
 #include "frote/opt/lp.hpp"
+#include "frote/util/error.hpp"
+#include "frote/util/hash.hpp"
+#include "ip5_instances.hpp"
 
 namespace frote {
 namespace {
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// FNV digest of (status, objective bits, every x bit).
+std::uint64_t lp_digest(const LpResult& r) {
+  Fnv1a64 h;
+  h.update_u64(static_cast<std::uint64_t>(r.status));
+  h.update_u64(double_bits(r.objective));
+  for (double v : r.x) h.update_u64(double_bits(v));
+  return h.digest();
+}
+
+/// The simplex's pivot path is part of the output contract: IP selection
+/// returns the LP vertex, so a different path (other ties, another entering
+/// rule, another op order in the reduced costs) can change which base
+/// instances get oversampled. The digests pin the returned vertex bit for
+/// bit; the step counts pin the path's length and its pivot/flip split.
+/// Change them only when the output change is intended.
+TEST(Lp, PivotPathIsPinnedOnIp5Instances) {
+  struct Pinned {
+    std::size_t p, m;
+    std::uint64_t digest;
+    std::size_t iterations, bound_flips;
+  };
+  const Pinned pinned[] = {
+      {50, 1, 0x4d0b39ffe8072a67ull, 7, 6},
+      {50, 3, 0x36914a35c1ab1620ull, 39, 17},
+      {50, 8, 0xb8aee73546ff71ceull, 61, 12},
+      {500, 1, 0xa69bf5d17303c637ull, 51, 50},
+      {500, 3, 0x7d03931217ad4629ull, 74, 32},
+      {500, 8, 0xc771185b1678ebb0ull, 116, 11},
+      {3000, 1, 0x979caeebfa1da739ull, 301, 300},
+      {3000, 3, 0x66e5d3a6aef411beull, 414, 203},
+      {3000, 8, 0x672b4044dc19b8fcull, 559, 65},
+  };
+  for (const auto& pin : pinned) {
+    const LpProblem lp = make_ip5_lp(pin.p, pin.m, 1000 * pin.p + pin.m);
+    const LpResult r = solve_lp(lp);
+    EXPECT_EQ(r.status, LpStatus::kOptimal) << pin.p << "x" << pin.m;
+    EXPECT_EQ(lp_digest(r), pin.digest) << pin.p << "x" << pin.m;
+    EXPECT_EQ(r.iterations, pin.iterations) << pin.p << "x" << pin.m;
+    EXPECT_EQ(r.bound_flips, pin.bound_flips) << pin.p << "x" << pin.m;
+  }
+}
+
+/// Branch & bound over the same instances: node count, incumbent and
+/// snapped x are pinned, so the per-node bounds path is covered too (the
+/// m = 8 instances have fractional roots; 50x8 branches to 7 nodes).
+/// 3000x8 is left out: it spends the whole 400-node budget.
+TEST(Ip, BranchAndBoundIsPinnedOnIp5Instances) {
+  struct Pinned {
+    std::size_t p, m, nodes;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {50, 1, 1, 0x5d73e1d0a17506e7ull},   {50, 3, 1, 0xc33c07732eb5f6a0ull},
+      {50, 8, 7, 0xec6cd4b628e55a13ull},   {500, 1, 1, 0xe39a89db97331bb7ull},
+      {500, 3, 1, 0xa1b881f3144b45a9ull},  {500, 8, 1, 0x456c0c5ff6292110ull},
+      {3000, 1, 1, 0x5cc3fadba84242b9ull}, {3000, 3, 1, 0xc6158effb4da2d3eull},
+  };
+  for (const auto& pin : pinned) {
+    const LpProblem lp = make_ip5_lp(pin.p, pin.m, 1000 * pin.p + pin.m);
+    std::vector<std::size_t> binaries(pin.p);
+    for (std::size_t i = 0; i < pin.p; ++i) binaries[i] = i;
+    const IpResult r = solve_binary_ip(lp, binaries);
+    Fnv1a64 h;
+    h.update_u64(r.feasible ? 1 : 0);
+    h.update_u64(r.nodes_explored);
+    h.update_u64(double_bits(r.objective));
+    for (double v : r.x) h.update_u64(double_bits(v));
+    EXPECT_TRUE(r.feasible) << pin.p << "x" << pin.m;
+    EXPECT_EQ(r.nodes_explored, pin.nodes) << pin.p << "x" << pin.m;
+    EXPECT_EQ(h.digest(), pin.digest) << pin.p << "x" << pin.m;
+  }
+}
 
 /// max x0 + x1 s.t. x0 + x1 + s = 1 (s >= 0): a simplex on the unit simplex.
 TEST(Lp, SimpleBudget) {
@@ -140,6 +226,20 @@ TEST(Ip, InfeasibleReported) {
   lp.a = {1.0};
   lp.b = {2.0};
   EXPECT_FALSE(solve_binary_ip(lp, {0}).feasible);
+}
+
+TEST(Ip, RejectsOutOfRangeBinaryVar) {
+  // Index 2 is past num_vars: it would read past the relaxation's x and
+  // write past the node bounds when branching.
+  LpProblem lp;
+  lp.num_vars = 2;
+  lp.num_rows = 1;
+  lp.c = {2.0, 1.0};
+  lp.lo = {0.0, 0.0};
+  lp.hi = {1.0, 1.0};
+  lp.a = {1.0, 1.0};
+  lp.b = {1.0};
+  EXPECT_THROW(solve_binary_ip(lp, {0, 2}), Error);
 }
 
 TEST(Ip, IntegralRelaxationFlagged) {

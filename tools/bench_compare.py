@@ -20,6 +20,10 @@ Per-thread-count baselines: bench/dump_bench_json.sh's FROTE_BENCH_THREADS
 sweep records "<name>/threads:<n>" rows; they diff by name like any other
 benchmark (an --only base name also matches its /threads:n variants), and
 the fresh run's variants are summarised as a thread-scaling table.
+
+Each side's host (Google Benchmark context: host_name, num_cpus,
+mhz_per_cpu) is printed first, with a warning on stderr when the two
+differ: a delta between hosts measures the hosts as much as the change.
 """
 
 import argparse
@@ -27,9 +31,16 @@ import json
 import sys
 
 
+HOST_KEYS = ("host_name", "num_cpus", "mhz_per_cpu")
+
+
 def load_benchmarks(path):
+    """Return (host, {name: real_time}); host maps HOST_KEYS to the
+    recording context's values (None when a key is absent)."""
     with open(path) as fh:
         doc = json.load(fh)
+    context = doc.get("context", {})
+    host = {key: context.get(key) for key in HOST_KEYS}
     out = {}
     for bench in doc.get("benchmarks", []):
         # Aggregate entries (mean/median/stddev) would double-count; the
@@ -37,7 +48,12 @@ def load_benchmarks(path):
         if bench.get("run_type", "iteration") != "iteration":
             continue
         out[bench["name"]] = float(bench["real_time"])
-    return out
+    return host, out
+
+
+def host_line(host):
+    return "  ".join(f"{key}={'?' if host[key] is None else host[key]}"
+                     for key in HOST_KEYS)
 
 
 def fmt_ns(ns):
@@ -91,8 +107,14 @@ def main():
                              "while the rest stays informational")
     args = parser.parse_args()
 
-    base = load_benchmarks(args.baseline)
-    fresh = load_benchmarks(args.fresh)
+    base_host, base = load_benchmarks(args.baseline)
+    fresh_host, fresh = load_benchmarks(args.fresh)
+    print(f"baseline host: {host_line(base_host)}")
+    print(f"fresh host:    {host_line(fresh_host)}")
+    if base_host != fresh_host:
+        print("warning: baseline and fresh run were recorded on different "
+              "hosts; deltas mix host and code changes", file=sys.stderr)
+    print()
 
     if args.only:
         wanted = [w for w in args.only.split(",") if w]
