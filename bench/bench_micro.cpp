@@ -4,12 +4,14 @@
 // and the per-iteration FROTE objective evaluation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "frote/core/checkpoint.hpp"
@@ -17,6 +19,7 @@
 #include "frote/core/generate.hpp"
 #include "frote/core/registry.hpp"
 #include "frote/core/scenario.hpp"
+#include "frote/core/workspace.hpp"
 #include "frote/data/generators.hpp"
 #include "frote/exp/learners.hpp"
 #include "frote/metrics/metrics.hpp"
@@ -33,13 +36,17 @@ namespace {
 
 using namespace frote;
 
-const Dataset& adult(std::size_t n) {
-  static std::map<std::size_t, Dataset> cache;
-  auto it = cache.find(n);
+const Dataset& cached_dataset(UciDataset id, std::size_t n) {
+  static std::map<std::pair<UciDataset, std::size_t>, Dataset> cache;
+  auto it = cache.find({id, n});
   if (it == cache.end()) {
-    it = cache.emplace(n, make_dataset(UciDataset::kAdult, n)).first;
+    it = cache.emplace(std::make_pair(id, n), make_dataset(id, n)).first;
   }
   return it->second;
+}
+
+const Dataset& adult(std::size_t n) {
+  return cached_dataset(UciDataset::kAdult, n);
 }
 
 FeedbackRule adult_rule(const Dataset& data) {
@@ -95,23 +102,57 @@ void BM_BallTreeBuild(benchmark::State& state) {
 BENCHMARK(BM_BallTreeBuild)->Arg(1000)->Arg(4000);
 
 void BM_SmoteNcGenerate(benchmark::State& state) {
+  // Cold: every timed generate() computes its base slot's neighbour list
+  // (a kNN scan of the rule's base population) — the generator is rebuilt,
+  // untimed, whenever the slot sweep wraps, so its memo never hits.
+  const auto& data = adult(2000);
+  const auto rule = adult_rule(data);
+  FeedbackRuleSet frs({rule});
+  const auto bp = preselect_base_population(data, frs, 5);
+  const auto distance = MixedDistance::fit(data);
+  const std::size_t slots = bp.per_rule[0].indices.size();
+  std::unique_ptr<RuleConstrainedGenerator> gen;
+  Rng rng(1);
+  std::vector<double> row;
+  int label = 0;
+  std::size_t slot = 0;
+  for (auto _ : state) {
+    if (slot % slots == 0) {
+      state.PauseTiming();
+      gen = std::make_unique<RuleConstrainedGenerator>(data, rule,
+                                                       bp.per_rule[0],
+                                                       distance,
+                                                       GenerateConfig{});
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(gen->generate(slot++ % slots, rng, row, label));
+  }
+}
+BENCHMARK(BM_SmoteNcGenerate);
+
+void BM_SmoteNcGenerateMemoHit(benchmark::State& state) {
+  // Memo hit: every slot's neighbour list is prefetched up front, as on a
+  // rejected step that re-selects the same base instances; what is left is
+  // the SMOTE-NC interpolation itself.
   const auto& data = adult(2000);
   const auto rule = adult_rule(data);
   FeedbackRuleSet frs({rule});
   const auto bp = preselect_base_population(data, frs, 5);
   const auto distance = MixedDistance::fit(data);
   RuleConstrainedGenerator gen(data, rule, bp.per_rule[0], distance, {});
+  const std::size_t slots = bp.per_rule[0].indices.size();
+  std::vector<std::size_t> all(slots);
+  for (std::size_t i = 0; i < slots; ++i) all[i] = i;
+  gen.prefetch(all);
   Rng rng(1);
   std::vector<double> row;
   int label = 0;
   std::size_t slot = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gen.generate(slot++ % bp.per_rule[0].indices.size(), rng, row,
-                     label));
+    benchmark::DoNotOptimize(gen.generate(slot++ % slots, rng, row, label));
   }
 }
-BENCHMARK(BM_SmoteNcGenerate);
+BENCHMARK(BM_SmoteNcGenerateMemoHit)->Name("BM_SmoteNcGenerate/memo_hit");
 
 void BM_TrainModel(benchmark::State& state) {
   const auto& data = adult(1000);
@@ -235,6 +276,45 @@ void BM_IpSelectionWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IpSelectionWarm)->Arg(1000)->Arg(4000)->Arg(8000);
+
+void RunNeighborhoodFill(benchmark::State& state, const Dataset& data) {
+  // IP selection's "neighbourhoods" stage cold: a fresh workspace fills the
+  // (k+1)-neighbourhoods of 1000 evenly spaced rows (k = 5, as the IP
+  // selector's borderline_k). The counters give the stage's cost model,
+  // time ≈ pairs × c_pair; exact_replays is how many of those pairs the
+  // bounded kernel had to finish exactly.
+  const std::size_t n = data.size();
+  const std::size_t queries = std::min<std::size_t>(1000, n);
+  std::vector<std::size_t> rows(queries);
+  for (std::size_t i = 0; i < queries; ++i) rows[i] = i * n / queries;
+  KnnScanStats scan;
+  for (auto _ : state) {
+    SessionWorkspace ws(/*threads=*/0);
+    ws.bind(data);
+    benchmark::DoNotOptimize(ws.neighborhoods(rows, 5).size());
+    scan = ws.neighborhood_scan();
+  }
+  state.counters["pairs"] = static_cast<double>(scan.pairs);
+  state.counters["exact_replays"] = static_cast<double>(scan.exact_replays);
+}
+
+void BM_NeighborhoodFill(benchmark::State& state) {
+  RunNeighborhoodFill(state, adult(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_NeighborhoodFill)->Arg(4000)->Arg(8000)->Arg(100000);
+
+void BM_NeighborhoodFillNumeric(benchmark::State& state) {
+  // All-numeric counterpart (wine quality: 11 numeric features) — the
+  // regime where a ball tree prunes best.
+  RunNeighborhoodFill(state,
+                      cached_dataset(UciDataset::kWineQuality,
+                                     static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_NeighborhoodFillNumeric)
+    ->Name("BM_NeighborhoodFill/numeric")
+    ->Arg(4000)
+    ->Arg(8000)
+    ->Arg(100000);
 
 void BM_SolveLp(benchmark::State& state) {
   // IP selection's "LP/IP solve" stage alone: the IP-(5) relaxation over p

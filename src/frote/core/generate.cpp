@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 
+#include "frote/util/parallel.hpp"
+
 namespace frote {
 
 namespace {
@@ -21,6 +23,8 @@ RuleConstrainedGenerator::RuleConstrainedGenerator(
     : data_(&data), rule_(&rule), bp_(&bp), config_(config) {
   knn_ = std::make_unique<BruteKnn>(data, distance, bp.indices,
                                     config.threads);
+  memo_.resize(bp.indices.size());
+  memo_ready_.assign(bp.indices.size(), 0);
   const Schema& schema = data.schema();
   constraints_.reserve(schema.num_features());
   constrained_.reserve(schema.num_features());
@@ -130,6 +134,56 @@ int RuleConstrainedGenerator::sample_label(int base_label, Rng& rng) const {
   return static_cast<int>(draw);
 }
 
+std::vector<std::size_t> RuleConstrainedGenerator::find_neighbors(
+    std::size_t bp_slot) const {
+  // k nearest neighbours *within the rule's base population* (they satisfy
+  // the same possibly-relaxed rule — difference 1 from SMOTE).
+  const std::size_t base_idx = bp_->indices[bp_slot];
+  const std::size_t k = std::min(config_.k, bp_->indices.size() - 1);
+  std::vector<Neighbor> found;
+  knn_->query_squared(data_->row(base_idx), k + 1, found);
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  for (const auto& nb : found) {
+    const std::size_t ds_idx = knn_->dataset_index(nb.index);
+    if (ds_idx == base_idx) continue;
+    out.push_back(ds_idx);
+    if (out.size() == k) break;
+  }
+  return out;
+}
+
+const std::vector<std::size_t>& RuleConstrainedGenerator::neighbors(
+    std::size_t bp_slot) const {
+  FROTE_CHECK(bp_slot < bp_->indices.size() && bp_->indices.size() >= 2);
+  if (!memo_ready_[bp_slot]) {
+    memo_[bp_slot] = find_neighbors(bp_slot);
+    memo_ready_[bp_slot] = 1;
+    ++queries_;
+  }
+  return memo_[bp_slot];
+}
+
+void RuleConstrainedGenerator::prefetch(
+    std::span<const std::size_t> slots) const {
+  if (bp_->indices.size() < 2) return;
+  std::vector<std::size_t> missing;
+  for (const std::size_t slot : slots) {
+    FROTE_CHECK(slot < bp_->indices.size());
+    if (!memo_ready_[slot]) missing.push_back(slot);
+  }
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  parallel_for(missing.size(), 1, config_.threads,
+               [&](std::size_t begin, std::size_t end) {
+                 for (std::size_t w = begin; w < end; ++w) {
+                   memo_[missing[w]] = find_neighbors(missing[w]);
+                 }
+               });
+  for (const std::size_t slot : missing) memo_ready_[slot] = 1;
+  queries_ += missing.size();
+}
+
 bool RuleConstrainedGenerator::generate(std::size_t bp_slot, Rng& rng,
                                         std::vector<double>& row_out,
                                         int& label_out) const {
@@ -138,16 +192,9 @@ bool RuleConstrainedGenerator::generate(std::size_t bp_slot, Rng& rng,
   const std::size_t base_idx = bp_->indices[bp_slot];
   const auto base = data_->row(base_idx);
 
-  // k nearest neighbours *within the rule's base population* (they satisfy
-  // the same possibly-relaxed rule — difference 1 from SMOTE).
-  const std::size_t k = std::min(config_.k, bp_->indices.size() - 1);
-  auto found = knn_->query(base, k + 1);
   std::vector<std::span<const double>> neighbor_rows;
-  for (const auto& nb : found) {
-    const std::size_t ds_idx = knn_->dataset_index(nb.index);
-    if (ds_idx == base_idx) continue;
+  for (const std::size_t ds_idx : neighbors(bp_slot)) {
     neighbor_rows.push_back(data_->row(ds_idx));
-    if (neighbor_rows.size() == k) break;
   }
   if (neighbor_rows.empty()) return false;
   const auto neighbor = neighbor_rows[rng.index(neighbor_rows.size())];

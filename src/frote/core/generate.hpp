@@ -14,6 +14,10 @@
 //      instance's label with probability 1 − confidence (supplement B).
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "frote/core/base_population.hpp"
 #include "frote/knn/knn.hpp"
 #include "frote/rules/rule.hpp"
@@ -48,9 +52,27 @@ class RuleConstrainedGenerator {
   bool generate(std::size_t bp_slot, Rng& rng, std::vector<double>& row_out,
                 int& label_out) const;
 
+  /// Memoise the neighbour lists (see neighbors()) of those `slots` not
+  /// cached yet, computing them concurrently on parallel_for
+  /// (config.threads). Each list depends only on its slot, so the memo —
+  /// and everything generated from it — is the same for every thread
+  /// count. Draws no randomness.
+  void prefetch(std::span<const std::size_t> slots) const;
+
+  /// Neighbour lists computed so far: the generator's kNN query count.
+  std::uint64_t neighbor_queries() const { return queries_; }
+
   std::size_t population_size() const { return bp_->indices.size(); }
 
  private:
+  /// Dataset rows of the (up to) k nearest base-population members of base
+  /// slot `bp_slot`, itself excluded, ascending by (distance, row).
+  /// Memoised for this generator's lifetime — one dataset snapshot and
+  /// base population — so a slot selected again (rejected steps re-select
+  /// the same base instances) costs no scan. Needs population_size() >= 2.
+  const std::vector<std::size_t>& neighbors(std::size_t bp_slot) const;
+  std::vector<std::size_t> find_neighbors(std::size_t bp_slot) const;
+
   /// Value for a numeric feature given rule constraints (window logic).
   double numeric_value(std::size_t f, double base, double neighbor,
                        Rng& rng) const;
@@ -67,6 +89,11 @@ class RuleConstrainedGenerator {
   const RuleBasePopulation* bp_;
   GenerateConfig config_;
   std::unique_ptr<BruteKnn> knn_;  // index over the rule's base population
+  // Neighbour memo per base slot. Not thread-safe apart from prefetch's own
+  // fan-out, which writes disjoint slots.
+  mutable std::vector<std::vector<std::size_t>> memo_;
+  mutable std::vector<std::uint8_t> memo_ready_;
+  mutable std::uint64_t queries_ = 0;
   std::vector<FeatureConstraint> constraints_;  // per feature, unrelaxed rule
   std::vector<bool> constrained_;               // feature mentioned by rule?
 };

@@ -1,7 +1,6 @@
 #include "frote/core/selection.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 
 #include "frote/core/workspace.hpp"
@@ -161,12 +160,21 @@ std::vector<SelectedInstance> IpSelector::select(
   const std::size_t m = bp.per_rule.size();
   if (m == 0 || eta == 0) return out;
 
-  // Unique base-population instances become the binary variables z_i.
-  std::map<std::size_t, std::size_t> var_of_row;  // dataset row -> var index
+  // Unique base-population instances become the binary variables z_i, in
+  // order of first appearance.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t row_bound = 0;
+  for (const auto& rule_bp : bp.per_rule) {
+    for (std::size_t idx : rule_bp.indices) {
+      row_bound = std::max(row_bound, idx + 1);
+    }
+  }
+  std::vector<std::size_t> var_of_row(row_bound, kNone);  // row -> var
   std::vector<std::size_t> row_of_var;
   for (const auto& rule_bp : bp.per_rule) {
     for (std::size_t idx : rule_bp.indices) {
-      if (var_of_row.emplace(idx, row_of_var.size()).second) {
+      if (var_of_row[idx] == kNone) {
+        var_of_row[idx] = row_of_var.size();
         row_of_var.push_back(idx);
       }
     }
@@ -217,7 +225,7 @@ std::vector<SelectedInstance> IpSelector::select(
   for (std::size_t i = 0; i < p; ++i) lp.c[i] = weights[i];
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t idx : bp.per_rule[j].indices) {
-      lp.set_coeff(j, var_of_row.at(idx), 1.0);
+      lp.set_coeff(j, var_of_row[idx], 1.0);
     }
     lp.hi[p + j] = std::max(0.0, upper_bound[j] - lower_bound[j]);
     lp.b[j] = upper_bound[j];
@@ -236,7 +244,7 @@ std::vector<SelectedInstance> IpSelector::select(
     for (std::size_t j = 0; j < m; ++j) {
       std::vector<std::size_t> vars;
       for (std::size_t idx : bp.per_rule[j].indices) {
-        vars.push_back(var_of_row.at(idx));
+        vars.push_back(var_of_row[idx]);
       }
       std::sort(vars.begin(), vars.end(), [&](std::size_t a, std::size_t b) {
         if (weights[a] != weights[b]) return weights[a] > weights[b];
@@ -256,24 +264,31 @@ std::vector<SelectedInstance> IpSelector::select(
 
   // Map selected instances back to (rule, slot) pairs, balancing rules whose
   // populations overlap. Randomised rule order keeps the assignment fair.
+  // slot_of[j·p + var] is var's first slot in rule j's pool (kNone when
+  // absent).
+  std::vector<std::size_t> slot_of(m * p, kNone);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto& pool = bp.per_rule[j].indices;
+    for (std::size_t slot = pool.size(); slot-- > 0;) {
+      slot_of[j * p + var_of_row[pool[slot]]] = slot;
+    }
+  }
   std::vector<std::size_t> per_rule_assigned(m, 0);
   std::vector<std::size_t> rule_order(m);
   for (std::size_t j = 0; j < m; ++j) rule_order[j] = j;
   for (std::size_t i = 0; i < p; ++i) {
     if (!selected_rows[i]) continue;
-    const std::size_t row = row_of_var[i];
     rng.shuffle(rule_order);
     std::size_t best_rule = m;
     std::size_t best_slot = 0;
-    std::size_t best_load = static_cast<std::size_t>(-1);
+    std::size_t best_load = kNone;
     for (std::size_t j : rule_order) {
-      const auto& pool = bp.per_rule[j].indices;
-      const auto it = std::find(pool.begin(), pool.end(), row);
-      if (it == pool.end()) continue;
+      const std::size_t slot = slot_of[j * p + i];
+      if (slot == kNone) continue;
       if (per_rule_assigned[j] < best_load) {
         best_load = per_rule_assigned[j];
         best_rule = j;
-        best_slot = static_cast<std::size_t>(it - pool.begin());
+        best_slot = slot;
       }
     }
     if (best_rule < m) {

@@ -52,6 +52,11 @@ constexpr double kBoundSafety = 1.0 - 1e-9;
 /// internal candidate set.
 constexpr std::size_t kNbrPad = 8;
 
+/// Pass-3 blocking: queries per parallel_for chunk, and rows per tile
+/// (about 230 KiB of adult's 14-slot packed rows, well inside L2).
+constexpr std::size_t kFillQueries = 8;
+constexpr std::size_t kFillRowTile = 2048;
+
 }  // namespace
 
 void SessionWorkspace::bind(const Dataset& data) {
@@ -68,19 +73,15 @@ void SessionWorkspace::bind(const Dataset& data) {
   if (&data != data_) {
     // Same logical dataset at a new address (e.g. a moved Session): the
     // value caches survive, but the generators hold raw row pointers.
-    generators_.clear();
-    generators_snapshot_ = {};
+    drop_generators();
   }
   data_ = &data;
   if (!extends_bound) {
     moments_ = ColumnMoments(data.schema());
     distance_valid_ = false;
-    index_.reset();
-    index_snapshot_ = {};
     weights_valid_ = false;
     predictions_.invalidate();
-    generators_.clear();
-    generators_snapshot_ = {};
+    drop_generators();
     nbr_valid_ = false;
     nbr_entries_.clear();
     nbr_packed_.reset();
@@ -93,26 +94,6 @@ void SessionWorkspace::bind(const Dataset& data) {
     distance_valid_ = true;
   }
   bound_ = snap;
-}
-
-KnnIndex& SessionWorkspace::index() {
-  FROTE_CHECK_MSG(data_ != nullptr && distance_valid_,
-                  "workspace index requested before bind");
-  if (index_ != nullptr) {
-    if (index_snapshot_ == bound_) return *index_;
-    if (index_snapshot_.uid == bound_.uid &&
-        index_snapshot_.append_epoch == bound_.append_epoch &&
-        index_snapshot_.rows <= bound_.rows &&
-        index_->try_append(*data_, distance_)) {
-      index_snapshot_ = bound_;
-      return *index_;
-    }
-  }
-  KnnIndexConfig config = index_config_;
-  config.threads = threads_;
-  index_ = make_knn_index(*data_, distance_, {}, config);
-  index_snapshot_ = bound_;
-  return *index_;
 }
 
 void SessionWorkspace::set_model_stamp(std::uint64_t stamp) {
@@ -158,8 +139,8 @@ std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(
   const double min_r2 =
       extends ? min_scale_ratio_sq(nbr_distance_, distance_) : 1.0;
 
-  // Keep the private packed mirror in sync with (bound_, distance_) —
-  // same append-or-repack policy as the engines themselves.
+  // Keep the private packed mirror in sync with (bound_, distance_): pack
+  // only the appended rows while the scales hold, else repack in one pass.
   if (nbr_packed_ids_.size() < n) {
     const std::size_t have = nbr_packed_ids_.size();
     nbr_packed_ids_.resize(n);
@@ -180,7 +161,7 @@ std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(
   }
 
   // Pass 1 (serial): create slots and classify each distinct row as
-  // already-current, incrementally updatable, or needing a real query.
+  // already-current, incrementally updatable, or needing a full scan.
   std::vector<const RowNeighborhood*> out(rows.size());
   std::vector<std::pair<std::size_t, NbrSlot*>> incremental, fresh;
   for (std::size_t s = 0; s < rows.size(); ++s) {
@@ -199,26 +180,38 @@ std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(
   // Pass 2: certified incremental updates — score only (kept list ∪
   // appended rows) with the packed mirror and keep the result only when the
   // rescaled bound proves no other row can reach the new top (cap). Rows
-  // whose certificate fails degrade to a real query (exact either way).
+  // whose certificate fails degrade to the pass-3 fill (exact either way).
+  // The top stored+1 of that pool is all the update reads — the list plus
+  // the next distance — so a bounded heap with the exact scan kernel
+  // replaces sorting the whole pool.
+  const detail::PackedRows& mirror = *nbr_packed_;
+  const auto identity = [](std::size_t pos) { return pos; };
   if (!incremental.empty()) {
     std::vector<std::uint8_t> failed(incremental.size(), 0);
+    std::vector<KnnScanStats> chunk_stats(chunk_count(incremental.size(), 4));
     parallel_for(
         incremental.size(), 4, threads_,
         [&](std::size_t begin, std::size_t end) {
-          std::vector<Neighbor> pool;
+          KnnScanStats& stats = chunk_stats[begin / 4];
+          std::vector<Neighbor> heap;
           for (std::size_t w = begin; w < end; ++w) {
             auto& [row, slot] = incremental[w];
             RowNeighborhood& hood = slot->hood;
-            const double* q = nbr_packed_->row(row);
-            pool.clear();
+            const double* q = mirror.row(row);
+            heap.clear();
             for (const Neighbor& nb : hood.list) {
-              pool.push_back(
-                  {nb.index, nbr_packed_->squared(q, nbr_packed_->row(nb.index))});
+              const double* r = mirror.row(nb.index);
+              const double d =
+                  heap.size() <= stored
+                      ? mirror.squared(q, r)
+                      : mirror.squared_bounded(q, r, heap.front().distance,
+                                               stats);
+              detail::heap_offer(heap, stored + 1, {nb.index, d});
             }
-            for (std::size_t j = old_rows; j < n; ++j) {
-              pool.push_back({j, nbr_packed_->squared(q, nbr_packed_->row(j))});
-            }
-            std::sort(pool.begin(), pool.end(), detail::NeighborCmp{});
+            stats.pairs += hood.list.size();
+            mirror.scan(q, old_rows, n, stored + 1, heap, identity, stats);
+            std::sort_heap(heap.begin(), heap.end(), detail::NeighborCmp{});
+            const std::vector<Neighbor>& pool = heap;
             const bool covered_all =
                 !(hood.outside_bound < std::numeric_limits<double>::infinity());
             if (covered_all) {
@@ -256,33 +249,48 @@ std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(
     for (std::size_t w = 0; w < incremental.size(); ++w) {
       if (failed[w]) fresh.push_back(incremental[w]);
     }
+    for (const KnnScanStats& stats : chunk_stats) nbr_scan_ += stats;
   }
 
-  // Pass 3: real index queries for new and uncertified rows. stored+1
-  // results: the first stored entries are the list, the next distance (if
-  // any) is the exact outside bound the next accept certifies against.
+  // Pass 3: exact (stored+1)-nearest rows of every new or uncertified row,
+  // scanned from the packed mirror in blocks: a block of kFillQueries
+  // queries walks the rows tile by tile (kFillRowTile rows stay cached
+  // while every query of the block scans them), and blocks fan out on
+  // parallel_for. Each query still visits rows in ascending order into its
+  // own bounded heap, so the result — the first stored entries are the
+  // list, the next distance (if any) the exact outside bound the next
+  // accept certifies against — is bit-identical to an index query and
+  // independent of blocking and thread count.
   if (!fresh.empty()) {
-    KnnIndex& knn = index();  // lazy build must happen outside parallel_for
     nbr_queries_ += fresh.size();
-    parallel_for(fresh.size(), 1, threads_,
-                 [&](std::size_t begin, std::size_t end) {
-                   std::vector<Neighbor> scratch;
-                   for (std::size_t w = begin; w < end; ++w) {
-                     auto& [row, slot] = fresh[w];
-                     knn.query_squared(data_->row(row), stored + 1, scratch);
-                     RowNeighborhood& hood = slot->hood;
-                     hood.list.clear();
-                     const std::size_t keep = std::min(stored, scratch.size());
-                     for (std::size_t e = 0; e < keep; ++e) {
-                       hood.list.push_back({knn.dataset_index(scratch[e].index),
-                                            scratch[e].distance});
-                     }
-                     hood.outside_bound =
-                         scratch.size() > stored
-                             ? scratch[stored].distance
-                             : std::numeric_limits<double>::infinity();
-                   }
-                 });
+    std::vector<KnnScanStats> block_stats(
+        chunk_count(fresh.size(), kFillQueries));
+    parallel_for(
+        fresh.size(), kFillQueries, threads_,
+        [&](std::size_t begin, std::size_t end) {
+          KnnScanStats& stats = block_stats[begin / kFillQueries];
+          std::vector<std::vector<Neighbor>> heaps(end - begin);
+          for (std::size_t tile = 0; tile < n; tile += kFillRowTile) {
+            const std::size_t tile_end = std::min(n, tile + kFillRowTile);
+            for (std::size_t w = begin; w < end; ++w) {
+              mirror.scan(mirror.row(fresh[w].first), tile, tile_end,
+                          stored + 1, heaps[w - begin], identity, stats);
+            }
+          }
+          for (std::size_t w = begin; w < end; ++w) {
+            std::vector<Neighbor>& best = heaps[w - begin];
+            std::sort_heap(best.begin(), best.end(), detail::NeighborCmp{});
+            RowNeighborhood& hood = fresh[w].second->hood;
+            hood.list.assign(
+                best.begin(),
+                best.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(stored, best.size())));
+            hood.outside_bound = best.size() > stored
+                                     ? best[stored].distance
+                                     : std::numeric_limits<double>::infinity();
+          }
+        });
+    for (const KnnScanStats& stats : block_stats) nbr_scan_ += stats;
   }
 
   // Entries that were not requested this refresh would silently go stale
@@ -307,7 +315,7 @@ RuleConstrainedGenerator& SessionWorkspace::generator(
   FROTE_CHECK_MSG(data_ != nullptr && distance_valid_,
                   "workspace generator requested before bind");
   if (generators_snapshot_ != bound_) {
-    generators_.clear();
+    drop_generators();
     generators_snapshot_ = bound_;
   }
   if (rule_index >= generators_.size()) generators_.resize(rule_index + 1);
@@ -317,6 +325,24 @@ RuleConstrainedGenerator& SessionWorkspace::generator(
                                                       distance_, config);
   }
   return *slot;
+}
+
+void SessionWorkspace::drop_generators() {
+  for (const auto& generator : generators_) {
+    if (generator != nullptr) {
+      dropped_generator_queries_ += generator->neighbor_queries();
+    }
+  }
+  generators_.clear();
+  generators_snapshot_ = {};
+}
+
+std::uint64_t SessionWorkspace::generator_queries() const {
+  std::uint64_t total = dropped_generator_queries_;
+  for (const auto& generator : generators_) {
+    if (generator != nullptr) total += generator->neighbor_queries();
+  }
+  return total;
 }
 
 }  // namespace frote

@@ -3,15 +3,17 @@
 //
 // Algorithm 1 re-derives several artefacts from D̂ every iteration even
 // though D̂ only changes on *accepted* steps, and then only by an appended
-// tail: the fitted SMOTE-NC distance, the kNN index over D̂, the current
-// model's predictions, the IP selector's borderline weights, and the
-// per-rule constrained generators. The workspace owns all of them, keyed by
-// a cheap dataset snapshot (uid / append_epoch / row count), so
+// tail: the fitted SMOTE-NC distance, a packed mirror of D̂ and the rows'
+// cached neighbourhoods, the current model's predictions, the IP
+// selector's borderline weights, and the per-rule constrained generators
+// with their memoised neighbour lists. The workspace owns all of them,
+// keyed by a cheap dataset snapshot (uid / append_epoch / row count), so
 //   - rejected iterations reuse everything (the "reject fast-path"),
 //   - accepted iterations refresh incrementally: column moments absorb only
 //     the appended rows (bit-identical to a full refit, see ColumnMoments),
-//     and the kNN index absorbs the batch via KnnIndex::try_append instead
-//     of being rebuilt.
+//     the packed mirror of D̂ packs only the appended rows (or repacks in
+//     one pass when the refit rescaled a column), and cached
+//     neighbourhoods are certified against the batch instead of re-scanned.
 // Every cache read is bit-identical to recomputing from scratch — the
 // determinism suites (test_determinism / test_engine_api / test_workspace)
 // lock that equivalence.
@@ -36,13 +38,14 @@ namespace frote {
 
 /// One row's cached neighbourhood (docs/DESIGN.md §10): the first
 /// min(k+1, n) entries of `list` are bit-identical to
-/// index().query_squared(row, k+1) — ascending (squared distance, dataset
-/// row index) — and every dataset row NOT in the list is provably at least
-/// `outside_bound` away (squared). The bound is what lets an accepted batch
-/// update the list by scoring only (list ∪ appended rows) instead of
-/// re-querying the whole index. `list` keeps a few candidate entries past
-/// the exact prefix (certification headroom — the bound starts further
-/// out); consumers must treat entries beyond k+1 as internal.
+/// make_knn_index(data, distance)->query_squared(row, k+1) — ascending
+/// (squared distance, dataset row index) — and every dataset row NOT in
+/// the list is provably at least `outside_bound` away (squared). The bound
+/// is what lets an accepted batch update the list by scoring only (list ∪
+/// appended rows) instead of re-scanning the whole dataset. `list` keeps a
+/// few candidate entries past the exact prefix (certification headroom —
+/// the bound starts further out); consumers must treat entries beyond k+1
+/// as internal.
 struct RowNeighborhood {
   std::vector<Neighbor> list;
   double outside_bound = std::numeric_limits<double>::infinity();
@@ -65,8 +68,7 @@ inline DatasetSnapshot snapshot_of(const Dataset& data) {
 class SessionWorkspace {
  public:
   SessionWorkspace() = default;
-  explicit SessionWorkspace(int threads, KnnIndexConfig index_config = {})
-      : index_config_(index_config), threads_(threads) {}
+  explicit SessionWorkspace(int threads) : threads_(threads) {}
 
   /// Threads for the hot paths the workspace serves (kNN scans, batch
   /// predictions); 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.
@@ -90,11 +92,6 @@ class SessionWorkspace {
     return distance_;
   }
 
-  /// Full-dataset kNN index, built lazily on first use and maintained via
-  /// KnnIndex::try_append across binds. Query results are always
-  /// bit-identical to make_knn_index over the bound dataset.
-  KnnIndex& index();
-
   /// Owner-managed stamp of the model whose derived caches (predictions,
   /// IP weights) are valid; bump it whenever the model is retrained.
   void set_model_stamp(std::uint64_t stamp);
@@ -113,21 +110,35 @@ class SessionWorkspace {
 
   /// Exact (k+1)-nearest neighbourhoods of each `rows[i]` over the bound
   /// dataset — the first min(k+1, n) entries of out[i]->list are
-  /// bit-identical to index().query_squared(data().row(rows[i]), k+1); the
-  /// list may carry extra candidate entries (see RowNeighborhood).
-  /// Maintained incrementally: after an accepted
-  /// batch, a row whose certified bound still separates its kept list from
-  /// the rest of the dataset is updated by scoring only list ∪ appended
-  /// rows; rows whose certificate fails (or that are new to the cache) pay
-  /// one real index query. Returned pointers stay valid until the next
-  /// neighborhoods()/bind() call. `rows` may contain duplicates.
+  /// bit-identical to a fresh make_knn_index(data(), distance())'s
+  /// query_squared(data().row(rows[i]), k+1); the list may carry extra
+  /// candidate entries (see RowNeighborhood). Maintained incrementally:
+  /// after an accepted batch, a row whose certified bound still separates
+  /// its kept list from the rest of the dataset is updated by scoring only
+  /// list ∪ appended rows; rows whose certificate fails (or that are new to
+  /// the cache) are filled by one blocked exact scan of the packed mirror,
+  /// fanned out on parallel_for. Both passes use the bounded scan kernel
+  /// (detail::PackedRows::squared_bounded). Returned pointers stay valid
+  /// until the next neighborhoods()/bind() call. `rows` may contain
+  /// duplicates.
   std::vector<const RowNeighborhood*> neighborhoods(
       const std::vector<std::size_t>& rows, std::size_t k);
 
-  /// How many real index queries neighborhoods() has issued since this
+  /// How many rows neighborhoods() has filled by a full scan since this
   /// workspace was constructed — the observability hook the incremental
-  /// tests use to prove the fast path actually ran.
+  /// tests use to prove the certified fast path actually ran.
   std::uint64_t neighborhood_queries() const { return nbr_queries_; }
+
+  /// Work of neighborhoods()' exact scans (certified pass and fill) since
+  /// construction: distance pairs evaluated and how many of them were
+  /// finished exactly (detail::PackedRows::squared_bounded).
+  const KnnScanStats& neighborhood_scan() const { return nbr_scan_; }
+
+  /// How many neighbour lists the workspace's generators have computed
+  /// since this workspace was constructed (RuleConstrainedGenerator::
+  /// neighbor_queries, summed over live and dropped generators). A step
+  /// that re-selects base slots already memoised adds none.
+  std::uint64_t generator_queries() const;
 
   /// Per-rule constrained generator, cached until the bound snapshot moves.
   /// `rule` / `bp` must be the same objects across calls for a given bound
@@ -145,9 +156,6 @@ class SessionWorkspace {
   MixedDistance distance_;
   bool distance_valid_ = false;
 
-  std::unique_ptr<KnnIndex> index_;
-  DatasetSnapshot index_snapshot_;
-  KnnIndexConfig index_config_;
   int threads_ = 0;
 
   std::uint64_t model_stamp_ = 0;
@@ -163,9 +171,9 @@ class SessionWorkspace {
   /// refresh generation last touched an entry, so one pass can tell
   /// duplicates, already-current entries, and stale entries apart without a
   /// per-call set. The private PackedRows mirrors the bound dataset under
-  /// nbr_distance_ — packing and squared() are byte-for-byte the engines'
-  /// own, which is what makes incrementally computed distances bit-identical
-  /// to index queries.
+  /// nbr_distance_ — packing and the scan kernel are byte-for-byte the
+  /// engines' own, which is what makes every cached distance bit-identical
+  /// to an index query.
   struct NbrSlot {
     RowNeighborhood hood;
     std::uint64_t stamp = 0;
@@ -178,10 +186,15 @@ class SessionWorkspace {
   std::size_t nbr_k_ = 0;
   std::uint64_t nbr_stamp_ = 0;
   std::uint64_t nbr_queries_ = 0;
+  KnnScanStats nbr_scan_;
   bool nbr_valid_ = false;
+
+  /// Drop the cached generators, keeping their query counts.
+  void drop_generators();
 
   std::vector<std::unique_ptr<RuleConstrainedGenerator>> generators_;
   DatasetSnapshot generators_snapshot_;
+  std::uint64_t dropped_generator_queries_ = 0;
 };
 
 }  // namespace frote

@@ -1,7 +1,10 @@
 #include "frote/knn/knn.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "frote/knn/sharded.hpp"
 #include "frote/util/parallel.hpp"
@@ -20,24 +23,28 @@ std::vector<std::size_t> all_indices(const Dataset& data) {
   return idx;
 }
 
-bool is_identity(const std::vector<std::size_t>& ids) {
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] != i) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 namespace detail {
 
-// PackedRows: the shared storage format of both engines. Columns are
+// PackedRows: the shared storage format of every scan. Columns are
 // permuted so the numeric features come first — pre-multiplied by 1/σ, so
 // the scan's numeric term is a plain squared difference — followed by the
-// raw categorical codes, whose mismatches add a constant squared penalty.
-// The squared-distance kernel is therefore two tight branch-free-per-column
-// loops over contiguous memory. Both engines pack identically, so they agree
-// on every distance bit.
+// categorical codes folded into words plus their fold flag (knn.hpp,
+// squared_bounded), and last the raw codes, whose mismatches add a
+// constant squared penalty. All engines pack identically, so they agree on
+// every distance bit.
+
+namespace {
+
+/// True when `code` is an integer in [0, 255] (NaN fails every compare;
+/// the range test comes first, so the cast is always defined).
+bool foldable(double code) {
+  return code >= 0.0 && code <= 255.0 &&
+         static_cast<double>(static_cast<int>(code)) == code;
+}
+
+}  // namespace
 
 void PackedRows::init_layout(const MixedDistance& distance) {
   dim_ = distance.num_columns();
@@ -52,47 +59,71 @@ void PackedRows::init_layout(const MixedDistance& distance) {
     }
   }
   numeric_count_ = slot;
+  const std::size_t categorical = dim_ - numeric_count_;
+  words_ = (categorical + 7) / 8;
+  // The slots a folded pair reads (numeric, words, flag) sit together at
+  // the front of the row; the code doubles only serve unfolded pairs.
+  codes_begin_ = numeric_count_ + (words_ == 0 ? 0 : words_ + 1);
+  slot = codes_begin_;
   for (std::size_t f = 0; f < dim_; ++f) {
     if (distance.column_categorical(f)) slot_of_[f] = slot++;
   }
+  stride_ = slot;
+  estimate_scale_ = categorical <= kMaxEstimatedColumns
+                        ? kReplayMargin
+                        : std::numeric_limits<double>::infinity();
 }
 
 PackedRows::PackedRows(const Dataset& data, const MixedDistance& distance,
                        const std::vector<std::size_t>& row_ids) {
-  init_layout(distance);
-  data_.resize(row_ids.size() * dim_);
-  for (std::size_t i = 0; i < row_ids.size(); ++i) {
-    pack_row(data.row(row_ids[i]), data_.data() + i * dim_);
-  }
+  repack(data, distance, row_ids);
 }
 
 void PackedRows::pack_row(std::span<const double> raw, double* out) const {
   for (std::size_t f = 0; f < dim_; ++f) {
     out[slot_of_[f]] = raw[f] * scale_[f];
   }
+  if (words_ == 0) return;
+  // Words and flag are integers stored bitwise in double slots; they are
+  // only ever copied, never used in arithmetic, so the bits survive.
+  std::uint64_t flag = kFolded;
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t c = 0; c < 8; ++c) {
+      const std::size_t slot = codes_begin_ + w * 8 + c;
+      if (slot >= stride_) break;
+      if (!foldable(out[slot])) {
+        flag = kUnfolded;
+        break;
+      }
+      word |= static_cast<std::uint64_t>(out[slot]) << (8 * c);
+    }
+    out[numeric_count_ + w] = std::bit_cast<double>(word);
+  }
+  out[numeric_count_ + words_] = std::bit_cast<double>(flag);
 }
 
 void PackedRows::pack_query(std::span<const double> raw,
                             std::vector<double>& out) const {
-  out.resize(dim_);
+  out.resize(stride_);
   pack_row(raw, out.data());
 }
 
 void PackedRows::append(const Dataset& data,
                         std::span<const std::size_t> row_ids) {
   const std::size_t old = data_.size();
-  data_.resize(old + row_ids.size() * dim_);
+  data_.resize(old + row_ids.size() * stride_);
   for (std::size_t i = 0; i < row_ids.size(); ++i) {
-    pack_row(data.row(row_ids[i]), data_.data() + old + i * dim_);
+    pack_row(data.row(row_ids[i]), data_.data() + old + i * stride_);
   }
 }
 
 void PackedRows::repack(const Dataset& data, const MixedDistance& distance,
                         const std::vector<std::size_t>& row_ids) {
   init_layout(distance);
-  data_.resize(row_ids.size() * dim_);
+  data_.resize(row_ids.size() * stride_);
   for (std::size_t i = 0; i < row_ids.size(); ++i) {
-    pack_row(data.row(row_ids[i]), data_.data() + i * dim_);
+    pack_row(data.row(row_ids[i]), data_.data() + i * stride_);
   }
 }
 
@@ -116,10 +147,8 @@ bool PackedRows::scales_match(const MixedDistance& distance) const {
 void PackedRows::permute(const std::vector<std::size_t>& order) {
   std::vector<double> next(data_.size());
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    std::copy(data_.begin() + static_cast<std::ptrdiff_t>(order[pos] * dim_),
-              data_.begin() +
-                  static_cast<std::ptrdiff_t>((order[pos] + 1) * dim_),
-              next.begin() + static_cast<std::ptrdiff_t>(pos * dim_));
+    std::copy_n(row(order[pos]), stride_,
+                next.begin() + static_cast<std::ptrdiff_t>(pos * stride_));
   }
   data_ = std::move(next);
 }
@@ -137,7 +166,7 @@ double PackedRows::squared(const double* a, const double* b) const {
   // loop would have performed: the same penalty added the same number of
   // times in the same sequence yields the same bits.
   int mismatches = 0;
-  for (; f < dim_; ++f) {
+  for (f = codes_begin_; f < stride_; ++f) {
     mismatches += a[f] != b[f] ? 1 : 0;
   }
   for (int m = 0; m < mismatches; ++m) acc += penalty_sq_;
@@ -153,8 +182,7 @@ BruteKnn::BruteKnn(const Dataset& data, MixedDistance distance,
                    std::vector<std::size_t> indices, int threads)
     : row_ids_(indices.empty() ? all_indices(data) : std::move(indices)),
       packed_(data, distance, row_ids_),
-      threads_(threads),
-      covers_prefix_(is_identity(row_ids_)) {}
+      threads_(threads) {}
 
 void BruteKnn::query_squared(std::span<const double> query, std::size_t k,
                              std::vector<Neighbor>& out) const {
@@ -171,9 +199,9 @@ void BruteKnn::query_squared(std::span<const double> query, std::size_t k,
       [&](std::size_t begin, std::size_t end) {
         std::vector<Neighbor> local;
         local.reserve(k + 1);
-        for (std::size_t i = begin; i < end; ++i) {
-          detail::heap_offer(local, k, {i, packed_.squared(packed_.row(i), q)});
-        }
+        KnnScanStats stats;
+        packed_.scan(q, begin, end, k, local,
+                     [](std::size_t pos) { return pos; }, stats);
         return local;
       },
       [k](std::vector<Neighbor>& acc, std::vector<Neighbor>&& part) {
@@ -186,27 +214,6 @@ void BruteKnn::query_squared(std::span<const double> query, std::size_t k,
   out = detail::heap_sorted(std::move(heap));
 }
 
-bool BruteKnn::try_append(const Dataset& data, const MixedDistance& distance) {
-  if (!covers_prefix_ || data.size() < row_ids_.size()) return false;
-  const std::size_t old = row_ids_.size();
-  for (std::size_t i = old; i < data.size(); ++i) row_ids_.push_back(i);
-  if (packed_.scales_match(distance)) {
-    packed_.append(data, std::span<const std::size_t>(row_ids_).subspan(old));
-  } else {
-    // The refit distance rescaled at least one column: one O(n·d) repack —
-    // still no engine re-selection and no per-row reallocation churn.
-    packed_.repack(data, distance, row_ids_);
-  }
-  return true;
-}
-
-bool BruteKnn::try_refit(const Dataset& data, const MixedDistance& distance) {
-  if (!packed_.scales_match(distance)) {
-    packed_.repack(data, distance, row_ids_);
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // BallTreeKnn
 
@@ -215,17 +222,10 @@ BallTreeKnn::BallTreeKnn(const Dataset& data, MixedDistance distance,
                          std::size_t leaf_size)
     : row_ids_(indices.empty() ? all_indices(data) : std::move(indices)),
       packed_(data, distance, row_ids_),
-      leaf_size_(std::max<std::size_t>(1, leaf_size)),
-      covers_prefix_(is_identity(row_ids_)) {
-  build_tree(data);
-}
-
-void BallTreeKnn::build_tree(const Dataset& data) {
-  (void)data;  // packed_ already holds every row in row-set order
-  nodes_.clear();
+      leaf_size_(std::max<std::size_t>(1, leaf_size)) {
+  // packed_ holds every row in row-set order until the permute below.
   order_.resize(row_ids_.size());
   for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  tree_rows_ = row_ids_.size();
   if (row_ids_.empty()) return;
   keyed_.reserve(row_ids_.size());
   build(0, row_ids_.size());
@@ -319,66 +319,6 @@ int BallTreeKnn::build(std::size_t begin, std::size_t end) {
   return node_id;
 }
 
-void BallTreeKnn::refresh_radii() {
-  for (auto& node : nodes_) {
-    const double* center_row = packed_.row(node.center);
-    double radius = 0.0;
-    for (std::size_t pos = node.begin; pos < node.end; ++pos) {
-      radius = std::max(
-          radius, std::sqrt(packed_.squared(center_row, packed_.row(pos))));
-    }
-    node.radius = radius;
-  }
-}
-
-bool BallTreeKnn::try_append(const Dataset& data,
-                             const MixedDistance& distance) {
-  if (!covers_prefix_ || data.size() < row_ids_.size()) return false;
-  const std::size_t old = row_ids_.size();
-  for (std::size_t i = old; i < data.size(); ++i) {
-    row_ids_.push_back(i);
-    order_.push_back(i);  // tail rows sit at their own storage positions
-  }
-  const std::size_t tail = row_ids_.size() - tree_rows_;
-  if (tail > std::max(leaf_size_, tree_rows_ / 8)) {
-    // Deterministic rebuild point: fold the tail into a fresh tree (which
-    // subsumes any rescale handling). Repack into row-set order first —
-    // build_tree assumes storage position i holds row-set index i.
-    packed_.repack(data, distance, row_ids_);
-    build_tree(data);
-    return true;
-  }
-  if (!packed_.scales_match(distance)) {
-    repack_storage(data, distance, old);
-  }
-  packed_.append(data, std::span<const std::size_t>(row_ids_).subspan(old));
-  return true;
-}
-
-void BallTreeKnn::repack_storage(const Dataset& data,
-                                 const MixedDistance& distance,
-                                 std::size_t count) {
-  // Repack the first `count` stored rows (storage position p holds row
-  // order_[p]) and refresh the node radii so pruning stays exact under the
-  // new scales. try_append passes the pre-append row count — the appended
-  // tail is packed right after under the new scales — while try_refit
-  // repacks everything.
-  std::vector<std::size_t> storage_rows(count);
-  for (std::size_t pos = 0; pos < count; ++pos) {
-    storage_rows[pos] = row_ids_[order_[pos]];
-  }
-  packed_.repack(data, distance, storage_rows);
-  refresh_radii();
-}
-
-bool BallTreeKnn::try_refit(const Dataset& data,
-                            const MixedDistance& distance) {
-  if (!packed_.scales_match(distance)) {
-    repack_storage(data, distance, order_.size());
-  }
-  return true;
-}
-
 void BallTreeKnn::search(int node_id, const double* query, std::size_t k,
                          std::vector<Neighbor>& heap, double center_sq) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_id)];
@@ -390,10 +330,9 @@ void BallTreeKnn::search(int node_id, const double* query, std::size_t k,
     if (gap > 0.0 && gap * gap > heap.front().distance) return;
   }
   if (node.left < 0) {
-    for (std::size_t i = node.begin; i < node.end; ++i) {
-      detail::heap_offer(heap, k,
-                         {order_[i], packed_.squared(packed_.row(i), query)});
-    }
+    KnnScanStats stats;
+    packed_.scan(query, node.begin, node.end, k, heap,
+                 [this](std::size_t pos) { return order_[pos]; }, stats);
     return;
   }
   // Visit the child whose pivot is nearer first for better pruning; the
@@ -420,17 +359,7 @@ void BallTreeKnn::query_squared(std::span<const double> query, std::size_t k,
   const double* q = packed_query.data();
   std::vector<Neighbor> heap;
   heap.reserve(k + 1);
-  if (!nodes_.empty()) {
-    search(0, q, k, heap,
-           packed_.squared(packed_.row(nodes_[0].center), q));
-  }
-  // Tail buffer of appended rows: a flat scan after the tree. The k-best
-  // set under the (distance, index) total order is independent of the visit
-  // order, so the result matches a fresh build bit for bit.
-  for (std::size_t pos = tree_rows_; pos < order_.size(); ++pos) {
-    detail::heap_offer(heap, k,
-                       {order_[pos], packed_.squared(packed_.row(pos), q)});
-  }
+  search(0, q, k, heap, packed_.squared(packed_.row(nodes_[0].center), q));
   out = detail::heap_sorted(std::move(heap));
 }
 

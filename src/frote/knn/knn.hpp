@@ -16,21 +16,30 @@
 // ball tree, and past the sharding threshold the row set is partitioned
 // so builds and queries fan out on util/parallel.hpp.
 //
-// Appendable indexes (docs/DESIGN.md §5): an index built over *all* rows of
-// a dataset can absorb appended rows via try_append() instead of being
-// rebuilt from scratch. BruteKnn packs just the new rows (or repacks in one
-// pass when the refit distance changed scale); BallTreeKnn keeps appended
-// rows in a flat tail buffer that every query scans after the tree, and
-// folds the tail into the tree at a deterministic size threshold. Subset
-// indexes (the sharded engine's building blocks) support try_refit()
-// instead: same rows, re-fitted under a rescaled distance. Query results
-// after any append/refit sequence are bit-identical to a fresh build over
-// the same rows and distance.
+// One exact kernel (detail::PackedRows): every scan — BruteKnn's chunks,
+// BallTreeKnn's leaves, and the SessionWorkspace's neighbourhood
+// passes (core/workspace.hpp) — scores rows with
+// PackedRows::squared_bounded through PackedRows::scan. The kernel counts
+// categorical mismatches with XOR and a popcount over codes folded 8 bits
+// per column into 64-bit words, and skips the m-fold penalty replay when
+// an estimate proves the pair is outside the caller's current top-k (the
+// error-bound argument is at squared_bounded). Any distance that can enter
+// a top-k is bit-identical to the scalar reference PackedRows::squared, so
+// engine agreement, the (squared distance, row index) order and every
+// golden are unchanged. The build must not enable FP contraction or
+// reassociation (-mfma, -march=..., -ffast-math): a fused or reordered
+// numeric sum changes distance bits, and with them tie order and goldens.
+//
+// Indexes are immutable: a grown or rescaled dataset gets a fresh build.
+// The session's incremental neighbourhoods live in the SessionWorkspace,
+// which keeps its own packed mirror (PackedRows::append / repack).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -46,18 +55,39 @@ struct Neighbor {
   double distance = 0.0;
 };
 
+/// Work counters of an exact scan: `pairs` distance evaluations, of which
+/// `exact_replays` came close enough to the caller's limit to be finished
+/// exactly (see PackedRows::squared_bounded). The scan's cost model is
+/// pairs × c_pair.
+struct KnnScanStats {
+  std::uint64_t pairs = 0;
+  std::uint64_t exact_replays = 0;
+  KnnScanStats& operator+=(const KnnScanStats& other) {
+    pairs += other.pairs;
+    exact_replays += other.exact_replays;
+    return *this;
+  }
+};
+
 namespace detail {
-/// Contiguous pre-scaled row storage shared by both engines: numeric columns
-/// first (pre-multiplied by 1/σ so the scan is a plain squared difference),
-/// then raw categorical codes (mismatch adds a constant squared penalty).
+/// Contiguous pre-scaled row storage shared by every scan, one row every
+/// stride() doubles: numeric columns first (pre-multiplied by 1/σ so the
+/// scan is a plain squared difference), then — when the schema has
+/// categorical columns — their codes folded into 64-bit words plus a fold
+/// flag (see squared_bounded), then the raw codes themselves (a mismatch
+/// adds a constant squared penalty).
 class PackedRows {
  public:
   PackedRows(const Dataset& data, const MixedDistance& distance,
              const std::vector<std::size_t>& row_ids);
 
-  std::size_t dim() const { return dim_; }
-  std::size_t rows() const { return dim_ == 0 ? 0 : data_.size() / dim_; }
-  const double* row(std::size_t pos) const { return data_.data() + pos * dim_; }
+  std::size_t stride() const { return stride_; }
+  std::size_t rows() const {
+    return stride_ == 0 ? 0 : data_.size() / stride_;
+  }
+  const double* row(std::size_t pos) const {
+    return data_.data() + pos * stride_;
+  }
   void pack_query(std::span<const double> raw, std::vector<double>& out) const;
   /// Append the dataset rows at `row_ids` to the packed storage. The scales
   /// fitted at construction keep applying — callers must check
@@ -71,16 +101,124 @@ class PackedRows {
   bool scales_match(const MixedDistance& distance) const;
   /// Reorder storage so position p holds the row previously at order[p].
   void permute(const std::vector<std::size_t>& order);
+
+  /// The scalar reference kernel: numeric squared differences in column
+  /// order, then one penalty add per categorical mismatch.
   double squared(const double* a, const double* b) const;
 
+  /// The scan kernel. Returns squared(a, b) bit for bit whenever that value
+  /// could be <= `limit` (a caller's current k-th squared distance, +inf
+  /// while its heap fills); otherwise it may return a cheaper estimate that
+  /// is still > `limit`, so a bounded top-k built on it is exactly the one
+  /// squared() would build.
+  ///
+  /// Mismatches are counted without per-column branches: each row stores
+  /// its categorical codes 8 bits per column in 64-bit words, so a word's
+  /// mismatch count is XOR, a fold of each byte onto its low bit, and a
+  /// popcount of the low bits done by one multiply. A row with a code that
+  /// is not an integer in [0, 255] (NaN, fractional, negative, >= 256)
+  /// clears its fold flag and such pairs compare the code doubles as
+  /// squared() does.
+  ///
+  /// squared() adds the penalty m times, one rounding per add. The estimate
+  /// acc + m·pen differs from that sum by at most (m + 2)·u relative
+  /// (u = 2^-53; every term is non-negative, so the recursive-summation
+  /// bound applies), which is below kReplayMargin − 1 = 1e-12 for every
+  /// m <= kMaxEstimatedColumns. So when the estimate exceeds
+  /// limit·kReplayMargin the exact sum exceeds `limit` and the m-fold
+  /// replay is skipped; otherwise it runs and the exact value comes back.
+  /// Layouts with more categorical columns than that always replay. NaN
+  /// distances and an infinite limit compare false and replay too.
+  ///
+  /// Bit-identity also needs each numeric sum compiled as written, one
+  /// rounded subtract, multiply and add per column in column order: FMA
+  /// contraction (-mfma, -march=native) or -ffast-math reassociation could
+  /// round scan() and squared() differently and would move every golden,
+  /// so the build enables none of them.
+  double squared_bounded(const double* a, const double* b, double limit,
+                         KnnScanStats& stats) const {
+    double acc = 0.0;
+    for (std::size_t f = 0; f < numeric_count_; ++f) {
+      const double diff = a[f] - b[f];
+      acc += diff * diff;
+    }
+    return add_penalties(acc, a, b, limit, stats);
+  }
+
+  /// Offer storage positions [begin, end) to the bounded top-k max-heap
+  /// `heap` (see heap_offer) as {id(p), squared distance to the packed
+  /// query `q`}, in ascending position order. The resulting heap equals the
+  /// one heap_offer would build from squared().
+  template <typename IdOf>
+  void scan(const double* q, std::size_t begin, std::size_t end,
+            std::size_t k, std::vector<Neighbor>& heap, IdOf&& id,
+            KnnScanStats& stats) const;
+
+  static constexpr double kReplayMargin = 1.0 + 1e-12;
+  static constexpr std::size_t kMaxEstimatedColumns = 4096;
+
  private:
+  /// Rows a scan scores together: their numeric sums are independent
+  /// dependency chains, so they overlap instead of each pair waiting out
+  /// its own chain of adds. Each row's sum keeps its own column order.
+  static constexpr std::size_t kLanes = 8;
+  /// Low bit of every byte: the per-column flags a folded XOR reduces to.
+  static constexpr std::uint64_t kByteLowBits = 0x0101010101010101ULL;
+  /// Fold flag values, stored bitwise in the slot after the words.
+  static constexpr std::uint64_t kFolded = ~std::uint64_t{0};
+  static constexpr std::uint64_t kUnfolded = 0;
+
   void init_layout(const MixedDistance& distance);
   void pack_row(std::span<const double> raw, double* out) const;
+  int mismatches(const double* a, const double* b) const {
+    const double* wa = a + numeric_count_;
+    const double* wb = b + numeric_count_;
+    const std::uint64_t both = std::bit_cast<std::uint64_t>(wa[words_]) &
+                               std::bit_cast<std::uint64_t>(wb[words_]);
+    int count = 0;
+    if (both == kFolded) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t x = std::bit_cast<std::uint64_t>(wa[w]) ^
+                          std::bit_cast<std::uint64_t>(wb[w]);
+        x |= x >> 4;
+        x |= x >> 2;
+        x |= x >> 1;
+        // At most 8 low bits set: the multiply sums them into the top byte.
+        count += static_cast<int>(((x & kByteLowBits) * kByteLowBits) >> 56);
+      }
+      return count;
+    }
+    for (std::size_t f = codes_begin_; f < stride_; ++f) {
+      count += a[f] != b[f] ? 1 : 0;
+    }
+    return count;
+  }
+  /// squared_bounded's categorical half on top of the numeric sum `acc`.
+  double add_penalties(double acc, const double* a, const double* b,
+                       double limit, KnnScanStats& stats) const {
+    if (words_ == 0) return acc;
+    const int m = mismatches(a, b);
+    const double estimate = acc + static_cast<double>(m) * penalty_sq_;
+    // estimate_scale_ is kReplayMargin, or +inf past kMaxEstimatedColumns
+    // (limit·inf is inf or NaN, so the test fails and the replay runs).
+    if (estimate > limit * estimate_scale_) return estimate;
+    ++stats.exact_replays;
+    return replay(acc, m);
+  }
+  /// squared()'s penalty tail: m adds of the penalty, in sequence.
+  double replay(double acc, int m) const {
+    for (int i = 0; i < m; ++i) acc += penalty_sq_;
+    return acc;
+  }
 
-  std::vector<double> data_;  // row-major, n x dim_
+  std::vector<double> data_;  // row-major, n x stride_
   std::size_t dim_ = 0;
+  std::size_t stride_ = 0;
   std::size_t numeric_count_ = 0;
+  std::size_t words_ = 0;  // folded code words per row (0: no categoricals)
+  std::size_t codes_begin_ = 0;  // first categorical code slot
   double penalty_sq_ = 1.0;
+  double estimate_scale_ = kReplayMargin;
   std::vector<std::size_t> slot_of_;  // feature -> packed slot
   std::vector<double> scale_;         // feature -> 1/σ (1 for categorical)
 };
@@ -113,6 +251,71 @@ inline std::vector<Neighbor> heap_sorted(std::vector<Neighbor> heap) {
   std::sort_heap(heap.begin(), heap.end(), NeighborCmp{});
   return heap;
 }
+
+template <typename IdOf>
+void PackedRows::scan(const double* q, std::size_t begin, std::size_t end,
+                      std::size_t k, std::vector<Neighbor>& heap, IdOf&& id,
+                      KnnScanStats& stats) const {
+  if (k == 0) return;
+  stats.pairs += end - begin;
+  std::size_t p = begin;
+  for (; p < end && heap.size() < k; ++p) {
+    heap.push_back({id(p), squared(q, row(p))});
+    std::push_heap(heap.begin(), heap.end(), NeighborCmp{});
+  }
+  const auto offer = [&](const Neighbor& cand) {
+    if (NeighborCmp{}(cand, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), NeighborCmp{});
+      heap.back() = cand;
+      std::push_heap(heap.begin(), heap.end(), NeighborCmp{});
+    }
+  };
+  // kLanes rows at a time under one limit. The limit can only fall while
+  // they are offered, and a stale (larger) limit still finishes exactly
+  // every pair that could enter, so the heap is the same. Lanes whose
+  // estimate clears the limit (nearly all of them, once the heap has
+  // settled) are dropped without touching the heap.
+  for (; p + kLanes <= end; p += kLanes) {
+    const double limit = heap.front().distance;
+    const double threshold = limit * estimate_scale_;
+    const double* r[kLanes];
+    for (std::size_t j = 0; j < kLanes; ++j) r[j] = row(p + j);
+    double acc[kLanes] = {};
+    for (std::size_t f = 0; f < numeric_count_; ++f) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const double diff = q[f] - r[j][f];
+        acc[j] += diff * diff;
+      }
+    }
+    if (words_ == 0) {
+      // No penalties: every sum is already exact.
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        if (acc[j] <= limit) offer({id(p + j), acc[j]});
+      }
+      continue;
+    }
+    int m[kLanes] = {};
+    bool near[kLanes] = {};
+    bool any_near = false;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      m[j] = mismatches(q, r[j]);
+      const double estimate = acc[j] + static_cast<double>(m[j]) * penalty_sq_;
+      near[j] = !(estimate > threshold);
+      any_near |= near[j];
+    }
+    if (!any_near) continue;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      if (!near[j]) continue;
+      ++stats.exact_replays;
+      offer({id(p + j), replay(acc[j], m[j])});
+    }
+  }
+  for (; p < end; ++p) {
+    offer({id(p),
+           squared_bounded(q, row(p), heap.front().distance, stats)});
+  }
+}
+
 }  // namespace detail
 
 /// Common interface for kNN engines.
@@ -141,26 +344,6 @@ class KnnIndex {
   virtual std::size_t size() const = 0;
   /// Row-set index -> original dataset row index.
   virtual std::size_t dataset_index(std::size_t i) const = 0;
-  /// Absorb the rows of `data` beyond size() into the index, refit under
-  /// `distance` (which may have new scales). Only supported by indexes that
-  /// cover a full-dataset prefix [0, size()); returns false when the caller
-  /// should rebuild instead. After a successful append, queries are
-  /// bit-identical to a fresh build over data with `distance`.
-  virtual bool try_append(const Dataset& data, const MixedDistance& distance) {
-    (void)data;
-    (void)distance;
-    return false;
-  }
-  /// Re-fit the index in place under `distance` over the *same* indexed
-  /// rows of `data` (which may have been rescaled by a refit). Unlike
-  /// try_append this works for subset indexes — it is how a sharded index
-  /// refreshes its shards without rebuilding them. Returns false when the
-  /// engine cannot refit in place.
-  virtual bool try_refit(const Dataset& data, const MixedDistance& distance) {
-    (void)data;
-    (void)distance;
-    return false;
-  }
 };
 
 /// Exhaustive scan over contiguous rows.
@@ -178,14 +361,11 @@ class BruteKnn : public KnnIndex {
   std::size_t dataset_index(std::size_t i) const override {
     return row_ids_[i];
   }
-  bool try_append(const Dataset& data, const MixedDistance& distance) override;
-  bool try_refit(const Dataset& data, const MixedDistance& distance) override;
 
  private:
   std::vector<std::size_t> row_ids_;
   detail::PackedRows packed_;
   int threads_ = 0;
-  bool covers_prefix_ = false;  // row_ids_ == [0, size())
 };
 
 /// Metric ball tree (furthest-point split).
@@ -205,17 +385,6 @@ class BallTreeKnn : public KnnIndex {
   std::size_t dataset_index(std::size_t i) const override {
     return row_ids_[i];
   }
-  /// Appended rows live in a flat tail buffer scanned after the tree; when
-  /// the tail outgrows max(leaf_size, tree_rows/8) — a pure function of the
-  /// row counts, so rebuild points are deterministic — the whole index is
-  /// rebuilt. A rescaled distance triggers a one-pass repack plus an exact
-  /// per-node radius refresh (the tree topology is kept; only the bounds
-  /// must be valid for pruning).
-  bool try_append(const Dataset& data, const MixedDistance& distance) override;
-  /// Same-rows refit: repack under the new scales + refresh the radii.
-  bool try_refit(const Dataset& data, const MixedDistance& distance) override;
-  /// Rows covered by tree nodes (excludes the tail buffer); test hook.
-  std::size_t tree_rows() const { return tree_rows_; }
 
  private:
   struct Node {
@@ -227,16 +396,7 @@ class BallTreeKnn : public KnnIndex {
     int left = -1, right = -1;       // children node ids; -1 for leaf
   };
 
-  void build_tree(const Dataset& data);
   int build(std::size_t begin, std::size_t end);
-  /// Recompute every node's covering radius under the current packing — one
-  /// exact pass per node, ~3x cheaper than a full rebuild.
-  void refresh_radii();
-  /// Repack the first `count` stored rows under `distance` (storage
-  /// position p holds row order_[p]) and refresh the radii. The shared core
-  /// of try_append's rescale path and try_refit.
-  void repack_storage(const Dataset& data, const MixedDistance& distance,
-                      std::size_t count);
   /// `center_sq` is the squared distance from the packed query to this
   /// node's pivot, computed by the parent so no node measures its own
   /// center twice.
@@ -248,8 +408,6 @@ class BallTreeKnn : public KnnIndex {
   std::vector<std::size_t> order_;  // storage position -> row-set index
   std::vector<Node> nodes_;
   std::size_t leaf_size_;
-  std::size_t tree_rows_ = 0;  // storage positions [0, tree_rows_) are treed
-  bool covers_prefix_ = false;
   // Build-time scratch (partition keys); reused across nodes, dead after
   // construction.
   std::vector<std::pair<double, std::size_t>> keyed_;

@@ -1,7 +1,6 @@
 #include "frote/knn/sharded.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "frote/util/parallel.hpp"
@@ -33,23 +32,15 @@ std::size_t ShardedKnnIndex::plan_shards(std::size_t n,
 ShardedKnnIndex::ShardedKnnIndex(const Dataset& data, MixedDistance distance,
                                  std::vector<std::size_t> indices,
                                  const KnnIndexConfig& config)
-    : distance_(std::move(distance)), config_(config) {
+    : config_(config) {
   // An identity row set is kept implicit (row_ids_ empty): at the scales
   // this engine targets the mapping array would cost 8 bytes/row for a
   // lookup the shard offsets already encode.
-  std::size_t n = indices.empty() ? data.size() : indices.size();
+  const std::size_t n = indices.empty() ? data.size() : indices.size();
   if (!indices.empty() && !is_identity(indices)) {
     row_ids_ = std::move(indices);
   }
   total_rows_ = n;
-  covers_prefix_ = row_ids_.empty();
-  build(data);
-}
-
-void ShardedKnnIndex::build(const Dataset& data) {
-  const std::size_t n = total_rows_;
-  base_rows_ = n;
-  tail_.reset();
   const std::size_t count = plan_shards(n, config_);
   shards_.clear();
   shards_.resize(count);
@@ -67,32 +58,8 @@ void ShardedKnnIndex::build(const Dataset& data) {
     }
     shards_[s].begin = lo;
     shards_[s].index =
-        make_single_knn_index(data, distance_, std::move(ids), config_);
+        make_single_knn_index(data, distance, std::move(ids), config_);
   });
-}
-
-void ShardedKnnIndex::rebuild_tail(const Dataset& data) {
-  if (total_rows_ == base_rows_) {
-    tail_.reset();
-    return;
-  }
-  // The tail is small (bounded by tail_rebuild_threshold), so a fresh flat
-  // pack per append is cheaper than any incremental structure — and it
-  // re-fits the current distance scales for free.
-  std::vector<std::size_t> ids;
-  ids.reserve(total_rows_ - base_rows_);
-  for (std::size_t pos = base_rows_; pos < total_rows_; ++pos) {
-    ids.push_back(dataset_index(pos));
-  }
-  tail_ = std::make_unique<BruteKnn>(data, distance_, std::move(ids),
-                                     config_.threads);
-}
-
-std::size_t ShardedKnnIndex::tail_rebuild_threshold() const {
-  // A pure function of the config (never of n or the thread count), so the
-  // re-shard step is the same in every run. A quarter-shard of flat scan
-  // per query is the agreed ceiling before re-sharding pays for itself.
-  return std::max<std::size_t>(1024, config_.shard_target_rows / 4);
 }
 
 void ShardedKnnIndex::query_squared(std::span<const double> query,
@@ -125,58 +92,7 @@ void ShardedKnnIndex::query_squared(std::span<const double> query,
       detail::heap_offer(heap, k, {shards_[s].begin + nb.index, nb.distance});
     }
   }
-  if (tail_ != nullptr) {
-    std::vector<Neighbor> tail_best;
-    tail_->query_squared(query, k, tail_best);
-    for (const Neighbor& nb : tail_best) {
-      detail::heap_offer(heap, k, {base_rows_ + nb.index, nb.distance});
-    }
-  }
   out = detail::heap_sorted(std::move(heap));
-}
-
-bool ShardedKnnIndex::try_append(const Dataset& data,
-                                 const MixedDistance& distance) {
-  if (!covers_prefix_ || data.size() < total_rows_) return false;
-  distance_ = distance;
-  total_rows_ = data.size();
-  if (total_rows_ - base_rows_ > tail_rebuild_threshold()) {
-    // Deterministic re-shard: fold the tail back into the shard structure
-    // (which re-fits the distance as a side effect).
-    build(data);
-    return true;
-  }
-  // Re-fit each shard in place in case the refit rescaled the distance
-  // (scales_match short-circuits the common no-rescale case), then rebuild
-  // the flat tail under the current scales.
-  std::atomic<bool> ok{true};
-  parallel_for(shards_.size(), 1, config_.threads,
-               [&](std::size_t begin, std::size_t) {
-                 if (!shards_[begin].index->try_refit(data, distance_)) {
-                   ok.store(false, std::memory_order_relaxed);
-                 }
-               });
-  if (!ok.load()) {
-    build(data);
-    return true;
-  }
-  rebuild_tail(data);
-  return true;
-}
-
-bool ShardedKnnIndex::try_refit(const Dataset& data,
-                                const MixedDistance& distance) {
-  distance_ = distance;
-  std::atomic<bool> ok{true};
-  parallel_for(shards_.size(), 1, config_.threads,
-               [&](std::size_t begin, std::size_t) {
-                 if (!shards_[begin].index->try_refit(data, distance_)) {
-                   ok.store(false, std::memory_order_relaxed);
-                 }
-               });
-  if (!ok.load()) return false;
-  rebuild_tail(data);
-  return true;
 }
 
 }  // namespace frote

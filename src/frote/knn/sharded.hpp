@@ -22,13 +22,6 @@
 // happens on *squared* distances (query_squared) — taking square roots
 // per shard first could collapse distinct squared values and break the
 // tie-break equivalence.
-//
-// Appends (the FROTE loop growing D̂) go to a flat BruteKnn tail over the
-// appended rows, queried after the shards; when the tail outgrows a
-// threshold that is a pure function of the config — never the thread
-// count — the whole index is deterministically re-sharded. A refit that
-// rescales the distance re-fits every shard in place (KnnIndex::try_refit)
-// instead of rebuilding the shard structure.
 #pragma once
 
 #include <cstddef>
@@ -59,19 +52,9 @@ class ShardedKnnIndex : public KnnIndex {
   std::size_t dataset_index(std::size_t i) const override {
     return row_ids_.empty() ? i : row_ids_[i];
   }
-  /// Appended rows join a flat tail index scanned after the shards; a
-  /// rescaled distance re-fits each shard in place. When the tail outgrows
-  /// tail_rebuild_threshold() the whole index re-shards — at a point that
-  /// is a pure function of the row counts and config, so rebuilds happen at
-  /// the same step for every thread count.
-  bool try_append(const Dataset& data, const MixedDistance& distance) override;
-  /// Same-rows refit: re-fit every shard (and the tail) under `distance`.
-  bool try_refit(const Dataset& data, const MixedDistance& distance) override;
 
-  /// Number of shards over the base (pre-append) row set; test hook.
+  /// Number of shards; test hook.
   std::size_t shard_count() const { return shards_.size(); }
-  /// Appended rows currently served by the flat tail index; test hook.
-  std::size_t tail_rows() const { return total_rows_ - base_rows_; }
 
   /// The shard-count policy: config.shards >= 2 forces that count
   /// (clamped to n); otherwise one shard per ~shard_target_rows rows,
@@ -84,20 +67,10 @@ class ShardedKnnIndex : public KnnIndex {
     std::unique_ptr<KnnIndex> index;
   };
 
-  /// (Re)build the shards over the current row set; resets the tail.
-  void build(const Dataset& data);
-  /// Rebuild the tail index over rows [base_rows_, total_rows_).
-  void rebuild_tail(const Dataset& data);
-  std::size_t tail_rebuild_threshold() const;
-
   std::vector<std::size_t> row_ids_;  // empty = identity mapping
-  MixedDistance distance_;            // current fit, for rebuilds
   KnnIndexConfig config_;
   std::vector<Shard> shards_;
-  std::unique_ptr<KnnIndex> tail_;  // appended rows; null when none
-  std::size_t base_rows_ = 0;       // rows covered by shards_
-  std::size_t total_rows_ = 0;      // base + tail
-  bool covers_prefix_ = false;      // identity over a dataset prefix
+  std::size_t total_rows_ = 0;
 };
 
 }  // namespace frote

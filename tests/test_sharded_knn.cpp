@@ -1,8 +1,7 @@
 // ShardedKnnIndex (docs/DESIGN.md §8): the sharded engine must be
 // bit-identical to a single index over the same rows — across thread
-// counts, shard counts, distance ties, subset row sets, and any
-// append/refit sequence — and the shard-count policy must be a pure
-// function of (n, config).
+// counts, shard counts, distance ties and subset row sets — and the
+// shard-count policy must be a pure function of (n, config).
 #include "frote/knn/sharded.hpp"
 
 #include <gtest/gtest.h>
@@ -128,75 +127,6 @@ TEST(ShardedKnn, SubsetRowSetsMatchSingleIndex) {
   EXPECT_EQ(sharded.size(), picks.size());
   EXPECT_EQ(sharded.dataset_index(1), 2u);
   expect_same_neighbors(sharded, *single, data, 5);
-}
-
-TEST(ShardedKnn, AppendMatchesFreshBuild) {
-  const auto base = testing::blobs_dataset(150);  // 300 rows
-  KnnIndexConfig config;
-  config.shards = 4;
-  ShardedKnnIndex sharded(base, MixedDistance::fit(base), {}, config);
-
-  // Grow the dataset; the refit distance has new scales, as after a real
-  // FROTE accept (moments absorb the appended rows).
-  Dataset grown = base;
-  const auto extra = testing::blobs_dataset(25, 6.0, /*seed=*/11);
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    grown.add_row(extra.row(i), extra.label(i));
-  }
-  const auto refit = MixedDistance::fit(grown);
-  ASSERT_TRUE(sharded.try_append(grown, refit));
-  EXPECT_EQ(sharded.size(), grown.size());
-  EXPECT_EQ(sharded.tail_rows(), extra.size());  // below rebuild threshold
-
-  const BruteKnn fresh(grown, refit);
-  expect_same_neighbors(sharded, fresh, grown, 5);
-
-  // A second append on top of the tail must also match a fresh build.
-  Dataset grown2 = grown;
-  const auto extra2 = testing::blobs_dataset(10, 6.0, /*seed=*/13);
-  for (std::size_t i = 0; i < extra2.size(); ++i) {
-    grown2.add_row(extra2.row(i), extra2.label(i));
-  }
-  const auto refit2 = MixedDistance::fit(grown2);
-  ASSERT_TRUE(sharded.try_append(grown2, refit2));
-  const BruteKnn fresh2(grown2, refit2);
-  expect_same_neighbors(sharded, fresh2, grown2, 5);
-}
-
-TEST(ShardedKnn, OversizedTailTriggersDeterministicReshard) {
-  const auto base = testing::blobs_dataset(100);  // 200 rows
-  KnnIndexConfig config;
-  config.shards = 2;
-  config.shard_target_rows = 128;  // rebuild threshold = max(1024, 128/4)
-  ShardedKnnIndex sharded(base, MixedDistance::fit(base), {}, config);
-
-  // Push the tail past the rebuild threshold (max(1024, target/4) rows).
-  Dataset grown = base;
-  const auto extra = testing::blobs_dataset(520, 6.0, /*seed=*/17);  // 1040
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    grown.add_row(extra.row(i), extra.label(i));
-  }
-  const auto refit = MixedDistance::fit(grown);
-  ASSERT_TRUE(sharded.try_append(grown, refit));
-  EXPECT_EQ(sharded.tail_rows(), 0u);  // everything re-sharded
-  EXPECT_EQ(sharded.size(), grown.size());
-
-  const BruteKnn fresh(grown, refit);
-  expect_same_neighbors(sharded, fresh, base, 5);
-}
-
-TEST(ShardedKnn, RefitMatchesFreshBuildUnderNewScales) {
-  const auto data = testing::blobs_dataset(150);  // 300 rows
-  KnnIndexConfig config;
-  config.shards = 4;
-  ShardedKnnIndex sharded(data, MixedDistance::fit(data), {}, config);
-
-  // A distance fitted elsewhere rescales every numeric column.
-  const auto rescaled =
-      MixedDistance::fit(testing::blobs_dataset(80, 12.0, /*seed=*/23));
-  ASSERT_TRUE(sharded.try_refit(data, rescaled));
-  const BruteKnn fresh(data, rescaled);
-  expect_same_neighbors(sharded, fresh, data, 5);
 }
 
 }  // namespace

@@ -2,16 +2,19 @@
 // incrementally maintained artefact must be bit-identical to its
 // from-scratch counterpart — the moments-based distance refit vs
 // MixedDistance::fit, update_base_population vs preselect_base_population,
-// appendable kNN indexes vs fresh builds, and IpSelector with a workspace
-// vs without. Plus the threads knob: an IP-selection session is
-// bit-identical at every thread count (ci.sh reruns this suite under
-// FROTE_NUM_THREADS=4).
+// the neighbourhood fill vs fresh indexes, workspace generation vs
+// standalone generation, and IpSelector with a workspace vs without. Plus
+// the threads knob: an IP-selection session is bit-identical at every
+// thread count (ci.sh reruns this suite under FROTE_NUM_THREADS=4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "frote/core/engine.hpp"
+#include "frote/core/stages.hpp"
 #include "frote/core/workspace.hpp"
 #include "frote/exp/learners.hpp"
 #include "frote/ml/decision_tree.hpp"
@@ -89,86 +92,122 @@ TEST(SessionWorkspace, DistanceTracksCommittedAppends) {
 }
 
 // ---------------------------------------------------------------------------
-// Appendable kNN indexes
+// The workspace's neighbourhood fill against fresh indexes
 
-void expect_same_queries(const KnnIndex& actual, const KnnIndex& expected,
-                         const Dataset& data, std::size_t k) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t q = 0; q < data.size(); q += 7) {
-    const auto a = actual.query(data.row(q), k);
-    const auto e = expected.query(data.row(q), k);
-    ASSERT_EQ(a.size(), e.size()) << "query " << q;
-    for (std::size_t i = 0; i < e.size(); ++i) {
-      EXPECT_EQ(actual.dataset_index(a[i].index),
-                expected.dataset_index(e[i].index))
-          << "query " << q << " rank " << i;
-      EXPECT_EQ(a[i].distance, e[i].distance) << "query " << q;
+/// Every requested row's cached neighbourhood against a fresh index over
+/// today's data: the exact (k+1)-prefix, index and distance bits.
+void expect_fill_matches_fresh_index(
+    const Dataset& data, const std::vector<std::size_t>& rows, std::size_t k,
+    const std::vector<const RowNeighborhood*>& hoods) {
+  const auto fresh = make_knn_index(data, MixedDistance::fit(data));
+  const std::size_t cap = std::min(k + 1, data.size());
+  std::vector<Neighbor> expected;
+  ASSERT_EQ(hoods.size(), rows.size());
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    fresh->query_squared(data.row(rows[s]), cap, expected);
+    const auto& list = hoods[s]->list;
+    ASSERT_GE(list.size(), expected.size()) << "row " << rows[s];
+    for (std::size_t e = 0; e < expected.size(); ++e) {
+      EXPECT_EQ(list[e].index, fresh->dataset_index(expected[e].index))
+          << "row " << rows[s] << " rank " << e << " k " << k;
+      EXPECT_EQ(list[e].distance, expected[e].distance)
+          << "row " << rows[s] << " rank " << e << " k " << k;
     }
   }
 }
 
-TEST(BruteKnnAppend, MatchesFreshBuildAcrossRescaledAppends) {
-  auto data = testing::threshold_dataset(80, 5.0, 9);
-  BruteKnn knn(data, MixedDistance::fit(data));
-  for (int round = 0; round < 3; ++round) {
-    data.append(appended_batch(data, 21, 100 + round));
-    const MixedDistance refit = MixedDistance::fit(data);
-    ASSERT_TRUE(knn.try_append(data, refit));  // rescale forces a repack
-    const BruteKnn fresh(data, refit);
-    expect_same_queries(knn, fresh, data, 6);
+TEST(SessionWorkspace, FillMatchesFreshIndexAcrossKAndThreads) {
+  // Tiny sets (fewer rows than k+1), one just past a scan block, and one
+  // past a row tile; duplicates in the request; 1 and 4 threads agree.
+  for (const std::size_t n : {1u, 2u, 7u, 19u, 2300u}) {
+    const auto data = testing::threshold_dataset(n, 5.0, 40 + n);
+    std::vector<std::size_t> rows;
+    const std::size_t step = n > 100 ? 97 : 1;
+    for (std::size_t i = 0; i < n; i += step) rows.push_back(i);
+    rows.push_back(0);
+    for (const std::size_t k : {1u, 6u, 15u}) {
+      SessionWorkspace serial(/*threads=*/1);
+      SessionWorkspace pooled(/*threads=*/4);
+      serial.bind(data);
+      pooled.bind(data);
+      const auto a = serial.neighborhoods(rows, k);
+      const auto b = pooled.neighborhoods(rows, k);
+      expect_fill_matches_fresh_index(data, rows, k, a);
+      for (std::size_t s = 0; s < rows.size(); ++s) {
+        ASSERT_EQ(a[s]->list.size(), b[s]->list.size());
+        for (std::size_t e = 0; e < a[s]->list.size(); ++e) {
+          EXPECT_EQ(a[s]->list[e].index, b[s]->list[e].index);
+          EXPECT_EQ(a[s]->list[e].distance, b[s]->list[e].distance);
+        }
+        EXPECT_EQ(a[s]->outside_bound, b[s]->outside_bound);
+      }
+      // Distinct rows only: a duplicate is served from its first slot.
+      EXPECT_EQ(serial.neighborhood_queries(), rows.size() - 1);
+    }
   }
 }
 
-TEST(BruteKnnAppend, SameScalesTakesPureAppendPath) {
-  auto data = testing::threshold_dataset(80, 5.0, 9);
-  const MixedDistance frozen = MixedDistance::fit(data);
-  BruteKnn knn(data, frozen);
-  data.append(appended_batch(data, 15, 4));
-  ASSERT_TRUE(knn.try_append(data, frozen));  // identical scales: no repack
-  const BruteKnn fresh(data, frozen);
-  expect_same_queries(knn, fresh, data, 5);
-}
-
-TEST(BruteKnnAppend, SubsetIndexRefusesAppend) {
-  auto data = testing::threshold_dataset(40);
-  BruteKnn knn(data, MixedDistance::fit(data), {1, 3, 5});
-  data.append(appended_batch(data, 5, 2));
-  EXPECT_FALSE(knn.try_append(data, MixedDistance::fit(data)));
-}
-
-TEST(BallTreeKnnAppend, TailThenDeterministicRebuildMatchesFresh) {
-  auto data = testing::threshold_dataset(150, 5.0, 13);
-  BallTreeKnn tree(data, MixedDistance::fit(data), {}, /*leaf_size=*/8);
-  const std::size_t initial_tree_rows = tree.tree_rows();
-  bool saw_tail = false;
-  bool saw_rebuild = false;
-  for (int round = 0; round < 6; ++round) {
-    data.append(appended_batch(data, 9, 50 + round));
-    const MixedDistance refit = MixedDistance::fit(data);
-    ASSERT_TRUE(tree.try_append(data, refit));
-    saw_tail = saw_tail || tree.tree_rows() < tree.size();
-    saw_rebuild = saw_rebuild || tree.tree_rows() > initial_tree_rows;
-    const BallTreeKnn fresh(data, refit, {}, /*leaf_size=*/8);
-    expect_same_queries(tree, fresh, data, 7);
-  }
-  // The sweep must exercise both regimes: queries served tree+tail, and at
-  // least one threshold-triggered fold of the tail into a new tree.
-  EXPECT_TRUE(saw_tail);
-  EXPECT_TRUE(saw_rebuild);
-}
-
-TEST(SessionWorkspace, IndexAppendsAcrossBinds) {
+TEST(SessionWorkspace, FillMatchesFreshIndexAcrossRescaledAppends) {
   auto data = testing::threshold_dataset(100, 5.0, 17);
   SessionWorkspace ws(/*threads=*/1);
   ws.bind(data);
-  KnnIndex* first = &ws.index();
-  data.append(appended_batch(data, 30, 23));
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < data.size(); i += 4) rows.push_back(i);
+  expect_fill_matches_fresh_index(data, rows, 6, ws.neighborhoods(rows, 6));
+  for (int round = 0; round < 3; ++round) {
+    const MixedDistance before = MixedDistance::fit(data);
+    // Wider value range than the base rows: every append rescales.
+    Dataset batch(data.schema_ptr());
+    Rng rng(23 + round);
+    for (std::size_t i = 0; i < 30; ++i) {
+      const double x = rng.uniform(-5.0, 15.0);
+      batch.add_row({x, rng.uniform(-5.0, 15.0), static_cast<double>(i % 3)},
+                    x > 5.0 ? 1 : 0);
+    }
+    data.append(batch);
+    ASSERT_FALSE(before.same_scales(MixedDistance::fit(data)));
+    ws.bind(data);
+    // Old rows go through the certified pass (or a re-fill when their
+    // certificate fails); the appended rows are new to the cache.
+    rows.push_back(data.size() - 1);
+    rows.push_back(data.size() - 30);
+    expect_fill_matches_fresh_index(data, rows, 6, ws.neighborhoods(rows, 6));
+  }
+}
+
+TEST(SessionWorkspace, FillMatchesFreshIndexAcrossSameScaleAppends) {
+  // All-categorical rows fit every scale to 1, so each append keeps the
+  // scales and the packed mirror takes its pure-append path.
+  const auto schema = std::make_shared<Schema>(
+      std::vector<FeatureSpec>{
+          FeatureSpec::categorical("a", {"p", "q", "r"}),
+          FeatureSpec::categorical("b", {"p", "q"}),
+          FeatureSpec::categorical("c", {"p", "q", "r", "s"})},
+      std::vector<std::string>{"neg", "pos"});
+  Dataset data(schema);
+  Rng rng(61);
+  const auto add_rows = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      data.add_row({static_cast<double>(rng.index(3)),
+                    static_cast<double>(rng.index(2)),
+                    static_cast<double>(rng.index(4))},
+                   static_cast<int>(rng.index(2)));
+    }
+  };
+  add_rows(60);
+  SessionWorkspace ws(/*threads=*/1);
   ws.bind(data);
-  KnnIndex& appended = ws.index();
-  EXPECT_EQ(&appended, first);  // absorbed, not rebuilt
-  EXPECT_EQ(appended.size(), data.size());
-  const auto fresh = make_knn_index(data, MixedDistance::fit(data));
-  expect_same_queries(appended, *fresh, data, 6);
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < data.size(); i += 3) rows.push_back(i);
+  expect_fill_matches_fresh_index(data, rows, 6, ws.neighborhoods(rows, 6));
+  for (int round = 0; round < 2; ++round) {
+    const MixedDistance before = MixedDistance::fit(data);
+    add_rows(12);
+    ASSERT_TRUE(before.same_scales(MixedDistance::fit(data)));
+    ws.bind(data);
+    rows.push_back(data.size() - 1);
+    expect_fill_matches_fresh_index(data, rows, 6, ws.neighborhoods(rows, 6));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +271,67 @@ TEST(IpSelectorWorkspace, SelectionsMatchStandaloneAndShareRngStream) {
     }
     // The cached path must consume the RNG identically.
     EXPECT_EQ(plain_rng.next_u64(), ws_rng.next_u64()) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Workspace-backed generation: memoised neighbour lists plus the parallel
+// prefetch against standalone generation.
+
+TEST(WorkspaceGenerators, MemoAndPrefetchMatchStandaloneGeneration) {
+  auto data = testing::threshold_dataset(220, 5.0, 51);
+  // Overlapping rules, so one row can sit in several base populations.
+  FeedbackRuleSet frs(std::vector<FeedbackRule>{
+      testing::x_gt_rule(6.0), testing::x_gt_rule(3.0, 0)});
+  BasePopulation bp = preselect_base_population(data, frs, 5);
+  GenerateConfig config;
+  config.threads = 4;
+  const SmoteNcInstanceGenerator generator;
+  SessionWorkspace ws(/*threads=*/4);
+  ws.bind(data);
+
+  Rng ws_rng(5);
+  Rng plain_rng(5);
+  Rng pick_rng(9);
+  std::vector<SelectedInstance> picks;
+  for (int step = 0; step < 12; ++step) {
+    // A reject-heavy run: a fresh selection every third step, otherwise
+    // the previous one again (the IP re-selects the same base instances
+    // while D̂ and the model stand still). An accepted batch after step 4
+    // rebuilds the generators, so step 5's repeated slots are queried
+    // anew.
+    const bool reselect = step % 3 == 0;
+    if (reselect) {
+      picks.clear();
+      for (int i = 0; i < 14; ++i) {
+        const std::size_t rule = pick_rng.index(frs.size());
+        picks.push_back(
+            {rule, pick_rng.index(bp.per_rule[rule].indices.size())});
+      }
+      picks.push_back(picks.front());  // a slot picked twice in one batch
+    }
+    const MixedDistance distance = MixedDistance::fit(data);
+    const GenerationContext ws_ctx{data, frs, bp, ws.distance(), config, &ws};
+    const GenerationContext plain_ctx{data, frs, bp, distance, config,
+                                      nullptr};
+    const std::uint64_t before = ws.generator_queries();
+    const Dataset cached = generator.generate(ws_ctx, picks, ws_rng);
+    const Dataset plain = generator.generate(plain_ctx, picks, plain_rng);
+    ASSERT_GT(plain.size(), 0u) << "step " << step;
+    expect_bit_identical(cached, plain);
+    EXPECT_EQ(ws_rng.state(), plain_rng.state()) << "step " << step;
+    if (reselect || step == 5) {
+      EXPECT_GT(ws.generator_queries(), before) << "step " << step;
+    } else {
+      EXPECT_EQ(ws.generator_queries(), before) << "step " << step;
+    }
+    if (step == 4) {
+      // Accept: D̂ grows, so the generators (and their memos) are rebuilt.
+      const std::size_t first_new = data.size();
+      data.append(cached);
+      update_base_population(bp, data, frs, 5, first_new);
+      ws.bind(data);
+    }
   }
 }
 
