@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "frote/data/generators.hpp"
 #include "frote/exp/learners.hpp"
 #include "frote/metrics/metrics.hpp"
+#include "frote/ml/coded_columns.hpp"
 #include "frote/opt/ip.hpp"
 #include "frote/opt/lp.hpp"
 #include "frote/smote/smote.hpp"
@@ -171,9 +173,9 @@ BENCHMARK(BM_TrainModel)
 void BM_ModelUpdate(benchmark::State& state) {
   // Learner::update() on a dataset grown by one accepted batch (η = 20 rows):
   // the accept-path retrain cost the session pays per committed edit, vs the
-  // from-scratch cost BM_TrainModel measures. "rf" is the exact incremental
-  // override (bitwise ≡ train); lr_warm / gbdt_additive are the opt-in
-  // approximate warm starts (docs/DESIGN.md §10).
+  // from-scratch cost BM_TrainModel measures. "rf" update is train.
+  // lr_warm / gbdt_additive are the opt-in approximate warm starts
+  // (docs/DESIGN.md §10).
   static constexpr const char* kNames[] = {"rf", "lr_warm", "gbdt_additive"};
   const char* name = kNames[state.range(0)];
   const auto& base = adult(1000);
@@ -193,6 +195,48 @@ void BM_ModelUpdate(benchmark::State& state) {
   state.SetLabel(name);
 }
 BENCHMARK(BM_ModelUpdate)->Arg(0)->Arg(1)->Arg(2);
+
+void RunTreeFit(benchmark::State& state, const Dataset& data,
+                LearnerKind kind, CodedColumns::ZeroSign zeros) {
+  // A whole fast-profile fit at a perfbench workload's size: the
+  // coded-column table (ml/coded_columns.hpp) plus every tree's split
+  // search. `table_share` is the table build's part of one fit, timed
+  // separately after the loop with the same thread count.
+  using Clock = std::chrono::steady_clock;
+  const auto learner = make_learner(kind, 42, /*fast=*/true);
+  double fit_s = 0.0;
+  std::size_t fits = 0;
+  for (auto _ : state) {
+    const auto start = Clock::now();
+    benchmark::DoNotOptimize(learner->train(data));
+    fit_s += std::chrono::duration<double>(Clock::now() - start).count();
+    ++fits;
+  }
+  constexpr int kTableReps = 5;
+  const auto start = Clock::now();
+  for (int r = 0; r < kTableReps; ++r) {
+    const CodedColumns table(data, zeros, 0);
+    benchmark::DoNotOptimize(table.codes(0));
+  }
+  const double table_s =
+      std::chrono::duration<double>(Clock::now() - start).count() / kTableReps;
+  state.counters["table_share"] =
+      fits > 0 ? table_s / (fit_s / static_cast<double>(fits)) : 0.0;
+}
+
+void BM_TreeFitRf(benchmark::State& state) {
+  RunTreeFit(state, adult(static_cast<std::size_t>(state.range(0))),
+             LearnerKind::kRF, CodedColumns::ZeroSign::kDistinct);
+}
+BENCHMARK(BM_TreeFitRf)->Name("BM_TreeFit/rf")->Arg(8000);
+
+void BM_TreeFitGbdt(benchmark::State& state) {
+  RunTreeFit(state,
+             cached_dataset(UciDataset::kWineQuality,
+                            static_cast<std::size_t>(state.range(0))),
+             LearnerKind::kLGBM, CodedColumns::ZeroSign::kFolded);
+}
+BENCHMARK(BM_TreeFitGbdt)->Name("BM_TreeFit/gbdt")->Arg(4000);
 
 void BM_ObjectiveEval(benchmark::State& state) {
   const auto& data = adult(2000);

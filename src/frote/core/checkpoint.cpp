@@ -329,8 +329,8 @@ SessionCheckpoint Session::snapshot() const {
                   "snapshot on a dataset with staged rows");
   SessionCheckpoint ckpt;
   ckpt.schema = active_.schema_ptr();
-  // Per-row copy rather than raw_values(): chunked storage has no
-  // whole-table span, and each row is contiguous under every geometry.
+  // Per-row copy: chunked storage has no whole-table span, and each row is
+  // contiguous under every geometry.
   const std::size_t width = active_.num_features();
   ckpt.values.reserve(active_.size() * width);
   for (std::size_t i = 0; i < active_.size(); ++i) {

@@ -11,10 +11,9 @@
 //
 // Rows stay row-major *within* a chunk, so Dataset::row(i) still hands out
 // one contiguous span per row — every consumer of per-row spans (packed kNN
-// rows, encoders, metrics) is untouched. Only whole-table contiguity
-// (raw_values()) is lost once a chunk seals; the store reports that via
-// contiguous() and the two consumers that cared (TreeBuilder, snapshot)
-// have per-row fallbacks.
+// rows, encoders, metrics) is untouched. Only whole-table contiguity is
+// lost once a chunk seals (the store reports it via contiguous()), and no
+// reader needs it: every consumer goes through per-row access.
 //
 // Sealed chunks are immutable and shared (shared_ptr) between dataset
 // copies: a copy shares every sealed chunk and deep-copies only the tail.
@@ -113,13 +112,6 @@ class ChunkStore {
   /// True while every row lives in the tail (no chunk has sealed yet) —
   /// exactly when whole-table contiguous access is still available.
   bool contiguous() const { return sealed_.empty(); }
-  /// The whole table as one span; caller must check contiguous().
-  std::span<const double> contiguous_values() const {
-    FROTE_CHECK_MSG(contiguous(),
-                    "contiguous_values() on chunked storage ("
-                        << sealed_.size() << " sealed chunks)");
-    return {tail_.data(), tail_.size()};
-  }
 
   std::size_t sealed_chunk_count() const { return sealed_.size(); }
   /// Sealed chunks plus the tail when non-empty — what server.stats and

@@ -6,10 +6,10 @@
 // by default one contiguous in-memory table (the historical layout), or,
 // with StorageOptions{chunk_rows > 0}, fixed-size immutable chunks
 // (optionally mmap-backed) plus a mutable tail. Rows are row-major within
-// a chunk, so row(i) always returns one contiguous span either way; only
-// whole-table raw_values() requires the unchunked layout (check
-// values_contiguous() first). Labels and row ids stay flat columns — the
-// table is struct-of-arrays, and only the wide column is chunked.
+// a chunk, so row(i) always returns one contiguous span either way (there
+// is no whole-table span; values_contiguous() reports whether a chunk has
+// sealed). Labels and row ids stay flat columns — the table is
+// struct-of-arrays, and only the wide column is chunked.
 //
 // Staged appends (the session workspace's data plane, docs/DESIGN.md §5):
 // `stage_rows()` appends a batch that is immediately visible to every reader
@@ -89,13 +89,6 @@ class Dataset {
   /// True while the whole table is one contiguous block (always the case
   /// for chunk_rows == 0; for chunked storage, only before the first seal).
   bool values_contiguous() const { return values_.contiguous(); }
-
-  /// Raw row-major feature storage (size() * num_features()); hot loops
-  /// that already hold a validated index can skip row()'s per-call bounds
-  /// check. Requires values_contiguous() — chunked callers iterate rows.
-  std::span<const double> raw_values() const {
-    return values_.contiguous_values();
-  }
 
   int label(std::size_t i) const {
     FROTE_CHECK_MSG(i < size(), "row " << i << " out of " << size());

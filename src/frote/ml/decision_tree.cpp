@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -76,23 +75,13 @@ double gini_impurity(std::span<const double> counts, double total) {
 
 class TreeBuilder {
  public:
-  TreeBuilder(const Dataset& data, const DecisionTreeConfig& config, Rng& rng)
+  TreeBuilder(const Dataset& data, const CodedColumns& columns,
+              const DecisionTreeConfig& config, Rng& rng)
       : data_(data),
+        columns_(columns),
         config_(config),
         rng_(rng),
-        raw_(data.values_contiguous() ? data.raw_values().data() : nullptr),
-        labels_(data.raw_labels().data()),
-        width_(data.num_features()) {
-    if (raw_ == nullptr) {
-      // Chunked storage: no whole-table pointer exists, so snapshot one
-      // pointer per row instead. The split loops then cost one extra load
-      // per row access, only on the geometry that asked for it.
-      row_ptrs_.resize(data.size());
-      for (std::size_t i = 0; i < row_ptrs_.size(); ++i) {
-        row_ptrs_[i] = data.row_ptr(i);
-      }
-    }
-  }
+        labels_(data.raw_labels().data()) {}
 
   std::vector<DecisionTreeModel::Node> build(std::vector<std::size_t> indices) {
     nodes_.clear();
@@ -137,7 +126,7 @@ class TreeBuilder {
     std::size_t write = begin;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t idx = order_[i];
-      const double x = value_at(idx, split.feature);
+      const double x = columns_.value(split.feature, idx);
       const bool go_left = split.categorical ? (x == split.threshold)
                                              : (x <= split.threshold);
       if (go_left) {
@@ -207,32 +196,33 @@ class TreeBuilder {
                         const std::vector<double>& parent_counts,
                         double parent_gini, double total,
                         SplitCandidate& best) {
-    // One-vs-rest on each category value present at the node. All counts are
-    // small exact integers, so recovering "rest" by subtracting from the
-    // node counts yields the same doubles as re-summing the other codes.
+    // One-vs-rest on each category value present at the node. Counts are
+    // integers, converted to the same doubles the per-row 1.0 adds summed
+    // to; recovering "rest" by subtracting from the node counts yields the
+    // same doubles as re-summing the other codes.
     const std::size_t classes = data_.num_classes();
-    per_code_.assign(cardinality * classes, 0.0);
-    code_totals_.assign(cardinality, 0.0);
+    per_code_.assign(cardinality * classes, 0);
+    code_totals_.assign(cardinality, 0);
+    const std::uint32_t* codes = columns_.codes(f);
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t idx = order_[i];
-      const auto code = static_cast<std::size_t>(value_at(idx, f));
-      per_code_[code * classes + static_cast<std::size_t>(labels_[idx])] +=
-          1.0;
-      code_totals_[code] += 1.0;
+      const std::size_t code = codes[idx];
+      ++per_code_[code * classes + static_cast<std::size_t>(labels_[idx])];
+      ++code_totals_[code];
     }
+    code_counts_.resize(classes);
     rest_.resize(classes);
     for (std::size_t code = 0; code < cardinality; ++code) {
-      if (code_totals_[code] == 0.0 || code_totals_[code] == total) continue;
-      const std::span<const double> code_counts(
-          per_code_.data() + code * classes, classes);
+      const auto code_total = static_cast<double>(code_totals_[code]);
+      if (code_total == 0.0 || code_total == total) continue;
       for (std::size_t c = 0; c < classes; ++c) {
-        rest_[c] = parent_counts[c] - code_counts[c];
+        code_counts_[c] = static_cast<double>(per_code_[code * classes + c]);
+        rest_[c] = parent_counts[c] - code_counts_[c];
       }
-      const double rest_total = total - code_totals_[code];
+      const double rest_total = total - code_total;
       const double gain =
           parent_gini -
-          (code_totals_[code] / total) * gini_impurity(code_counts,
-                                                       code_totals_[code]) -
+          (code_total / total) * gini_impurity(code_counts_, code_total) -
           (rest_total / total) * gini_impurity(rest_, rest_total);
       if (gain > best.gini_gain + 1e-12) {
         best = {f, static_cast<double>(code), true, gain, true};
@@ -240,34 +230,28 @@ class TreeBuilder {
     }
   }
 
-  /// Sort the node's (value, label) pairs for feature f by value into
-  /// (vals_, sorted_labels_): the shared stable LSD byte-radix kernel
-  /// (ml/split_radix.hpp) over monotone-mapped keys. Branchless scatter
-  /// passes replace the comparison sort that dominated training. The sorted
-  /// value sequence equals std::sort's; label order among exactly-equal
-  /// values may differ, which no downstream count can observe.
-  void radix_sort_feature(std::size_t f, std::size_t begin, std::size_t end) {
+  /// Sort the node's (rank, label) pairs for feature f by rank into
+  /// ranks_[cur] / labs_[cur] and return cur: the stable LSD byte-radix
+  /// kernel (ml/split_radix.hpp) over the column's 32-bit dense ranks, one
+  /// pass per rank byte. Ranks order rows exactly as their raw values'
+  /// keys did, so the sorted value sequence equals std::sort's; label order
+  /// among equal values may differ, which no downstream count can observe.
+  int sort_by_rank(std::size_t f, std::size_t begin, std::size_t end) {
     const std::size_t m = end - begin;
-    keys_[0].resize(m);
-    keys_[1].resize(m);
-    labs_[0].resize(m);
-    labs_[1].resize(m);
-    hist_.assign(8 * 256, 0);
+    const std::size_t bytes = detail::key_bytes(columns_.values(f).size() - 1);
+    for (int b = 0; b < 2; ++b) {
+      ranks_[b].resize(m);
+      labs_[b].resize(m);
+    }
+    hist_.assign(bytes * 256, 0);
+    const std::uint32_t* codes = columns_.codes(f);
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t idx = order_[begin + i];
-      const std::uint64_t key = detail::split_value_key(value_at(idx, f));
-      keys_[0][i] = key;
+      ranks_[0][i] = codes[idx];
       labs_[0][i] = labels_[idx];
-      for (std::size_t b = 0; b < 8; ++b) {
-        ++hist_[b * 256 + ((key >> (8 * b)) & 0xFF)];
-      }
+      detail::radix_count(codes[idx], bytes, hist_.data());
     }
-    const int cur = detail::radix_sort_pairs(keys_, labs_, hist_);
-    vals_.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      vals_[i] = detail::split_key_value(keys_[cur][i]);
-    }
-    sorted_labels_.assign(labs_[cur].begin(), labs_[cur].end());
+    return detail::radix_sort_pairs(ranks_, labs_, hist_, bytes);
   }
 
   void eval_numeric(std::size_t f, std::size_t begin, std::size_t end,
@@ -278,18 +262,21 @@ class TreeBuilder {
     // multiset of labels a per-cut rescan would count), so gains are
     // bit-identical to the rescan form; cuts are evaluated in the same
     // ascending order.
-    radix_sort_feature(f, begin, end);
-    const auto& vals = vals_;
-    if (vals.front() == vals.back()) return;
+    const int cur = sort_by_rank(f, begin, end);
+    const std::uint32_t* ranks = ranks_[cur].data();
+    const int* labels = labs_[cur].data();
+    const double* values = columns_.values(f).data();
+    const std::size_t m = end - begin;
+    if (values[ranks[0]] == values[ranks[m - 1]]) return;
     // Quantile thresholds (midpoints between adjacent distinct quantiles),
     // deduplicated ascending — the same candidate set the std::set built.
     cuts_.clear();
-    const std::size_t k = std::min(config_.numeric_cuts, vals.size() - 1);
+    const std::size_t k = std::min(config_.numeric_cuts, m - 1);
     for (std::size_t t = 1; t <= k; ++t) {
-      const std::size_t pos = t * (vals.size() - 1) / (k + 1);
-      cuts_.push_back(vals[pos] != vals[pos + 1]
-                          ? 0.5 * (vals[pos] + vals[pos + 1])
-                          : vals[pos]);
+      const std::size_t pos = t * (m - 1) / (k + 1);
+      const double lo = values[ranks[pos]];
+      const double hi = values[ranks[pos + 1]];
+      cuts_.push_back(lo != hi ? 0.5 * (lo + hi) : lo);
     }
     std::sort(cuts_.begin(), cuts_.end());
     cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
@@ -300,8 +287,8 @@ class TreeBuilder {
     double left_total = 0.0;
     std::size_t p = 0;
     for (double cut : cuts_) {
-      while (p < vals.size() && vals[p] <= cut) {
-        left_[static_cast<std::size_t>(sorted_labels_[p])] += 1.0;
+      while (p < m && values[ranks[p]] <= cut) {
+        left_[static_cast<std::size_t>(labels[p])] += 1.0;
         left_total += 1.0;
         ++p;
       }
@@ -320,34 +307,25 @@ class TreeBuilder {
     }
   }
 
-  /// Feature value of dataset row `idx`, column `f` — flat-table pointer
-  /// arithmetic when storage is contiguous, per-row pointers when chunked.
-  double value_at(std::size_t idx, std::size_t f) const {
-    return raw_ != nullptr ? raw_[idx * width_ + f] : row_ptrs_[idx][f];
-  }
-
   const Dataset& data_;
+  const CodedColumns& columns_;
   const DecisionTreeConfig& config_;
   Rng& rng_;
-  const double* raw_;    // whole-table pointer; nullptr on chunked storage
-  std::vector<const double*> row_ptrs_;  // chunked fallback, one per row
   const int* labels_;
-  std::size_t width_;
   std::vector<DecisionTreeModel::Node> nodes_;
   std::vector<std::size_t> order_;  // shared node-range index buffer
   // Split-search scratch, hoisted so deep forests do not allocate per node.
   std::vector<std::vector<double>> counts_stack_;  // per-depth class counts
   std::vector<std::size_t> right_scratch_;
-  std::vector<std::uint64_t> keys_[2];  // radix double-buffers
+  std::vector<std::uint32_t> ranks_[2];  // radix double-buffers
   std::vector<int> labs_[2];
   std::vector<std::uint32_t> hist_;
-  std::vector<double> vals_;
-  std::vector<int> sorted_labels_;
   std::vector<double> cuts_;
   std::vector<double> left_;
   std::vector<double> rest_;
-  std::vector<double> per_code_;
-  std::vector<double> code_totals_;
+  std::vector<std::uint32_t> per_code_;
+  std::vector<std::uint32_t> code_totals_;
+  std::vector<double> code_counts_;
 };
 
 }  // namespace
@@ -356,15 +334,18 @@ std::unique_ptr<Model> DecisionTreeLearner::train(const Dataset& data) const {
   FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
   std::vector<std::size_t> indices(data.size());
   std::iota(indices.begin(), indices.end(), std::size_t{0});
+  const CodedColumns columns(data, CodedColumns::ZeroSign::kDistinct, 0);
   Rng rng(config_.seed);
-  return train_weighted(data, indices, rng);
+  return train_weighted(data, columns, indices, rng);
 }
 
 std::unique_ptr<DecisionTreeModel> DecisionTreeLearner::train_weighted(
-    const Dataset& data, const std::vector<std::size_t>& indices,
-    Rng& rng) const {
+    const Dataset& data, const CodedColumns& columns,
+    const std::vector<std::size_t>& indices, Rng& rng) const {
   FROTE_CHECK(!indices.empty());
-  TreeBuilder builder(data, config_, rng);
+  FROTE_CHECK(columns.rows() == data.size());
+  FROTE_CHECK(columns.zeros() == CodedColumns::ZeroSign::kDistinct);
+  TreeBuilder builder(data, columns, config_, rng);
   return std::make_unique<DecisionTreeModel>(builder.build(indices),
                                              data.num_classes());
 }

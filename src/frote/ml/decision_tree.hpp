@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 
+#include "frote/ml/coded_columns.hpp"
 #include "frote/ml/model.hpp"
 #include "frote/util/rng.hpp"
 
@@ -51,20 +52,16 @@ class DecisionTreeModel : public Model {
       std::span<const double> row) const;
 
   std::size_t node_count() const { return nodes_.size(); }
+  const std::vector<Node>& nodes() const { return nodes_; }
   std::size_t depth() const;
-
-  /// Deep copy — how RandomForestLearner::update() re-emits a tree whose
-  /// bootstrap stream provably did not change.
-  std::unique_ptr<DecisionTreeModel> clone() const {
-    return std::make_unique<DecisionTreeModel>(nodes_, num_classes());
-  }
 
  private:
   std::vector<Node> nodes_;
 };
 
-/// Trains a single CART tree. With `sample_indices` / `sample_weights` the
-/// forest can pass bootstrap samples without copying rows.
+/// Trains a single CART tree. With train_weighted the forest passes
+/// bootstrap samples without copying rows, and one coded-column table
+/// (ml/coded_columns.hpp) shared by all its trees.
 class DecisionTreeLearner : public Learner {
  public:
   explicit DecisionTreeLearner(DecisionTreeConfig config = {})
@@ -73,10 +70,12 @@ class DecisionTreeLearner : public Learner {
   std::unique_ptr<Model> train(const Dataset& data) const override;
   std::string name() const override { return "DT"; }
 
-  /// Train on a weighted subset of rows (weights act as row multiplicities).
+  /// Train on a weighted subset of rows (repeated indices act as row
+  /// multiplicities). `columns` must be data's table with
+  /// CodedColumns::ZeroSign::kDistinct.
   std::unique_ptr<DecisionTreeModel> train_weighted(
-      const Dataset& data, const std::vector<std::size_t>& indices,
-      Rng& rng) const;
+      const Dataset& data, const CodedColumns& columns,
+      const std::vector<std::size_t>& indices, Rng& rng) const;
 
  private:
   DecisionTreeConfig config_;

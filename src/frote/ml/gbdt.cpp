@@ -5,6 +5,7 @@
 #include <queue>
 #include <utility>
 
+#include "frote/ml/coded_columns.hpp"
 #include "frote/ml/logistic_regression.hpp"  // softmax_inplace
 #include "frote/ml/split_radix.hpp"
 #include "frote/util/parallel.hpp"
@@ -93,9 +94,13 @@ struct LeafGainCmp {
 
 class TreeGrower {
  public:
-  TreeGrower(const Dataset& data, const std::vector<double>& g,
-             const std::vector<double>& h, const GbdtConfig& config)
-      : data_(data), g_(g), h_(h), config_(config) {}
+  TreeGrower(const Dataset& data, const CodedColumns& columns,
+             const std::vector<double>& g, const std::vector<double>& h,
+             const GbdtConfig& config)
+      : data_(data), columns_(columns), g_(g), h_(h), config_(config) {
+    FROTE_CHECK(columns.rows() == data.size());
+    FROTE_CHECK(columns.zeros() == CodedColumns::ZeroSign::kFolded);
+  }
 
   GbdtTree grow() {
     GbdtTree tree;
@@ -122,7 +127,7 @@ class TreeGrower {
       auto right = std::make_unique<Leaf>();
       left->depth = right->depth = leaf->depth + 1;
       for (std::size_t idx : leaf->indices) {
-        const double x = data_.row(idx)[leaf->split.feature];
+        const double x = columns_.value(leaf->split.feature, idx);
         const bool go_left = leaf->split.categorical
                                  ? (x == leaf->split.threshold)
                                  : (x <= leaf->split.threshold);
@@ -226,8 +231,9 @@ class TreeGrower {
         data_.schema().feature(f).cardinality();
     std::vector<double> gs(cardinality, 0.0), hs(cardinality, 0.0);
     std::vector<std::size_t> counts(cardinality, 0);
+    const std::uint32_t* codes = columns_.codes(f);
     for (std::size_t idx : leaf.indices) {
-      const auto code = static_cast<std::size_t>(data_.row(idx)[f]);
+      const std::uint32_t code = codes[idx];
       gs[code] += g_[idx];
       hs[code] += h_[idx];
       counts[code]++;
@@ -244,58 +250,55 @@ class TreeGrower {
 
   void eval_numeric(const Leaf& leaf, std::size_t f, double parent_score,
                     SplitChoice& best) const {
-    // One stable LSD radix sort over monotone-mapped keys (the shared
-    // ml/split_radix.hpp kernel the DT split search adopted in PR 4) + one
-    // prefix sweep over ascending cuts, replacing the comparison sort that
-    // kept GBDT sort-bound. Bit-identity with the old std::sort over
+    // One stable LSD radix sort over the column's 32-bit dense ranks (the
+    // shared ml/split_radix.hpp kernel, one pass per rank byte) + one prefix
+    // sweep over ascending cuts. Bit-identity with a std::sort over
     // (value, row) pairs: leaf index lists are ascending by construction
     // and the radix is stable, so ties land in ascending row order —
     // exactly std::sort's tie-break — and the g/h prefix sums replay the
-    // same float-add sequence. -0.0 folds onto +0.0 so the two zero
-    // encodings stay one tie group, as they were under double comparison.
-    // find_split fans features out across pool threads, so the sort
-    // scratch cannot live on the (shared) grower the way the DT version
-    // hoists it; thread-local buffers amortise the allocations instead —
-    // after warm-up each worker reuses its own.
+    // same float-add sequence. The table folds -0.0 onto +0.0, so the two
+    // zero encodings stay one tie group, as they are under double
+    // comparison. find_split fans features out across pool threads, so the
+    // sort scratch cannot live on the (shared) grower the way the DT
+    // version hoists it; thread-local buffers amortise the allocations
+    // instead — after warm-up each worker reuses its own.
     struct Scratch {
-      std::vector<std::uint64_t> keys[2];
+      std::vector<std::uint32_t> ranks[2];
       std::vector<std::uint32_t> rows[2];
       std::vector<std::uint32_t> hist;
       std::vector<double> cuts;
     };
     thread_local Scratch scratch;
     const std::size_t m = leaf.indices.size();
-    auto& keys = scratch.keys;
+    const std::uint32_t* codes = columns_.codes(f);
+    const double* values = columns_.values(f).data();
+    const std::size_t bytes = detail::key_bytes(columns_.values(f).size() - 1);
+    auto& ranks = scratch.ranks;
     auto& rows = scratch.rows;
-    keys[0].resize(m);
-    keys[1].resize(m);
-    rows[0].resize(m);
-    rows[1].resize(m);
-    auto& hist = scratch.hist;
-    hist.assign(8 * 256, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      double value = data_.row(leaf.indices[i])[f];
-      if (value == 0.0) value = 0.0;  // canonicalise -0.0
-      const std::uint64_t key = detail::split_value_key(value);
-      keys[0][i] = key;
-      rows[0][i] = static_cast<std::uint32_t>(leaf.indices[i]);
-      for (std::size_t b = 0; b < 8; ++b) {
-        ++hist[b * 256 + ((key >> (8 * b)) & 0xFF)];
-      }
+    for (int b = 0; b < 2; ++b) {
+      ranks[b].resize(m);
+      rows[b].resize(m);
     }
-    const int cur = detail::radix_sort_pairs(keys, rows, hist);
-    const auto value_at = [&](std::size_t i) {
-      return detail::split_key_value(keys[cur][i]);
-    };
-    if (keys[cur].front() == keys[cur].back()) return;
+    auto& hist = scratch.hist;
+    hist.assign(bytes * 256, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t idx = leaf.indices[i];
+      ranks[0][i] = codes[idx];
+      rows[0][i] = static_cast<std::uint32_t>(idx);
+      detail::radix_count(codes[idx], bytes, hist.data());
+    }
+    const int cur = detail::radix_sort_pairs(ranks, rows, hist, bytes);
+    const std::uint32_t* sorted = ranks[cur].data();
+    const std::uint32_t* sorted_rows = rows[cur].data();
+    if (sorted[0] == sorted[m - 1]) return;
     auto& cuts = scratch.cuts;
     cuts.clear();
     const std::size_t k = std::min(config_.numeric_cuts, m - 1);
     for (std::size_t t = 1; t <= k; ++t) {
       const std::size_t pos = t * (m - 1) / (k + 1);
-      cuts.push_back(value_at(pos) != value_at(pos + 1)
-                         ? 0.5 * (value_at(pos) + value_at(pos + 1))
-                         : value_at(pos));
+      const double lo = values[sorted[pos]];
+      const double hi = values[sorted[pos + 1]];
+      cuts.push_back(lo != hi ? 0.5 * (lo + hi) : lo);
     }
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
@@ -303,9 +306,9 @@ class TreeGrower {
     double gl = 0.0, hl = 0.0;
     std::size_t nl = 0;
     for (double cut : cuts) {
-      while (nl < m && value_at(nl) <= cut) {
-        gl += g_[rows[cur][nl]];
-        hl += h_[rows[cur][nl]];
+      while (nl < m && values[sorted[nl]] <= cut) {
+        gl += g_[sorted_rows[nl]];
+        hl += h_[sorted_rows[nl]];
         ++nl;
       }
       if (nl < config_.min_samples_leaf ||
@@ -317,6 +320,7 @@ class TreeGrower {
   }
 
   const Dataset& data_;
+  const CodedColumns& columns_;
   const std::vector<double>& g_;
   const std::vector<double>& h_;
   const GbdtConfig& config_;
@@ -332,6 +336,9 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
                   std::vector<double>& scores, std::vector<GbdtTree>& trees) {
   const std::size_t n = data.size();
   trees.reserve(trees.size() + rounds * dims);
+  // One coded-column table serves every round's and score dim's trees.
+  const CodedColumns columns(data, CodedColumns::ZeroSign::kFolded,
+                             config.threads);
 
   std::vector<double> g(n), h(n);
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -364,7 +371,7 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
                        }
                      }
                    });
-      TreeGrower grower(data, g, h, config);
+      TreeGrower grower(data, columns, g, h, config);
       GbdtTree tree = grower.grow();
       parallel_for(n, kRowGrain, config.threads,
                    [&](std::size_t begin, std::size_t end) {

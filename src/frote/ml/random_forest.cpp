@@ -43,12 +43,15 @@ DecisionTreeLearner RandomForestLearner::tree_learner(
 std::unique_ptr<Model> RandomForestLearner::train(const Dataset& data) const {
   FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
   DecisionTreeLearner learner = tree_learner(data);
+  // One coded-column table for the whole forest: every tree's split search
+  // reads it instead of sorting raw values per node.
+  const CodedColumns columns(data, CodedColumns::ZeroSign::kDistinct,
+                             config_.threads);
 
   // Each tree owns an independent derive_seed stream, so the ensemble is a
   // pure function of (seed, num_trees): trees can train concurrently and be
   // emitted in tree order, bit-identical at every thread count.
   std::vector<std::unique_ptr<DecisionTreeModel>> trees(config_.num_trees);
-  std::vector<TreeBootstrap> bootstraps(config_.num_trees);
   parallel_for(config_.num_trees, 1, config_.threads,
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t t = begin; t < end; ++t) {
@@ -56,59 +59,12 @@ std::unique_ptr<Model> RandomForestLearner::train(const Dataset& data) const {
                    // Bootstrap sample of size n.
                    std::vector<std::size_t> sample(data.size());
                    for (auto& idx : sample) idx = rng.index(data.size());
-                   bootstraps[t].after_sample = rng.state();
-                   trees[t] = learner.train_weighted(data, sample, rng);
-                   bootstraps[t].sample = std::move(sample);
+                   trees[t] = learner.train_weighted(data, columns, sample,
+                                                     rng);
                  }
                });
-  auto model = std::make_unique<RandomForestModel>(std::move(trees),
-                                                   data.num_classes());
-  model->set_bootstraps(std::move(bootstraps), config_.seed);
-  return model;
-}
-
-std::unique_ptr<Model> RandomForestLearner::update(
-    const Model& previous, const Dataset& data,
-    std::size_t trained_rows) const {
-  FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
-  const auto* prev = dynamic_cast<const RandomForestModel*>(&previous);
-  if (prev == nullptr || prev->num_trees() != config_.num_trees ||
-      prev->num_classes() != data.num_classes() || !prev->has_bootstraps() ||
-      prev->bootstrap_seed() != config_.seed || trained_rows > data.size()) {
-    return train(data);
-  }
-  DecisionTreeLearner learner = tree_learner(data);
-
-  // Redraw each tree's bootstrap under the new row count. When both the
-  // sample and the post-sample RNG state come out identical to the recorded
-  // draw, retraining would read the same rows (all inside the unchanged
-  // [0, trained_rows) prefix) with the same RNG — clone instead. Otherwise
-  // retrain that tree exactly as train() would. Either way tree t is the
-  // same bits train(data) emits.
-  std::vector<std::unique_ptr<DecisionTreeModel>> trees(config_.num_trees);
-  std::vector<TreeBootstrap> bootstraps(config_.num_trees);
-  parallel_for(
-      config_.num_trees, 1, config_.threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) {
-          Rng rng(derive_seed(config_.seed, t));
-          std::vector<std::size_t> sample(data.size());
-          for (auto& idx : sample) idx = rng.index(data.size());
-          const TreeBootstrap& recorded = prev->bootstraps()[t];
-          bootstraps[t].after_sample = rng.state();
-          if (sample == recorded.sample &&
-              bootstraps[t].after_sample == recorded.after_sample) {
-            trees[t] = prev->tree(t).clone();
-          } else {
-            trees[t] = learner.train_weighted(data, sample, rng);
-          }
-          bootstraps[t].sample = std::move(sample);
-        }
-      });
-  auto model = std::make_unique<RandomForestModel>(std::move(trees),
-                                                   data.num_classes());
-  model->set_bootstraps(std::move(bootstraps), config_.seed);
-  return model;
+  return std::make_unique<RandomForestModel>(std::move(trees),
+                                             data.num_classes());
 }
 
 }  // namespace frote

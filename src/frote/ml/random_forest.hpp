@@ -24,17 +24,6 @@ struct RandomForestConfig {
   int threads = 0;
 };
 
-/// Everything needed to decide, bitwise, whether retraining one tree on a
-/// grown dataset would reproduce it: the bootstrap draw and the RNG state
-/// handed to the tree learner afterwards. A tree whose redrawn sample and
-/// post-sample state both match is the same pure function of the same
-/// inputs (the sampled rows are all in the unchanged prefix), so update()
-/// may clone it instead of retraining (docs/DESIGN.md §10).
-struct TreeBootstrap {
-  std::vector<std::size_t> sample;  // drawn row indices, in draw order
-  RngState after_sample;            // RNG state passed to train_weighted
-};
-
 class RandomForestModel : public Model {
  public:
   RandomForestModel(std::vector<std::unique_ptr<DecisionTreeModel>> trees,
@@ -49,21 +38,8 @@ class RandomForestModel : public Model {
   std::size_t num_trees() const { return trees_.size(); }
   const DecisionTreeModel& tree(std::size_t t) const { return *trees_[t]; }
 
-  /// Bootstrap replay records, one per tree (empty when the model predates
-  /// update support, e.g. was built by hand in a test).
-  void set_bootstraps(std::vector<TreeBootstrap> bootstraps,
-                      std::uint64_t seed) {
-    bootstraps_ = std::move(bootstraps);
-    bootstrap_seed_ = seed;
-  }
-  bool has_bootstraps() const { return bootstraps_.size() == trees_.size(); }
-  const std::vector<TreeBootstrap>& bootstraps() const { return bootstraps_; }
-  std::uint64_t bootstrap_seed() const { return bootstrap_seed_; }
-
  private:
   std::vector<std::unique_ptr<DecisionTreeModel>> trees_;
-  std::vector<TreeBootstrap> bootstraps_;
-  std::uint64_t bootstrap_seed_ = 0;
 };
 
 class RandomForestLearner : public Learner {
@@ -73,12 +49,9 @@ class RandomForestLearner : public Learner {
 
   std::unique_ptr<Model> train(const Dataset& data) const override;
 
-  /// Exact incremental retrain: redraw every tree's bootstrap under the new
-  /// row count and retrain only trees whose (sample, post-sample RNG state)
-  /// differ from the recorded draw; unchanged trees are cloned. Emitted in
-  /// tree order, bit-identical to train(data) at every thread count.
-  std::unique_ptr<Model> update(const Model& previous, const Dataset& data,
-                                std::size_t trained_rows) const override;
+  // update() is the Learner default, train(data): every bootstrap draw is
+  // scaled by the row count, so appended rows change every tree's sample
+  // and there is nothing to reuse (docs/DESIGN.md §10).
 
   std::string name() const override { return "RF"; }
 

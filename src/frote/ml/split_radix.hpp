@@ -1,14 +1,26 @@
 // Shared split-search sorting kernel: a stable LSD byte-radix sort over
-// monotone-mapped double keys with a small fixed payload. Introduced for
-// the decision-tree split search (PR 4: RF train 2.92 → 1.81 ms) and reused
-// by the GBDT split search — both replace a comparison sort that dominated
-// training with branchless scatter passes, skipping passes whose byte is
-// constant across the node (exponents of a narrow value range).
+// unsigned keys with a small fixed payload. The decision-tree and GBDT split
+// searches use it in place of a comparison sort that dominated training
+// (RF train 2.92 → 1.81 ms when the DT adopted it): branchless scatter
+// passes.
 //
-// Stability is load-bearing: callers feed pairs in ascending row order, so
-// ties land exactly where a std::sort over (value, row) pairs put them, and
-// any order-sensitive accumulation downstream (GBDT's gradient prefix
-// sums) replays the same float-add sequence — trees stay bit-identical.
+// Key width. The tree learners sort twice, at two widths:
+//   - once per fit and numeric column, 64-bit monotone-mapped doubles
+//     (split_value_key), to rank the column (ml/coded_columns.hpp);
+//   - per node and sampled feature, 32-bit dense ranks from that table.
+// A pass runs per key byte the caller asks for (`key_bytes`, at most
+// sizeof(Key)): ranks below 2^8 need one pass, below 2^16 two, so a node
+// sort costs m × (rank bytes) scatters instead of m × 8.
+//
+// Skipped passes. A byte that is the same for all m keys permutes nothing,
+// so its pass is skipped outright: the exponent bytes of a narrow value
+// range, or the high rank bytes of a node whose rows span few ranks.
+//
+// Stability is load-bearing: callers feed pairs in a fixed order (GBDT
+// leaves list rows ascending), so ties land exactly where a std::sort over
+// (value, row) pairs put them, and any order-sensitive accumulation
+// downstream (GBDT's gradient prefix sums) replays the same float-add
+// sequence — trees stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -36,21 +48,39 @@ inline double split_key_value(std::uint64_t key) {
   return v;
 }
 
+/// Low-order bytes needed to hold every key in [0, max_key] (at least 1).
+inline std::size_t key_bytes(std::uint64_t max_key) {
+  std::size_t bytes = 1;
+  while (bytes < 8 && (max_key >> (8 * bytes)) != 0) ++bytes;
+  return bytes;
+}
+
+/// Add `key`'s low `bytes` bytes to the per-byte counts in `hist`
+/// (bytes × 256 entries, byte b's counts at b × 256).
+template <typename Key>
+inline void radix_count(Key key, std::size_t bytes, std::uint32_t* hist) {
+  for (std::size_t b = 0; b < bytes; ++b) {
+    ++hist[b * 256 + ((key >> (8 * b)) & 0xFF)];
+  }
+}
+
 /// Stable LSD byte-radix over the m (key, payload) pairs already loaded
-/// into keys[0] / payloads[0]; `hist` must hold the 8 × 256 per-byte counts
-/// of keys[0] (the caller accumulates it while loading, saving a pass).
-/// Both double-buffers are required to be size m. Returns the buffer index
-/// (0 or 1) holding the sorted result. Passes whose byte is constant
-/// across the range permute nothing and are skipped outright.
-template <typename Payload>
-int radix_sort_pairs(std::vector<std::uint64_t> (&keys)[2],
+/// into keys[0] / payloads[0], ordering by the low `bytes` bytes of each
+/// key (higher bytes must be equal across all keys). `hist` must hold the
+/// bytes × 256 per-byte counts of keys[0] (the caller accumulates them with
+/// radix_count while loading, saving a pass). Both double-buffers are
+/// required to be size m. Returns the buffer index (0 or 1) holding the
+/// sorted result.
+template <typename Key, typename Payload>
+int radix_sort_pairs(std::vector<Key> (&keys)[2],
                      std::vector<Payload> (&payloads)[2],
-                     const std::vector<std::uint32_t>& hist) {
+                     const std::vector<std::uint32_t>& hist,
+                     std::size_t bytes) {
   const std::size_t m = keys[0].size();
   int cur = 0;
-  for (std::size_t b = 0; b < 8; ++b) {
+  for (std::size_t b = 0; b < bytes; ++b) {
     const std::uint32_t* h = hist.data() + b * 256;
-    if (m > 0 && h[(keys[cur][0] >> (8 * b)) & 0xFF] == m) continue;
+    if (m == 0 || h[(keys[cur][0] >> (8 * b)) & 0xFF] == m) continue;
     std::uint32_t offsets[256];
     std::uint32_t sum = 0;
     for (std::size_t d = 0; d < 256; ++d) {
@@ -59,7 +89,7 @@ int radix_sort_pairs(std::vector<std::uint64_t> (&keys)[2],
     }
     const int alt = cur ^ 1;
     for (std::size_t i = 0; i < m; ++i) {
-      const std::uint64_t key = keys[cur][i];
+      const Key key = keys[cur][i];
       const std::uint32_t pos = offsets[(key >> (8 * b)) & 0xFF]++;
       keys[alt][pos] = key;
       payloads[alt][pos] = payloads[cur][i];

@@ -40,8 +40,7 @@ struct RngState {
   std::uint64_t cached_normal_bits = 0;
   bool cached_normal_valid = false;
 
-  /// Exact state identity — how incremental learners prove a derived stream
-  /// was unaffected by a dataset append (RandomForestLearner::update).
+  /// Exact state identity (checkpoint and workspace stream checks).
   friend bool operator==(const RngState&, const RngState&) = default;
 };
 

@@ -24,6 +24,10 @@ the fresh run's variants are summarised as a thread-scaling table.
 Each side's host (Google Benchmark context: host_name, num_cpus,
 mhz_per_cpu) is printed first, with a warning on stderr when the two
 differ: a delta between hosts measures the hosts as much as the change.
+A "/threads:<n>" row recorded on a host with fewer than n CPUs timed
+oversubscribed workers, not n-way scaling, so the row is neither flagged
+nor gated (--strict) when either side's num_cpus is below n; it stays in
+the table, and the reason is printed.
 """
 
 import argparse
@@ -54,6 +58,23 @@ def load_benchmarks(path):
 def host_line(host):
     return "  ".join(f"{key}={'?' if host[key] is None else host[key]}"
                      for key in HOST_KEYS)
+
+
+def ungated_reason(name, base_host, fresh_host):
+    """Why a /threads:n row must not be gated, or None when it may be: a
+    side whose context reports num_cpus < n could not run n threads."""
+    _, sep, count = name.rpartition("/threads:")
+    if not sep:
+        return None
+    try:
+        threads = int(count)
+    except ValueError:
+        return None
+    for side, host in (("baseline", base_host), ("fresh", fresh_host)):
+        cpus = host.get("num_cpus")
+        if cpus is not None and int(cpus) < threads:
+            return f"{side} num_cpus={cpus} < {threads} threads"
+    return None
 
 
 def fmt_ns(ns):
@@ -137,12 +158,17 @@ def main():
 
     common = [name for name in base if name in fresh]
     regressions = []
+    ungated = []
     width = max((len(n) for n in common), default=10)
     print(f"{'benchmark':<{width}}  {'baseline':>10}  {'fresh':>10}  delta")
     for name in common:
         delta = fresh[name] / base[name] - 1.0
         marker = ""
-        if delta > args.threshold:
+        reason = ungated_reason(name, base_host, fresh_host)
+        if reason is not None:
+            ungated.append((name, reason))
+            marker = f"  (not gated: {reason})"
+        elif delta > args.threshold:
             marker = "  << REGRESSION"
             regressions.append((name, delta))
         elif delta < -args.threshold:
@@ -157,6 +183,11 @@ def main():
               f"(missing from fresh run)")
 
     print_thread_scaling(fresh)
+
+    if ungated:
+        print(f"\n{len(ungated)} /threads:n row(s) not gated:")
+        for name, reason in ungated:
+            print(f"  {name}: {reason}")
 
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) regressed more than "
