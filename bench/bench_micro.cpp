@@ -197,12 +197,13 @@ void BM_ModelUpdate(benchmark::State& state) {
 BENCHMARK(BM_ModelUpdate)->Arg(0)->Arg(1)->Arg(2);
 
 void RunTreeFit(benchmark::State& state, const Dataset& data,
-                LearnerKind kind, CodedColumns::ZeroSign zeros) {
-  // A whole fast-profile fit at a perfbench workload's size: the
-  // coded-column table (ml/coded_columns.hpp) plus every tree's split
-  // search. `table_share` is the table build's part of one fit, timed
-  // separately after the loop with the same thread count.
+                LearnerKind kind) {
+  // A whole fast-profile fit at a perfbench workload's size: the per-fit
+  // tables (ml/coded_columns.hpp: the coded columns, plus GBDT's presort)
+  // and every tree's split search. `table_share` is the tables' part of
+  // one fit, timed separately after the loop with the same thread count.
   using Clock = std::chrono::steady_clock;
+  const bool gbdt = kind == LearnerKind::kLGBM;
   const auto learner = make_learner(kind, 42, /*fast=*/true);
   double fit_s = 0.0;
   std::size_t fits = 0;
@@ -215,8 +216,15 @@ void RunTreeFit(benchmark::State& state, const Dataset& data,
   constexpr int kTableReps = 5;
   const auto start = Clock::now();
   for (int r = 0; r < kTableReps; ++r) {
-    const CodedColumns table(data, zeros, 0);
+    const CodedColumns table(data,
+                             gbdt ? CodedColumns::ZeroSign::kFolded
+                                  : CodedColumns::ZeroSign::kDistinct,
+                             0);
     benchmark::DoNotOptimize(table.codes(0));
+    if (gbdt) {
+      const ColumnPresort sorted(data.schema(), table, 0);
+      benchmark::DoNotOptimize(sorted.rows(0));
+    }
   }
   const double table_s =
       std::chrono::duration<double>(Clock::now() - start).count() / kTableReps;
@@ -226,17 +234,18 @@ void RunTreeFit(benchmark::State& state, const Dataset& data,
 
 void BM_TreeFitRf(benchmark::State& state) {
   RunTreeFit(state, adult(static_cast<std::size_t>(state.range(0))),
-             LearnerKind::kRF, CodedColumns::ZeroSign::kDistinct);
+             LearnerKind::kRF);
 }
 BENCHMARK(BM_TreeFitRf)->Name("BM_TreeFit/rf")->Arg(8000);
 
 void BM_TreeFitGbdt(benchmark::State& state) {
+  // /300 is plan_scenarios' size, where per-node fixed costs dominate.
   RunTreeFit(state,
              cached_dataset(UciDataset::kWineQuality,
                             static_cast<std::size_t>(state.range(0))),
-             LearnerKind::kLGBM, CodedColumns::ZeroSign::kFolded);
+             LearnerKind::kLGBM);
 }
-BENCHMARK(BM_TreeFitGbdt)->Name("BM_TreeFit/gbdt")->Arg(4000);
+BENCHMARK(BM_TreeFitGbdt)->Name("BM_TreeFit/gbdt")->Arg(300)->Arg(4000);
 
 void BM_ObjectiveEval(benchmark::State& state) {
   const auto& data = adult(2000);

@@ -59,4 +59,35 @@ CodedColumns::CodedColumns(const Dataset& data, ZeroSign zeros, int threads)
   });
 }
 
+ColumnPresort::ColumnPresort(const Schema& schema, const CodedColumns& columns,
+                             int threads)
+    : rows_per_slot_(columns.rows()),
+      slot_(schema.num_features(), kNoSlot) {
+  for (std::size_t f = 0; f < schema.num_features(); ++f) {
+    if (schema.feature(f).is_categorical()) continue;
+    slot_[f] = features_.size();
+    features_.push_back(f);
+  }
+  rows_.resize(features_.size() * rows_per_slot_);
+  parallel_for(features_.size(), 1, threads, [&](std::size_t begin,
+                                                 std::size_t end) {
+    std::vector<std::uint32_t> offsets;
+    for (std::size_t s = begin; s < end; ++s) {
+      const std::size_t f = features_[s];
+      const std::uint32_t* codes = columns.codes(f);
+      // Counting sort: bucket starts by code, then rows in ascending order,
+      // so each bucket keeps its rows ascending.
+      offsets.assign(columns.values(f).size() + 1, 0);
+      for (std::size_t i = 0; i < rows_per_slot_; ++i) ++offsets[codes[i] + 1];
+      for (std::size_t c = 1; c < offsets.size(); ++c) {
+        offsets[c] += offsets[c - 1];
+      }
+      std::uint32_t* out = rows_.data() + s * rows_per_slot_;
+      for (std::size_t i = 0; i < rows_per_slot_; ++i) {
+        out[offsets[codes[i]]++] = static_cast<std::uint32_t>(i);
+      }
+    }
+  });
+}
+
 }  // namespace frote

@@ -7,9 +7,11 @@
 //     plus those distinct values in ascending key order;
 //   - categorical: each row's category code, with values 0 … cardinality−1.
 // So value(f, row) == values(f)[code(f, row)] reproduces the row's value
-// bit for bit (up to the zero fold below), and a node sorts 32-bit ranks
+// bit for bit (up to the zero fold below). A DT node sorts 32-bit ranks
 // instead of 64-bit keys (ml/split_radix.hpp): ranks below 2^16 need two
-// byte passes, not eight.
+// byte passes, not eight. GBDT sorts no node at all: ColumnPresort below
+// orders each numeric column once per fit, and the boosting loop
+// partitions that order down each tree.
 //
 // Bit-identity (docs/DESIGN.md §12): the ranks are dense ranks of the very
 // key the learner sorted by before, so a stable sort by rank over the same
@@ -66,6 +68,35 @@ class CodedColumns {
   ZeroSign zeros_;
   std::vector<std::uint32_t> codes_;         // column-major, d × rows
   std::vector<std::vector<double>> values_;  // per feature
+};
+
+/// Each numeric column's rows in ascending (code, row) order: the root
+/// order of GBDT's presorted split search (docs/DESIGN.md §12). One
+/// counting sort over the codes per numeric column, O(rows + distinct),
+/// features fanned out over parallel_for. Cost: 4 B per row per numeric
+/// feature.
+class ColumnPresort {
+ public:
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  ColumnPresort(const Schema& schema, const CodedColumns& columns,
+                int threads);
+
+  /// Number of numeric features; slots are numbered in feature order.
+  std::size_t slots() const { return features_.size(); }
+  /// Feature f's slot, or kNoSlot for a categorical feature.
+  std::size_t slot(std::size_t f) const { return slot_[f]; }
+  /// Slot s's rows (all of them) in ascending (code, row) order. The slots
+  /// are laid out back to back: slot s + 1 starts `rows` entries later.
+  const std::uint32_t* rows(std::size_t s) const {
+    return rows_.data() + s * rows_per_slot_;
+  }
+
+ private:
+  std::size_t rows_per_slot_;
+  std::vector<std::size_t> features_;  // slot → feature
+  std::vector<std::size_t> slot_;      // feature → slot
+  std::vector<std::uint32_t> rows_;    // slots × rows
 };
 
 }  // namespace frote

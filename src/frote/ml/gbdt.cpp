@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "frote/ml/coded_columns.hpp"
 #include "frote/ml/logistic_regression.hpp"  // softmax_inplace
-#include "frote/ml/split_radix.hpp"
 #include "frote/util/parallel.hpp"
 
 namespace frote {
@@ -77,11 +79,19 @@ struct SplitChoice {
   bool valid = false;
 };
 
-/// Leaf under construction during leaf-wise growth.
+/// Leaf under construction during leaf-wise growth. `rows` lists the
+/// leaf's rows ascending (accumulate, eval_categorical and the score update
+/// read it). While the leaf may still be split, `sorted` holds its rows once
+/// more per numeric feature, in (rank, row) order: presort slot s's list
+/// starts at sorted + s × stride. The root reads the fit's presort in place;
+/// every other leaf owns its lists in `storage`.
 struct Leaf {
   int node_id = 0;
   std::size_t depth = 0;
-  std::vector<std::size_t> indices;
+  std::span<const std::uint32_t> rows;
+  const std::uint32_t* sorted = nullptr;
+  std::size_t stride = 0;
+  std::unique_ptr<std::uint32_t[]> storage;
   double sum_g = 0.0, sum_h = 0.0;
   SplitChoice split;
 };
@@ -92,23 +102,43 @@ struct LeafGainCmp {
   }
 };
 
+/// Rows per chunk when a split's lists are partitioned in parallel: one
+/// chunk covers ceil(kPartitionGrain / m) lists, so small leaves partition
+/// inline.
+constexpr std::size_t kPartitionGrain = std::size_t{1} << 16;
+
+/// Row × feature visits below which a leaf's split search runs inline.
+constexpr std::size_t kParallelSearchWork = std::size_t{1} << 15;
+
+/// Grows the trees of one fit. Shares the fit's coded columns and presort
+/// across trees, and reads the gradients/hessians in place, so the caller
+/// refreshes g and h between trees.
 class TreeGrower {
  public:
   TreeGrower(const Dataset& data, const CodedColumns& columns,
-             const std::vector<double>& g, const std::vector<double>& h,
-             const GbdtConfig& config)
-      : data_(data), columns_(columns), g_(g), h_(h), config_(config) {
+             const ColumnPresort& presort, const std::vector<double>& g,
+             const std::vector<double>& h, const GbdtConfig& config)
+      : data_(data), columns_(columns), presort_(presort), g_(g), h_(h),
+        config_(config), all_rows_(data.size()), side_(data.size()),
+        cuts_(data.num_features()) {
     FROTE_CHECK(columns.rows() == data.size());
     FROTE_CHECK(columns.zeros() == CodedColumns::ZeroSign::kFolded);
+    for (std::size_t i = 0; i < all_rows_.size(); ++i) {
+      all_rows_[i] = static_cast<std::uint32_t>(i);
+    }
   }
 
-  GbdtTree grow() {
+  /// Grows one tree and adds its leaf values to column k of `scores`
+  /// (row-major n × dims).
+  GbdtTree grow(std::vector<double>& scores, std::size_t dims,
+                std::size_t k) {
     GbdtTree tree;
     auto root = std::make_unique<Leaf>();
     root->node_id = 0;
     tree.nodes.push_back({});
-    root->indices.resize(data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) root->indices[i] = i;
+    root->rows = all_rows_;
+    root->sorted = presort_.rows(0);
+    root->stride = data_.size();
     accumulate(*root);
     find_split(*root);
 
@@ -123,20 +153,19 @@ class TreeGrower {
       frontier.pop();
       if (!leaf->split.valid || leaf->split.gain <= 0.0) continue;
 
+      const std::size_t nl = mark_sides(*leaf);
+      const std::size_t nr = leaf->rows.size() - nl;
+      if (nl < config_.min_samples_leaf || nr < config_.min_samples_leaf) {
+        continue;
+      }
       auto left = std::make_unique<Leaf>();
       auto right = std::make_unique<Leaf>();
       left->depth = right->depth = leaf->depth + 1;
-      for (std::size_t idx : leaf->indices) {
-        const double x = columns_.value(leaf->split.feature, idx);
-        const bool go_left = leaf->split.categorical
-                                 ? (x == leaf->split.threshold)
-                                 : (x <= leaf->split.threshold);
-        (go_left ? left : right)->indices.push_back(idx);
-      }
-      if (left->indices.size() < config_.min_samples_leaf ||
-          right->indices.size() < config_.min_samples_leaf) {
-        continue;
-      }
+      partition(*leaf, nl, *left, *right);
+      // The parent is no longer a leaf: only final leaves' rows are read.
+      leaf->storage.reset();
+      leaf->rows = {};
+      leaf->sorted = nullptr;
       accumulate(*left);
       accumulate(*right);
 
@@ -162,24 +191,90 @@ class TreeGrower {
       ++num_leaves;
     }
 
-    // Finalize leaf values: -G/(H+λ), damped by the learning rate.
+    // Finalize leaf values, -G/(H+λ) damped by the learning rate, and add
+    // each to the scores of the rows the leaf holds: the very leaf
+    // tree.predict routes each of them to, so the sum is unchanged.
     for (const auto& leaf : leaves) {
       auto& node = tree.nodes[static_cast<std::size_t>(leaf->node_id)];
-      if (node.left < 0) {
-        node.value = -config_.learning_rate * leaf->sum_g /
-                     (leaf->sum_h + config_.lambda);
+      if (node.left >= 0) continue;
+      node.value = -config_.learning_rate * leaf->sum_g /
+                   (leaf->sum_h + config_.lambda);
+      for (const std::uint32_t row : leaf->rows) {
+        scores[row * dims + k] += node.value;
       }
     }
     return tree;
   }
 
  private:
-  void accumulate(Leaf& leaf) {
-    leaf.sum_g = leaf.sum_h = 0.0;
-    for (std::size_t idx : leaf.indices) {
-      leaf.sum_g += g_[idx];
-      leaf.sum_h += h_[idx];
+  /// Marks each of the leaf's rows with its side of the leaf's split in
+  /// side_ (1 ⇒ left) and returns the left count.
+  std::size_t mark_sides(const Leaf& leaf) {
+    const SplitChoice split = leaf.split;
+    const std::uint32_t* codes = columns_.codes(split.feature);
+    const double* values = columns_.values(split.feature).data();
+    std::uint8_t* side = side_.data();
+    std::size_t nl = 0;
+    for (const std::uint32_t row : leaf.rows) {
+      const double x = values[codes[row]];
+      const bool go_left =
+          split.categorical ? x == split.threshold : x <= split.threshold;
+      side[row] = go_left;
+      nl += go_left;
     }
+    return nl;
+  }
+
+  /// Stable-partitions the parent's lists into the children by side_: its
+  /// ascending rows always, its per-feature sorted lists only when the
+  /// children will be searched for a split. Each child stores its lists
+  /// back to back with stride count + 1; the spare slot lets the branchless
+  /// pass write every row to both outputs and advance only the matching
+  /// cursor.
+  void partition(const Leaf& parent, std::size_t nl, Leaf& left,
+                 Leaf& right) {
+    const std::size_t m = parent.rows.size();
+    const std::size_t lists =
+        1 + (left.depth < config_.max_depth ? presort_.slots() : 0);
+    for (auto [child, count] : {std::pair{&left, nl}, {&right, m - nl}}) {
+      child->stride = count + 1;
+      child->storage =
+          std::make_unique_for_overwrite<std::uint32_t[]>(lists *
+                                                          child->stride);
+      child->rows = {child->storage.get(), count};
+      child->sorted = child->storage.get() + child->stride;
+    }
+    parallel_for(
+        lists, (kPartitionGrain + m - 1) / m, config_.threads,
+        [&](std::size_t begin, std::size_t end) {
+          const std::uint8_t* side = side_.data();
+          for (std::size_t list = begin; list < end; ++list) {
+            const std::uint32_t* src =
+                list == 0 ? parent.rows.data()
+                          : parent.sorted + (list - 1) * parent.stride;
+            std::uint32_t* lo = left.storage.get() + list * left.stride;
+            std::uint32_t* hi = right.storage.get() + list * right.stride;
+            std::size_t l = 0, r = 0;
+            for (std::size_t i = 0; i < m; ++i) {
+              const std::uint32_t row = src[i];
+              const std::size_t go_left = side[row];
+              lo[l] = row;
+              hi[r] = row;
+              l += go_left;
+              r += go_left ^ 1;
+            }
+          }
+        });
+  }
+
+  void accumulate(Leaf& leaf) const {
+    double sum_g = 0.0, sum_h = 0.0;
+    for (const std::uint32_t row : leaf.rows) {
+      sum_g += g_[row];
+      sum_h += h_[row];
+    }
+    leaf.sum_g = sum_g;
+    leaf.sum_h = sum_h;
   }
 
   double leaf_score(double g, double h) const {
@@ -192,10 +287,14 @@ class TreeGrower {
   /// thread count.
   void find_split(Leaf& leaf) {
     leaf.split = {};
-    if (leaf.indices.size() < 2 * config_.min_samples_leaf) return;
+    if (leaf.rows.size() < 2 * config_.min_samples_leaf) return;
     const double parent_score = leaf_score(leaf.sum_g, leaf.sum_h);
+    // A small leaf's search is cheaper than a pool dispatch, so it runs the
+    // same one-feature chunks inline.
+    const std::size_t work = leaf.rows.size() * data_.num_features();
     leaf.split = parallel_reduce(
-        data_.num_features(), 1, config_.threads, SplitChoice{},
+        data_.num_features(), 1,
+        work < kParallelSearchWork ? 1 : config_.threads, SplitChoice{},
         [&](std::size_t begin, std::size_t end) {
           SplitChoice local;
           for (std::size_t f = begin; f < end; ++f) {
@@ -232,15 +331,15 @@ class TreeGrower {
     std::vector<double> gs(cardinality, 0.0), hs(cardinality, 0.0);
     std::vector<std::size_t> counts(cardinality, 0);
     const std::uint32_t* codes = columns_.codes(f);
-    for (std::size_t idx : leaf.indices) {
-      const std::uint32_t code = codes[idx];
-      gs[code] += g_[idx];
-      hs[code] += h_[idx];
+    for (const std::uint32_t row : leaf.rows) {
+      const std::uint32_t code = codes[row];
+      gs[code] += g_[row];
+      hs[code] += h_[row];
       counts[code]++;
     }
     for (std::size_t code = 0; code < cardinality; ++code) {
       if (counts[code] < config_.min_samples_leaf ||
-          leaf.indices.size() - counts[code] < config_.min_samples_leaf) {
+          leaf.rows.size() - counts[code] < config_.min_samples_leaf) {
         continue;
       }
       try_update(leaf, best, f, static_cast<double>(code), true, gs[code],
@@ -249,66 +348,41 @@ class TreeGrower {
   }
 
   void eval_numeric(const Leaf& leaf, std::size_t f, double parent_score,
-                    SplitChoice& best) const {
-    // One stable LSD radix sort over the column's 32-bit dense ranks (the
-    // shared ml/split_radix.hpp kernel, one pass per rank byte) + one prefix
-    // sweep over ascending cuts. Bit-identity with a std::sort over
-    // (value, row) pairs: leaf index lists are ascending by construction
-    // and the radix is stable, so ties land in ascending row order —
-    // exactly std::sort's tie-break — and the g/h prefix sums replay the
-    // same float-add sequence. The table folds -0.0 onto +0.0, so the two
-    // zero encodings stay one tie group, as they are under double
-    // comparison. find_split fans features out across pool threads, so the
-    // sort scratch cannot live on the (shared) grower the way the DT
-    // version hoists it; thread-local buffers amortise the allocations
-    // instead — after warm-up each worker reuses its own.
-    struct Scratch {
-      std::vector<std::uint32_t> ranks[2];
-      std::vector<std::uint32_t> rows[2];
-      std::vector<std::uint32_t> hist;
-      std::vector<double> cuts;
-    };
-    thread_local Scratch scratch;
-    const std::size_t m = leaf.indices.size();
+                    SplitChoice& best) {
+    // The leaf's rows in (rank, row) order come ready: the fit's presort,
+    // stable-partitioned down the tree. One prefix sweep over ascending
+    // cuts then scores the feature. Bit-identity with a std::sort over
+    // (value, row) pairs: ranks order the values, and ties keep ascending
+    // row order — exactly std::sort's tie-break — so the cut list and the
+    // g/h prefix sums replay the same float-add sequence. The table folds
+    // -0.0 onto +0.0, so the two zero encodings stay one tie group, as
+    // they are under double comparison. find_split fans features out
+    // across pool threads; each feature owns its cut buffer.
+    const std::size_t m = leaf.rows.size();
+    const std::uint32_t* sorted = leaf.sorted + presort_.slot(f) * leaf.stride;
     const std::uint32_t* codes = columns_.codes(f);
     const double* values = columns_.values(f).data();
-    const std::size_t bytes = detail::key_bytes(columns_.values(f).size() - 1);
-    auto& ranks = scratch.ranks;
-    auto& rows = scratch.rows;
-    for (int b = 0; b < 2; ++b) {
-      ranks[b].resize(m);
-      rows[b].resize(m);
-    }
-    auto& hist = scratch.hist;
-    hist.assign(bytes * 256, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t idx = leaf.indices[i];
-      ranks[0][i] = codes[idx];
-      rows[0][i] = static_cast<std::uint32_t>(idx);
-      detail::radix_count(codes[idx], bytes, hist.data());
-    }
-    const int cur = detail::radix_sort_pairs(ranks, rows, hist, bytes);
-    const std::uint32_t* sorted = ranks[cur].data();
-    const std::uint32_t* sorted_rows = rows[cur].data();
-    if (sorted[0] == sorted[m - 1]) return;
-    auto& cuts = scratch.cuts;
+    if (codes[sorted[0]] == codes[sorted[m - 1]]) return;
+    auto& cuts = cuts_[f];
     cuts.clear();
     const std::size_t k = std::min(config_.numeric_cuts, m - 1);
     for (std::size_t t = 1; t <= k; ++t) {
       const std::size_t pos = t * (m - 1) / (k + 1);
-      const double lo = values[sorted[pos]];
-      const double hi = values[sorted[pos + 1]];
+      const double lo = values[codes[sorted[pos]]];
+      const double hi = values[codes[sorted[pos + 1]]];
       cuts.push_back(lo != hi ? 0.5 * (lo + hi) : lo);
     }
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
+    const double* g = g_.data();
+    const double* h = h_.data();
     double gl = 0.0, hl = 0.0;
     std::size_t nl = 0;
     for (double cut : cuts) {
-      while (nl < m && values[sorted[nl]] <= cut) {
-        gl += g_[sorted_rows[nl]];
-        hl += h_[sorted_rows[nl]];
+      while (nl < m && values[codes[sorted[nl]]] <= cut) {
+        gl += g[sorted[nl]];
+        hl += h[sorted[nl]];
         ++nl;
       }
       if (nl < config_.min_samples_leaf ||
@@ -321,9 +395,13 @@ class TreeGrower {
 
   const Dataset& data_;
   const CodedColumns& columns_;
+  const ColumnPresort& presort_;
   const std::vector<double>& g_;
   const std::vector<double>& h_;
   const GbdtConfig& config_;
+  std::vector<std::uint32_t> all_rows_;  // 0 … n−1, the root's rows
+  std::vector<std::uint8_t> side_;       // per row: 1 ⇒ left of the split
+  std::vector<std::vector<double>> cuts_;  // per feature
 };
 
 /// The boosting loop shared by GbdtLearner::train and
@@ -336,11 +414,14 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
                   std::vector<double>& scores, std::vector<GbdtTree>& trees) {
   const std::size_t n = data.size();
   trees.reserve(trees.size() + rounds * dims);
-  // One coded-column table serves every round's and score dim's trees.
+  // One coded-column table and one presort serve every round's and score
+  // dim's trees.
   const CodedColumns columns(data, CodedColumns::ZeroSign::kFolded,
                              config.threads);
+  const ColumnPresort presort(data.schema(), columns, config.threads);
 
   std::vector<double> g(n), h(n);
+  TreeGrower grower(data, columns, presort, g, h, config);
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t k = 0; k < dims; ++k) {
       // Gradients/hessians of logistic (binary) or softmax (multiclass)
@@ -371,15 +452,7 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
                        }
                      }
                    });
-      TreeGrower grower(data, columns, g, h, config);
-      GbdtTree tree = grower.grow();
-      parallel_for(n, kRowGrain, config.threads,
-                   [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       scores[i * dims + k] += tree.predict(data.row(i));
-                     }
-                   });
-      trees.push_back(std::move(tree));
+      trees.push_back(grower.grow(scores, dims, k));
     }
   }
 }

@@ -1,13 +1,15 @@
 // Shared split-search sorting kernel: a stable LSD byte-radix sort over
-// unsigned keys with a small fixed payload. The decision-tree and GBDT split
-// searches use it in place of a comparison sort that dominated training
-// (RF train 2.92 → 1.81 ms when the DT adopted it): branchless scatter
-// passes.
+// unsigned keys with a small fixed payload. It replaced a comparison sort
+// that dominated training (RF train 2.92 → 1.81 ms when the DT adopted it):
+// branchless scatter passes.
 //
-// Key width. The tree learners sort twice, at two widths:
+// Callers, at two key widths:
 //   - once per fit and numeric column, 64-bit monotone-mapped doubles
-//     (split_value_key), to rank the column (ml/coded_columns.hpp);
-//   - per node and sampled feature, 32-bit dense ranks from that table.
+//     (split_value_key), to rank the column (ml/coded_columns.hpp), for
+//     both tree learners;
+//   - per DT node and sampled feature, 32-bit dense ranks from that table.
+// GBDT sorts no node: it stable-partitions a per-fit presort down each
+// tree instead (ColumnPresort, docs/DESIGN.md §12).
 // A pass runs per key byte the caller asks for (`key_bytes`, at most
 // sizeof(Key)): ranks below 2^8 need one pass, below 2^16 two, so a node
 // sort costs m × (rank bytes) scatters instead of m × 8.
@@ -16,11 +18,11 @@
 // so its pass is skipped outright: the exponent bytes of a narrow value
 // range, or the high rank bytes of a node whose rows span few ranks.
 //
-// Stability is load-bearing: callers feed pairs in a fixed order (GBDT
-// leaves list rows ascending), so ties land exactly where a std::sort over
-// (value, row) pairs put them, and any order-sensitive accumulation
-// downstream (GBDT's gradient prefix sums) replays the same float-add
-// sequence — trees stay bit-identical.
+// Stability is load-bearing: callers feed pairs in a fixed order (row
+// order for the table build, the node's index order for a DT node), so
+// ties land exactly where a std::sort over (value, row) pairs put them, and
+// the ranks, cut lists and class counts built on the result stay
+// bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -246,13 +246,10 @@ void mix_tree(Fnv1a64& h, const DecisionTreeModel& tree) {
 }
 
 std::uint64_t model_digest(const Model& model, const Dataset& data,
-                           int threads) {
+                           const Dataset& probes, int threads) {
   Fnv1a64 h;
   for (double p : model.predict_proba_all(data, threads)) mix_double(h, p);
-  for (double p : model.predict_proba_all(probe_grid(data.num_classes()),
-                                          threads)) {
-    mix_double(h, p);
-  }
+  for (double p : model.predict_proba_all(probes, threads)) mix_double(h, p);
   if (const auto* dt = dynamic_cast<const DecisionTreeModel*>(&model)) {
     mix_tree(h, *dt);
   } else if (const auto* rf =
@@ -274,22 +271,78 @@ std::uint64_t model_digest(const Model& model, const Dataset& data,
 constexpr std::size_t kPinRows = 600;
 constexpr std::size_t kPinTrained = 480;
 
-/// Runs `fit(data, threads)` under flat and chunked storage at 1 and 4
-/// threads and expects every digest to equal `pinned`.
-template <typename Fit>
-void expect_pinned(std::size_t classes, std::uint64_t pinned, Fit fit) {
+/// Runs `fit(data, threads)` on `make_data()` under flat and chunked
+/// storage at 1 and 4 threads and expects every digest (over the training
+/// rows and `probes`) to equal `pinned`.
+template <typename MakeData, typename Fit>
+void expect_pinned_on(MakeData make_data, const Dataset& probes,
+                      std::uint64_t pinned, Fit fit) {
   for (const std::size_t chunk_rows : {std::size_t{0}, std::size_t{64}}) {
     for (const int threads : {1, 4}) {
-      Dataset data = adversarial_dataset(kPinRows, classes, 17);
+      Dataset data = make_data();
       if (chunk_rows != 0) {
         data.set_storage(StorageOptions{chunk_rows, false});
         ASSERT_FALSE(data.values_contiguous());
       }
       const auto model = fit(data, threads);
-      EXPECT_EQ(model_digest(*model, data, threads), pinned)
+      EXPECT_EQ(model_digest(*model, data, probes, threads), pinned)
           << "chunk_rows " << chunk_rows << " threads " << threads;
     }
   }
+}
+
+/// expect_pinned_on over the adversarial dataset and its probe grid.
+template <typename Fit>
+void expect_pinned(std::size_t classes, std::uint64_t pinned, Fit fit) {
+  expect_pinned_on([&] { return adversarial_dataset(kPinRows, classes, 17); },
+                   probe_grid(classes), pinned, fit);
+}
+
+/// The adversarial rows recoded into four categoricals (no numeric column):
+/// the tie grid, the zero-sign column's sign, the sparse codes and the wide
+/// column's sign × magnitude bucket.
+std::shared_ptr<const Schema> categorical_schema(std::size_t classes) {
+  return std::make_shared<Schema>(
+      std::vector<FeatureSpec>{
+          FeatureSpec::categorical("ties", {"0", "1", "2", "3", "4"}),
+          FeatureSpec::categorical("zsign", {"neg", "zero", "pos"}),
+          FeatureSpec::categorical("sparse",
+                                   {"a", "b", "c", "d", "e", "f", "g"}),
+          FeatureSpec::categorical("wide", {"--", "-", "+", "++"}),
+      },
+      adversarial_schema(classes)->class_names());
+}
+
+Dataset categorical_dataset(std::size_t classes) {
+  const Dataset source = adversarial_dataset(kPinRows, classes, 17);
+  Dataset data(categorical_schema(classes));
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const auto row = source.row(i);
+    const double wide = row[5];
+    data.add_row(std::vector<double>{2.0 * row[0],
+                                     row[1] < 0.0 ? 0.0
+                                                  : (row[1] == 0.0 ? 1.0 : 2.0),
+                                     row[4],
+                                     wide < -1.0 ? 0.0
+                                                 : (wide < 0.0   ? 1.0
+                                                    : wide < 1.0 ? 2.0
+                                                                 : 3.0)},
+                 source.label(i));
+  }
+  return data;
+}
+
+/// Every code of every categorical column, unused ones included.
+Dataset categorical_probes(std::size_t classes) {
+  Dataset probes(categorical_schema(classes));
+  for (std::size_t i = 0; i < 60; ++i) {
+    probes.add_row(std::vector<double>{static_cast<double>(i % 5),
+                                       static_cast<double>(i % 3),
+                                       static_cast<double>(i % 7),
+                                       static_cast<double>(i % 4)},
+                   0);
+  }
+  return probes;
 }
 
 RandomForestConfig pin_forest(int threads) {
@@ -352,6 +405,48 @@ TEST(ModelPins, GbdtMulticlass) {
 TEST(ModelPins, GbdtAdditiveUpdate) {
   expect_pinned(3, 0x01b52b5e9c728cbaull, [](const Dataset& data, int threads) {
     const GbdtAdditiveLearner gbdt(pin_gbdt(threads));
+    const auto previous = gbdt.train(prefix_of(data));
+    return gbdt.update(*previous, data, kPinTrained);
+  });
+}
+
+// The pins below cover the presorted split search's edge paths: children
+// at the depth limit (no per-feature lists), a min_samples_leaf large
+// enough that many leaves never split (each keeps all its rows for the
+// score update) and a schema with no numeric column at all. Their digests
+// were recorded with the per-node radix sort.
+
+GbdtConfig pin_gbdt_wide_leaves(int threads) {
+  GbdtConfig config = pin_gbdt(threads);
+  config.min_samples_leaf = 60;
+  return config;
+}
+
+TEST(ModelPins, GbdtDepthLimit) {
+  expect_pinned(3, 0x1e09e583fbb6549cull, [](const Dataset& data, int threads) {
+    GbdtConfig config = pin_gbdt(threads);
+    config.max_depth = 2;
+    return GbdtLearner(config).train(data);
+  });
+}
+
+TEST(ModelPins, GbdtWideLeaves) {
+  expect_pinned(2, 0x784c74ee0972fc00ull, [](const Dataset& data, int threads) {
+    return GbdtLearner(pin_gbdt_wide_leaves(threads)).train(data);
+  });
+}
+
+TEST(ModelPins, GbdtAllCategorical) {
+  expect_pinned_on([] { return categorical_dataset(3); },
+                   categorical_probes(3), 0xa57a14cba8cea5a8ull,
+                   [](const Dataset& data, int threads) {
+                     return GbdtLearner(pin_gbdt(threads)).train(data);
+                   });
+}
+
+TEST(ModelPins, GbdtAdditiveUpdateWideLeaves) {
+  expect_pinned(3, 0x06f3c5e274cf7e5full, [](const Dataset& data, int threads) {
+    const GbdtAdditiveLearner gbdt(pin_gbdt_wide_leaves(threads));
     const auto previous = gbdt.train(prefix_of(data));
     return gbdt.update(*previous, data, kPinTrained);
   });

@@ -195,16 +195,20 @@ TEST(ThreadedEquivalence, LrTrainingBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadedEquivalence, GbdtTrainingBitIdenticalAcrossThreadCounts) {
-  auto data = testing::threshold_dataset(200, 5.0, /*seed=*/5);
-  const auto serial =
-      make_learner(LearnerKind::kLGBM, 7, true, 1)->train(data);
-  const auto threaded =
-      make_learner(LearnerKind::kLGBM, 7, true, 8)->train(data);
-  const auto pa = serial->predict_proba_all(data);
-  const auto pb = threaded->predict_proba_all(data);
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i], pb[i]) << "proba entry " << i;
+  // Small leaves search and partition inline; at 40000 rows the root's
+  // split search and list partition fan out over the pool.
+  for (const std::size_t n : {std::size_t{200}, std::size_t{40000}}) {
+    auto data = testing::threshold_dataset(n, 5.0, /*seed=*/5);
+    const auto serial =
+        make_learner(LearnerKind::kLGBM, 7, true, 1)->train(data);
+    const auto threaded =
+        make_learner(LearnerKind::kLGBM, 7, true, 8)->train(data);
+    const auto pa = serial->predict_proba_all(data);
+    const auto pb = threaded->predict_proba_all(data);
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      ASSERT_EQ(pa[i], pb[i]) << "rows " << n << " proba entry " << i;
+    }
   }
 }
 
