@@ -20,6 +20,7 @@
 #include "frote/core/generate.hpp"
 #include "frote/core/registry.hpp"
 #include "frote/core/scenario.hpp"
+#include "frote/core/spec.hpp"
 #include "frote/core/workspace.hpp"
 #include "frote/data/generators.hpp"
 #include "frote/exp/learners.hpp"
@@ -575,6 +576,52 @@ void BM_SnapshotRestore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotRestore);
+
+/// The checkpoint a served fairness_adult session spools after a few
+/// steps (opened as frote_serve opens it: scenario_session_spec).
+const SessionCheckpoint& fairness_checkpoint() {
+  static const SessionCheckpoint checkpoint = [] {
+    const EngineSpec spec =
+        scenario_session_spec(make_named_scenario("fairness_adult").value())
+            .value();
+    const Dataset data = load_spec_dataset(*spec.dataset).value();
+    const auto engine = Engine::Builder::from_spec(spec, data.schema())
+                            .value()
+                            .build()
+                            .value();
+    const auto learner = make_spec_learner(spec).value();
+    auto session = engine.open(data, *learner).value();
+    for (int i = 0; i < 3; ++i) session.step();
+    return session.snapshot();
+  }();
+  return checkpoint;
+}
+
+void BM_CheckpointEncode(benchmark::State& state) {
+  // The serve path's evict stage minus the fsync: checkpoint → spool text.
+  // Rows dominate the document; they bypass the JSON tree (DESIGN §6).
+  const SessionCheckpoint& checkpoint = fairness_checkpoint();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = checkpoint.to_json_text();
+    bytes += static_cast<std::int64_t>(text.size());
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_CheckpointEncode)->Name("BM_CheckpointCodec/encode");
+
+void BM_CheckpointDecode(benchmark::State& state) {
+  // The hydrate stage's parse: spool text → checkpoint (no restore).
+  const std::string text = fairness_checkpoint().to_json_text();
+  for (auto _ : state) {
+    auto checkpoint = SessionCheckpoint::parse(text);
+    benchmark::DoNotOptimize(checkpoint->values.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_CheckpointDecode)->Name("BM_CheckpointCodec/decode");
 
 #ifdef FROTE_SERVE_BINARY
 // Serving-layer costs, measured against the real frote_serve binary via

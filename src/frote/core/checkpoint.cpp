@@ -4,7 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "frote/core/base_population.hpp"
 #include "frote/core/engine_impl.hpp"
@@ -101,60 +105,124 @@ Expected<const JsonValue*> require(const JsonValue& json, const char* key) {
   return value;
 }
 
-}  // namespace
+/// The dataset arrays, as object-key paths from the checkpoint root.
+const std::vector<std::string_view> kValuesPath = {"dataset", "values"};
+const std::vector<std::string_view> kLabelsPath = {"dataset", "labels"};
+const std::vector<std::string_view> kRowIdsPath = {"dataset", "row_ids"};
 
-JsonValue SessionCheckpoint::to_json() const {
+/// Thrown by element() for a label that does not fit an int: reported
+/// with its own message, not as a wrong-typed element.
+struct LabelOutOfRange {};
+
+template <typename T>
+T element(const JsonValue& item);
+template <>
+double element<double>(const JsonValue& item) {
+  return item.as_double();
+}
+template <>
+int element<int>(const JsonValue& item) {
+  const std::int64_t raw = item.as_int64();
+  if (raw < std::numeric_limits<int>::min() ||
+      raw > std::numeric_limits<int>::max()) {
+    throw LabelOutOfRange{};
+  }
+  return static_cast<int>(raw);
+}
+template <>
+std::uint64_t element<std::uint64_t>(const JsonValue& item) {
+  return item.as_uint64();
+}
+
+/// One dataset array decoded element by element, from the parsed tree or
+/// straight from the parser (a JsonArraySink). The first bad element stops
+/// the decode and is kept as the array's error, reported where the tree
+/// walk would report it.
+template <typename T>
+struct RowArray {
+  std::vector<T> data;
+  std::optional<FroteError> error;
+  // Set by the parser's first element; the tree then holds []. An empty
+  // streamed array stays unset and decodes from its [] placeholder.
+  bool streamed = false;
+
+  void add(const JsonValue& item) {
+    if (error) return;
+    try {
+      data.push_back(element<T>(item));
+    } catch (const LabelOutOfRange&) {
+      error = FroteError::parse_error(
+          "checkpoint label out of int range — truncating would mask the "
+          "corruption");
+    } catch (const Error& e) {
+      error = FroteError::parse_error(std::string("invalid checkpoint: ") +
+                                      e.what());
+    }
+  }
+};
+
+struct DatasetRows {
+  RowArray<double> values;
+  RowArray<int> labels;
+  RowArray<std::uint64_t> row_ids;
+};
+
+/// The checkpoint document. With `with_rows` false the three dataset
+/// arrays are empty placeholders for json_dump's streamed arrays.
+JsonValue checkpoint_tree(const SessionCheckpoint& ckpt, bool with_rows) {
   JsonValue out = JsonValue::object();
   out.set("format", "frote.checkpoint");
-  out.set("version", kFormatVersion);
-  FROTE_CHECK_MSG(schema != nullptr, "checkpoint without a schema");
-  out.set("schema", schema_to_json(*schema));
+  out.set("version", SessionCheckpoint::kFormatVersion);
+  FROTE_CHECK_MSG(ckpt.schema != nullptr, "checkpoint without a schema");
+  out.set("schema", schema_to_json(*ckpt.schema));
 
   JsonValue dataset = JsonValue::object();
   JsonValue values_json = JsonValue::array();
-  values_json.items().reserve(values.size());
-  for (const double v : values) values_json.push_back(v);
   JsonValue labels_json = JsonValue::array();
-  labels_json.items().reserve(labels.size());
-  for (const int label : labels) labels_json.push_back(label);
   JsonValue ids_json = JsonValue::array();
-  ids_json.items().reserve(row_ids.size());
-  for (const std::uint64_t id : row_ids) ids_json.push_back(id);
+  if (with_rows) {
+    values_json.items().reserve(ckpt.values.size());
+    for (const double v : ckpt.values) values_json.push_back(v);
+    labels_json.items().reserve(ckpt.labels.size());
+    for (const int label : ckpt.labels) labels_json.push_back(label);
+    ids_json.items().reserve(ckpt.row_ids.size());
+    for (const std::uint64_t id : ckpt.row_ids) ids_json.push_back(id);
+  }
   dataset.set("values", std::move(values_json));
   dataset.set("labels", std::move(labels_json));
   dataset.set("row_ids", std::move(ids_json));
-  dataset.set("next_row_id", next_row_id);
-  dataset.set("dataset_version", dataset_version);
-  dataset.set("append_epoch", append_epoch);
-  dataset.set("chunk_rows", chunk_rows);
-  dataset.set("mmap", mmap);
+  dataset.set("next_row_id", ckpt.next_row_id);
+  dataset.set("dataset_version", ckpt.dataset_version);
+  dataset.set("append_epoch", ckpt.append_epoch);
+  dataset.set("chunk_rows", ckpt.chunk_rows);
+  dataset.set("mmap", ckpt.mmap);
   out.set("dataset", std::move(dataset));
 
   JsonValue rng_json = JsonValue::object();
   JsonValue words = JsonValue::array();
-  for (const std::uint64_t word : rng.words) words.push_back(word);
+  for (const std::uint64_t word : ckpt.rng.words) words.push_back(word);
   rng_json.set("words", std::move(words));
-  rng_json.set("cached_normal_bits", rng.cached_normal_bits);
-  rng_json.set("cached_normal_valid", rng.cached_normal_valid);
+  rng_json.set("cached_normal_bits", ckpt.rng.cached_normal_bits);
+  rng_json.set("cached_normal_valid", ckpt.rng.cached_normal_valid);
   out.set("rng", std::move(rng_json));
 
   JsonValue state = JsonValue::object();
-  state.set("model_version", model_version);
-  state.set("model_stamp_counter", model_stamp_counter);
-  state.set("best_j_bar", best_j_bar);
-  state.set("eta", eta);
-  state.set("quota", quota);
-  state.set("iterations_run", iterations_run);
-  state.set("iterations_accepted", iterations_accepted);
-  state.set("instances_added", instances_added);
-  state.set("consecutive_rejections", consecutive_rejections);
-  state.set("model_updates", model_updates);
-  state.set("done", done);
-  if (dataset_digest != 0) state.set("digest", dataset_digest);
+  state.set("model_version", ckpt.model_version);
+  state.set("model_stamp_counter", ckpt.model_stamp_counter);
+  state.set("best_j_bar", ckpt.best_j_bar);
+  state.set("eta", ckpt.eta);
+  state.set("quota", ckpt.quota);
+  state.set("iterations_run", ckpt.iterations_run);
+  state.set("iterations_accepted", ckpt.iterations_accepted);
+  state.set("instances_added", ckpt.instances_added);
+  state.set("consecutive_rejections", ckpt.consecutive_rejections);
+  state.set("model_updates", ckpt.model_updates);
+  state.set("done", ckpt.done);
+  if (ckpt.dataset_digest != 0) state.set("digest", ckpt.dataset_digest);
   out.set("state", std::move(state));
 
   JsonValue trace_json = JsonValue::array();
-  for (const auto& point : trace) {
+  for (const auto& point : ckpt.trace) {
     JsonValue p = JsonValue::object();
     p.set("iteration", point.iteration);
     p.set("instances_added", point.instances_added);
@@ -166,8 +234,10 @@ JsonValue SessionCheckpoint::to_json() const {
   return out;
 }
 
-Expected<SessionCheckpoint, FroteError> SessionCheckpoint::from_json(
-    const JsonValue& json) {
+/// SessionCheckpoint::from_json over `rows`: arrays the parser streamed
+/// into `rows` are taken as they are, the others are read from the tree.
+Expected<SessionCheckpoint, FroteError> decode_checkpoint(
+    const JsonValue& json, DatasetRows& rows) {
   if (!json.is_object()) {
     return FroteError::parse_error("checkpoint must be a JSON object");
   }
@@ -180,11 +250,11 @@ Expected<SessionCheckpoint, FroteError> SessionCheckpoint::from_json(
   try {
     auto version = require(json, "version");
     if (!version) return version.error();
-    if ((*version)->as_uint64() > kFormatVersion) {
+    if ((*version)->as_uint64() > SessionCheckpoint::kFormatVersion) {
       return FroteError::parse_error(
           "checkpoint version " + std::to_string((*version)->as_uint64()) +
-          " is newer than this reader (" + std::to_string(kFormatVersion) +
-          ")");
+          " is newer than this reader (" +
+          std::to_string(SessionCheckpoint::kFormatVersion) + ")");
     }
 
     SessionCheckpoint ckpt;
@@ -201,22 +271,20 @@ Expected<SessionCheckpoint, FroteError> SessionCheckpoint::from_json(
       auto member = require(**dataset, key);
       if (!member) return member.error();
     }
-    for (const auto& v : (*dataset)->find("values")->items()) {
-      ckpt.values.push_back(v.as_double());
-    }
-    for (const auto& label : (*dataset)->find("labels")->items()) {
-      const std::int64_t raw = label.as_int64();
-      if (raw < std::numeric_limits<int>::min() ||
-          raw > std::numeric_limits<int>::max()) {
-        return FroteError::parse_error(
-            "checkpoint label out of int range — truncating would mask the "
-            "corruption");
+    const auto decode_rows = [&](auto& array, const char* key) {
+      if (!array.streamed) {
+        for (const auto& item : (*dataset)->find(key)->items()) {
+          array.add(item);
+        }
       }
-      ckpt.labels.push_back(static_cast<int>(raw));
-    }
-    for (const auto& id : (*dataset)->find("row_ids")->items()) {
-      ckpt.row_ids.push_back(id.as_uint64());
-    }
+      return array.error;
+    };
+    if (auto error = decode_rows(rows.values, "values")) return *error;
+    if (auto error = decode_rows(rows.labels, "labels")) return *error;
+    if (auto error = decode_rows(rows.row_ids, "row_ids")) return *error;
+    ckpt.values = std::move(rows.values.data);
+    ckpt.labels = std::move(rows.labels.data);
+    ckpt.row_ids = std::move(rows.row_ids.data);
     dataset_reader.require("next_row_id", ckpt.next_row_id);
     dataset_reader.require("dataset_version", ckpt.dataset_version);
     dataset_reader.require("append_epoch", ckpt.append_epoch);
@@ -282,6 +350,18 @@ Expected<SessionCheckpoint, FroteError> SessionCheckpoint::from_json(
   }
 }
 
+}  // namespace
+
+JsonValue SessionCheckpoint::to_json() const {
+  return checkpoint_tree(*this, /*with_rows=*/true);
+}
+
+Expected<SessionCheckpoint, FroteError> SessionCheckpoint::from_json(
+    const JsonValue& json) {
+  DatasetRows rows;
+  return decode_checkpoint(json, rows);
+}
+
 std::uint64_t SessionCheckpoint::compute_digest(
     std::string_view learner_name) const {
   // Bit patterns, not numeric values: the digest is a *byte*-identity
@@ -303,15 +383,39 @@ std::uint64_t SessionCheckpoint::compute_digest(
   return digest != 0 ? digest : 1;  // 0 is reserved for "absent"
 }
 
+// The codec proper: the rows, nearly all of a checkpoint's bytes, move
+// between the vectors and the text without a tree node per number
+// (util/json.hpp's streamed arrays); everything else takes the tree path.
+// The bytes equal json_dump(to_json(), indent), and parse(text) equals
+// from_json(json_parse(text)) — tests/test_checkpoint.cpp locks both.
+
 std::string SessionCheckpoint::to_json_text(int indent) const {
-  return json_dump(to_json(), indent);
+  const JsonNumberArray rows[] = {
+      {kValuesPath, std::span<const double>(values)},
+      {kLabelsPath, std::span<const int>(labels)},
+      {kRowIdsPath, std::span<const std::uint64_t>(row_ids)},
+  };
+  return json_dump(checkpoint_tree(*this, /*with_rows=*/false), indent, rows);
 }
 
 Expected<SessionCheckpoint, FroteError> SessionCheckpoint::parse(
     std::string_view json_text) {
-  auto json = json_parse(json_text);
+  DatasetRows rows;
+  const auto sink = [](const std::vector<std::string_view>& path,
+                       auto& array) {
+    return JsonArraySink{path, [&array](const JsonValue& item) {
+                           array.streamed = true;
+                           array.add(item);
+                         }};
+  };
+  const JsonArraySink sinks[] = {
+      sink(kValuesPath, rows.values),
+      sink(kLabelsPath, rows.labels),
+      sink(kRowIdsPath, rows.row_ids),
+  };
+  auto json = json_parse(json_text, sinks);
   if (!json) return json.error();
-  return from_json(*json);
+  return decode_checkpoint(*json, rows);
 }
 
 // ---------------------------------------------------------------------------

@@ -91,8 +91,25 @@ struct SessionPool::Entry {
   std::mutex m;
   bool closed = false;
   std::optional<Session> live;
+  /// live.has_value(), readable without `m` (stats, the LRU sweep). Written
+  /// only under `m`, by set_live/drop_live, next to every change of `live`.
+  std::atomic<bool> resident{false};
   bool spooled = false;  // <id>.checkpoint.json holds the current state
+  /// Picked as an eviction victim and not yet spooled: another sweep must
+  /// not count it as live, or two sweeps evict for the same excess.
+  /// Guarded by table_mutex_.
+  bool leaving = false;
   std::atomic<std::uint64_t> last_used{0};
+
+  /// Install or drop the live session. Caller holds `m`.
+  void set_live(Session session) {
+    live.emplace(std::move(session));
+    resident.store(true);
+  }
+  void drop_live() {
+    live.reset();
+    resident.store(false);
+  }
 
   /// Warm-restore stash: the model the session carried when it was last
   /// evicted, plus its version stamp. hydrate() hands both to
@@ -297,7 +314,7 @@ Expected<std::string, FroteError> SessionPool::create(const EngineSpec& spec) {
                   static_cast<unsigned long long>(next_session_++));
     entry = std::make_shared<Entry>(buffer, spec, std::move(*engine),
                                     std::move(*learner));
-    entry->live.emplace(std::move(*session));
+    entry->set_live(std::move(*session));
     entry->note_geometry();
     entry->last_used.store(request_counter_.load());
     entries_.emplace(entry->id, entry);
@@ -330,13 +347,17 @@ SessionPool::find_entry(const std::string& id) {
   return it->second;
 }
 
-std::optional<FroteError> SessionPool::hydrate(Entry& entry) {
+std::optional<FroteError> SessionPool::hydrate(Entry& entry, bool make_room) {
   if (entry.live.has_value()) return std::nullopt;
   FROTE_CHECK_MSG(entry.spooled, "session " << entry.id
                                             << " is neither live nor spooled");
   if (faultsim::should_fail("pool.restore")) {
     return unrecoverable(entry.id, "injected fault: pool.restore");
   }
+  // Room first, so the other session's eviction and this restore never
+  // hold their transient buffers at once. A checkpoint found missing or
+  // corrupt below has then cost one needless (byte-transparent) eviction.
+  if (make_room) enforce_capacity(&entry);
   const fs::path path = spool_path(entry.id, kCheckpointSuffix);
   std::string text;
   const ValidatedRead read = read_file_validated(path, text);
@@ -374,7 +395,7 @@ std::optional<FroteError> SessionPool::hydrate(Entry& entry) {
     return unrecoverable(entry.id,
                          "restore failed: " + restored.error().message);
   }
-  entry.live.emplace(std::move(*restored));
+  entry.set_live(std::move(*restored));
   entry.note_geometry();
   restores_.fetch_add(1);
   return std::nullopt;
@@ -383,8 +404,9 @@ std::optional<FroteError> SessionPool::hydrate(Entry& entry) {
 void SessionPool::evict(Entry& entry) {
   if (!entry.live.has_value() || config_.spool_dir.empty()) return;
   faultsim::hit("pool.evict");
-  write_file_durable(spool_path(entry.id, kCheckpointSuffix),
-                     entry.live->snapshot().to_json_text() + "\n");
+  std::string text = entry.live->snapshot().to_json_text();
+  text.push_back('\n');
+  write_file_durable(spool_path(entry.id, kCheckpointSuffix), text);
   entry.note_geometry();
   // Keep the trained model in memory across the eviction: rehydration
   // installs it instead of retraining when the checkpoint still matches
@@ -392,51 +414,99 @@ void SessionPool::evict(Entry& entry) {
   // failed spool leaves the session live and the old stash untouched.
   entry.warm_model_version = entry.live->model_version();
   entry.warm_model = std::move(*entry.live).release_model();
-  entry.live.reset();
+  entry.drop_live();
   entry.spooled = true;
   evictions_.fetch_add(1);
 }
 
-void SessionPool::enforce_capacity() {
-  if (config_.spool_dir.empty()) return;  // nowhere to evict to
-  std::lock_guard<std::mutex> lock(table_mutex_);
+bool SessionPool::try_evict(Entry& entry) {
   // A failed spool write (injected fault, full disk) must not fail the
-  // request that merely triggered capacity enforcement: the session simply
-  // stays live — memory pressure is a quality-of-service concern, losing a
-  // response is a correctness one.
-  const auto try_evict = [this](Entry& entry) {
-    try {
-      evict(entry);
-    } catch (const Error&) {
-      spool_failures_.fetch_add(1);
+  // request that merely triggered it: the session simply stays live —
+  // memory pressure is a quality-of-service concern, losing a response is
+  // a correctness one.
+  try {
+    evict(entry);
+    return true;
+  } catch (const Error&) {
+    spool_failures_.fetch_add(1);
+    return false;
+  }
+}
+
+void SessionPool::enforce_capacity(const Entry* incoming) {
+  if (config_.spool_dir.empty()) return;  // nowhere to evict to
+  // Victims are chosen and try_lock'ed under table_mutex_ and spooled after
+  // it is released, so no find_entry waits on a victim's fsync. A victim's
+  // own lock keeps it from changing or closing in between. Busy entries
+  // (their mutex is held — a request is executing) are never candidates:
+  // try_lock, don't block.
+  struct Victim {
+    std::shared_ptr<Entry> entry;
+    std::unique_lock<std::mutex> lock;
+  };
+  std::vector<Victim> victims;
+  std::vector<const Entry*> failed;  // spool write failed; stays live
+  // Called under table_mutex_.
+  const auto try_take = [&](const std::shared_ptr<Entry>& entry) {
+    std::unique_lock<std::mutex> lock(entry->m, std::try_to_lock);
+    if (lock.owns_lock() && !entry->closed) {
+      entry->leaving = true;
+      victims.push_back({entry, std::move(lock)});
     }
   };
-  if (config_.evict_every_request) {
-    for (auto& [id, entry] : entries_) {
-      std::unique_lock<std::mutex> entry_lock(entry->m, std::try_to_lock);
-      if (entry_lock.owns_lock() && !entry->closed) try_evict(*entry);
+  // Spools the victims outside table_mutex_, then retires their marks.
+  const auto spool_victims = [&] {
+    for (Victim& victim : victims) {
+      if (!try_evict(*victim.entry)) failed.push_back(victim.entry.get());
     }
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    for (Victim& victim : victims) victim.entry->leaving = false;
+    victims.clear();
+  };
+  if (config_.evict_every_request) {
+    // Every other session is spooled after each request already.
+    if (incoming != nullptr) return;
+    {
+      std::lock_guard<std::mutex> lock(table_mutex_);
+      for (const auto& [id, entry] : entries_) {
+        if (entry->resident.load()) try_take(entry);
+      }
+    }
+    spool_victims();
     return;
   }
   if (config_.max_live == 0) return;
   // LRU sweep: evict idle live sessions, oldest logical stamp first, until
-  // within the bound. Busy sessions are skipped — they are by definition
-  // the most recently used.
-  std::vector<Entry*> live;
-  for (auto& [id, entry] : entries_) {
-    if (entry->live.has_value()) live.push_back(entry.get());
-  }
-  if (live.size() <= config_.max_live) return;
-  std::sort(live.begin(), live.end(), [](const Entry* a, const Entry* b) {
-    return a->last_used.load() < b->last_used.load();
-  });
-  std::size_t excess = live.size() - config_.max_live;
-  for (Entry* entry : live) {
-    if (excess == 0) break;
-    std::unique_lock<std::mutex> entry_lock(entry->m, std::try_to_lock);
-    if (!entry_lock.owns_lock() || entry->closed) continue;
-    try_evict(*entry);
-    if (!entry->live.has_value()) --excess;
+  // the live ones — plus `incoming`, about to hydrate — fit the bound.
+  // Busy sessions are skipped: they are by definition the most recently
+  // used. A session whose spool write failed stays live and is passed
+  // over for the next oldest, as in one sweep over the LRU order.
+  const std::size_t slots = incoming != nullptr ? 1 : 0;
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(table_mutex_);
+      std::vector<std::shared_ptr<Entry>> live;
+      for (const auto& [id, entry] : entries_) {
+        if (entry->resident.load() && !entry->leaving) live.push_back(entry);
+      }
+      if (live.size() + slots <= config_.max_live) return;
+      const std::size_t excess = live.size() + slots - config_.max_live;
+      std::sort(live.begin(), live.end(),
+                [](const auto& a, const auto& b) {
+                  return a->last_used.load() < b->last_used.load();
+                });
+      for (const auto& entry : live) {
+        if (victims.size() == excess) break;
+        if (entry.get() == incoming ||
+            std::find(failed.begin(), failed.end(), entry.get()) !=
+                failed.end()) {
+          continue;
+        }
+        try_take(entry);
+      }
+    }
+    if (victims.empty()) return;
+    spool_victims();
   }
 }
 
@@ -448,7 +518,7 @@ Expected<SessionStepOutcome, FroteError> SessionPool::step(
   {
     std::lock_guard<std::mutex> lock((*entry)->m);
     if ((*entry)->closed) return no_such_session(id);
-    if (auto failure = hydrate(**entry)) return *failure;
+    if (auto failure = hydrate(**entry, /*make_room=*/true)) return *failure;
     Session& session = *(*entry)->live;
     for (std::size_t i = 0; i < steps; ++i) {
       if (session.finished()) break;
@@ -477,7 +547,7 @@ Expected<JsonValue, FroteError> SessionPool::snapshot(const std::string& id) {
   {
     std::lock_guard<std::mutex> lock((*entry)->m);
     if ((*entry)->closed) return no_such_session(id);
-    if (auto failure = hydrate(**entry)) return *failure;
+    if (auto failure = hydrate(**entry, /*make_room=*/true)) return *failure;
     checkpoint = (*entry)->live->snapshot().to_json();
   }
   enforce_capacity();
@@ -510,7 +580,7 @@ Expected<JsonValue, FroteError> SessionPool::result(const std::string& id) {
   {
     std::lock_guard<std::mutex> lock((*entry)->m);
     if ((*entry)->closed) return no_such_session(id);
-    if (auto failure = hydrate(**entry)) return *failure;
+    if (auto failure = hydrate(**entry, /*make_room=*/true)) return *failure;
     summary = summary_json(**entry);
   }
   enforce_capacity();
@@ -524,7 +594,8 @@ Expected<JsonValue, FroteError> SessionPool::close(const std::string& id) {
   {
     std::lock_guard<std::mutex> lock((*entry)->m);
     if ((*entry)->closed) return no_such_session(id);
-    if (auto failure = hydrate(**entry)) {
+    // No room is made: the session leaves the table with this request.
+    if (auto failure = hydrate(**entry, /*make_room=*/false)) {
       // An unrecoverable session can still be closed — that is how a
       // client clears it. The summary reports the degradation in place of
       // the run counters it no longer has.
@@ -537,7 +608,7 @@ Expected<JsonValue, FroteError> SessionPool::close(const std::string& id) {
     }
     summary.set("closed", true);
     (*entry)->closed = true;
-    (*entry)->live.reset();
+    (*entry)->drop_live();
   }
   {
     std::lock_guard<std::mutex> lock(table_mutex_);
@@ -557,7 +628,7 @@ JsonValue SessionPool::stats() const {
   std::lock_guard<std::mutex> lock(table_mutex_);
   std::size_t live = 0;
   for (const auto& [id, entry] : entries_) {
-    if (entry->live.has_value()) ++live;
+    if (entry->resident.load()) ++live;
   }
   // Per-session residency: id-ordered (entries_ is an ordered map), one row
   // per open session with its last-observed D̂ geometry. Evicted sessions
@@ -567,7 +638,7 @@ JsonValue SessionPool::stats() const {
   for (const auto& [id, entry] : entries_) {
     JsonValue row = JsonValue::object();
     row.set("session", id);
-    row.set("state", entry->live.has_value() ? "live" : "evicted");
+    row.set("state", entry->resident.load() ? "live" : "evicted");
     row.set("rows", entry->rows.load(std::memory_order_relaxed));
     row.set("chunks", entry->chunks.load(std::memory_order_relaxed));
     row.set("accepts", entry->accepts.load(std::memory_order_relaxed));
@@ -606,28 +677,38 @@ std::size_t SessionPool::checkpoint_all() {
     for (const auto& [id, entry] : entries_) entries.push_back(entry);
   }
   std::atomic<std::size_t> written{0};
+  const auto spool = [&](Entry& entry) {
+    if (entry.closed || !entry.live.has_value()) return;
+    // One session's failed spool write must not abort the shutdown sweep
+    // for the rest; the failed one stays live (and is simply lost when the
+    // process exits — exactly what would have happened to all of them
+    // without the sweep).
+    if (try_evict(entry)) written.fetch_add(1);
+  };
   // The shutdown path: spool every live session concurrently (grain 1 —
-  // snapshot serialisation is per-session independent work). Blocking on
-  // the entry mutex is correct here: an in-flight request finishes, then
-  // its session is spooled.
+  // snapshot serialisation is per-session independent work). A chunk body
+  // must not block on an entry mutex: the request holding it may itself be
+  // waiting to submit a parallel region, which this region's pool job
+  // holds back. So the bodies try_lock, and the sessions that were busy
+  // are spooled afterwards, one at a time, outside any pool job — an
+  // in-flight request finishes, then its session is spooled.
+  std::vector<char> busy(entries.size(), 0);  // one byte per chunk index
   parallel_for(entries.size(), 1, config_.threads, [&](std::size_t begin,
                                                        std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      Entry& entry = *entries[i];
-      std::lock_guard<std::mutex> lock(entry.m);
-      if (entry.closed || !entry.live.has_value()) continue;
-      // One session's failed spool write must not abort the shutdown
-      // sweep for the rest; the failed one stays live (and is simply lost
-      // when the process exits — exactly what would have happened to all
-      // of them without the sweep).
-      try {
-        evict(entry);
-        written.fetch_add(1);
-      } catch (const Error&) {
-        spool_failures_.fetch_add(1);
+      std::unique_lock<std::mutex> lock(entries[i]->m, std::try_to_lock);
+      if (!lock.owns_lock()) {
+        busy[i] = 1;
+        continue;
       }
+      spool(*entries[i]);
     }
   });
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (!busy[i]) continue;
+    std::lock_guard<std::mutex> lock(entries[i]->m);
+    spool(*entries[i]);
+  }
   return written.load();
 }
 

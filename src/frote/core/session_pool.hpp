@@ -57,8 +57,11 @@ struct SessionPoolConfig {
   /// Checkpoint spool directory. Empty disables eviction and durability
   /// (sessions live in memory until closed; checkpoint_all is a no-op).
   std::string spool_dir;
-  /// Live sessions kept in memory; exceeding this evicts the
-  /// least-recently-used idle session to the spool. 0 = unbounded.
+  /// Live sessions kept in memory, during a serial request too: a request
+  /// for a spooled session first evicts the least-recently-used idle
+  /// session(s) to the spool, then hydrates its own. Concurrent requests to
+  /// different sessions each need theirs live, so they can exceed it until
+  /// the after-request sweep. 0 = unbounded.
   /// Without a spool there is nowhere to evict to, so this becomes an
   /// admission limit instead: create() beyond it is refused with an
   /// "overloaded" typed error rather than OOM-ing the daemon.
@@ -149,26 +152,42 @@ class SessionPool {
   Expected<std::shared_ptr<Entry>, FroteError> find_entry(
       const std::string& id);
   /// Ensure the entry has a live Session (restore from spool if evicted).
-  /// Caller must hold the entry mutex. A torn/corrupt spooled checkpoint
-  /// is quarantined and reported as a "session unrecoverable" typed error
-  /// (JSON-RPC -32002) — the session is lost but the daemon keeps serving
-  /// every other session.
-  std::optional<FroteError> hydrate(Entry& entry);
+  /// Caller must hold the entry mutex. With `make_room`, idle sessions are
+  /// evicted first (enforce_capacity) so a serial restore keeps max_live. A
+  /// torn/corrupt spooled checkpoint is quarantined and reported as a
+  /// "session unrecoverable" typed error (JSON-RPC -32002) — the session is
+  /// lost but the daemon keeps serving every other session.
+  std::optional<FroteError> hydrate(Entry& entry, bool make_room);
   /// Spool the entry's live session and drop it. Caller must hold the
   /// entry mutex; no-op when already evicted or no spool is configured.
   void evict(Entry& entry);
-  /// Apply evict_every_request and the max_live LRU bound after a request.
-  /// Busy entries (their mutex is held — a request is executing) are never
-  /// candidates: try_lock, don't block.
-  void enforce_capacity();
+  /// evict(), but a failed spool write is counted in spool_failures_ and
+  /// leaves the session live instead of throwing. Caller holds the entry
+  /// mutex. Returns whether the session was spooled.
+  bool try_evict(Entry& entry);
+  /// Apply evict_every_request and the max_live LRU bound. After a request
+  /// (`incoming` null) the live sessions must fit max_live; before
+  /// hydrating `incoming` (whose mutex the caller holds) they must fit
+  /// max_live - 1, so max_live holds during a serial request too. Victims are
+  /// idle sessions only (try_lock, never block) and are spooled after
+  /// table_mutex_ is released.
+  void enforce_capacity(const Entry* incoming = nullptr);
   JsonValue summary_json(Entry& entry) const;
   std::filesystem::path spool_path(const std::string& id,
                                    const char* kind) const;
 
   SessionPoolConfig config_;
-  /// Lock order: table_mutex_ is never *blocked on* while an entry mutex
-  /// is held, and entry mutexes are only try_lock'ed under table_mutex_
-  /// (enforce_capacity) — so the pair cannot deadlock.
+  /// Lock order: entry mutexes are only ever try_lock'ed while
+  /// table_mutex_ is held (enforce_capacity picking victims), never blocked
+  /// on, so a request may take table_mutex_ while holding its own entry
+  /// mutex (making room before a hydrate) and the pair cannot deadlock.
+  /// No spool write happens under table_mutex_: victims stay locked by
+  /// their entry mutex and are written after it is released. Readers that
+  /// do not hold an entry mutex (stats, the LRU sweep) see residency only
+  /// through the entry's atomic `resident` flag, written under its mutex.
+  /// checkpoint_all's parallel chunk bodies only try_lock entry mutexes
+  /// (a request holding one may be waiting to submit a parallel region);
+  /// the busy entries are spooled after the region, outside any pool job.
   mutable std::mutex table_mutex_;
   std::map<std::string, std::shared_ptr<Entry>> entries_;
   std::uint64_t next_session_ = 1;

@@ -1,10 +1,11 @@
 #include "frote/util/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -137,9 +138,21 @@ namespace {
 
 constexpr int kMaxDepth = 256;
 
+/// Whether the member keys from the root (nullptr for an array level) are
+/// exactly `want`.
+bool path_matches(const std::vector<const std::string*>& path,
+                  const std::vector<std::string_view>& want) {
+  if (path.size() != want.size()) return false;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (path[i] == nullptr || *path[i] != want[i]) return false;
+  }
+  return true;
+}
+
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::span<const JsonArraySink> sinks)
+      : text_(text), sinks_(sinks) {}
 
   Expected<JsonValue, FroteError> parse() {
     skip_whitespace();
@@ -206,7 +219,17 @@ class Parser {
       ++pos_;
       skip_whitespace();
       JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
+      if (sinks_.empty()) {
+        if (!parse_value(value, depth + 1)) return false;
+      } else {
+        path_.push_back(&key);
+        const JsonArraySink* sink = peek() == '[' ? matching_sink() : nullptr;
+        const bool ok = sink != nullptr
+                            ? parse_sink_array(*sink, value, depth + 1)
+                            : parse_value(value, depth + 1);
+        path_.pop_back();
+        if (!ok) return false;
+      }
       out.members().emplace_back(std::move(key), std::move(value));
       skip_whitespace();
       if (peek() == ',') {
@@ -224,16 +247,30 @@ class Parser {
   bool parse_array(JsonValue& out, int depth) {
     ++pos_;  // '['
     out = JsonValue::array();
+    // Array elements are not object members: a null path entry keeps an
+    // object nested in an array from matching a sink path.
+    if (!sinks_.empty()) path_.push_back(nullptr);
+    const bool ok = parse_elements(depth, [&](JsonValue&& value) {
+      out.items().push_back(std::move(value));
+    });
+    if (!sinks_.empty()) path_.pop_back();
+    return ok;
+  }
+
+  /// The elements of the array at pos_ ('[' already consumed), each handed
+  /// to `take`; the one loop behind parse_array and parse_sink_array.
+  template <typename Take>
+  bool parse_elements(int depth, Take&& take) {
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
       return true;
     }
+    JsonValue value;
     while (true) {
       skip_whitespace();
-      JsonValue value;
       if (!parse_value(value, depth + 1)) return false;
-      out.items().push_back(std::move(value));
+      take(std::move(value));
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
@@ -428,6 +465,29 @@ class Parser {
         ++pos_;
       }
     }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    // from_chars converts the validated token in place: for integers the
+    // same value strtoll/strtoull give, for doubles the same correctly
+    // rounded value strtod gives. Anything it reports as an error (out of
+    // range integers, overflowing or underflowing doubles) takes the
+    // strtod/strtoll path, which decides what is accepted and how a
+    // failure reads.
+    const auto convert = [&](auto value) {
+      const auto [end, ec] = std::from_chars(first, last, value);
+      if (ec != std::errc() || end != last) return false;
+      out = JsonValue(value);
+      return true;
+    };
+    const bool converted = !integral      ? convert(0.0)
+                           : *first == '-' ? convert(std::int64_t{0})
+                                           : convert(std::uint64_t{0});
+    return converted || parse_number_slow(start, integral, out);
+  }
+
+  /// The strtod/strtoll conversion of the token [start, pos_): the fallback
+  /// behind parse_number's from_chars fast path.
+  bool parse_number_slow(std::size_t start, bool integral, JsonValue& out) {
     const std::string token(text_.substr(start, pos_ - start));
     if (integral) {
       errno = 0;
@@ -460,6 +520,26 @@ class Parser {
     }
     out = JsonValue(v);
     return true;
+  }
+
+  bool parse_sink_array(const JsonArraySink& sink, JsonValue& out,
+                        int depth) {
+    if (depth > kMaxDepth) return fail("nesting deeper than 256 levels");
+    ++pos_;  // '['
+    out = JsonValue::array();
+    path_.push_back(nullptr);
+    const bool ok = parse_elements(
+        depth, [&](JsonValue&& value) { sink.item(value); });
+    path_.pop_back();
+    return ok;
+  }
+
+  /// The sink whose path is the current member path, if any.
+  const JsonArraySink* matching_sink() const {
+    for (const JsonArraySink& sink : sinks_) {
+      if (path_matches(path_, sink.path)) return &sink;
+    }
+    return nullptr;
   }
 
   bool consume_literal(const char* literal) {
@@ -503,6 +583,10 @@ class Parser {
   }
 
   std::string_view text_;
+  std::span<const JsonArraySink> sinks_;
+  /// Keys of the object members being parsed, root first; nullptr for an
+  /// array level. Maintained only when there are sinks.
+  std::vector<const std::string*> path_;
   std::size_t pos_ = 0;
   std::string error_message_;
 };
@@ -510,7 +594,12 @@ class Parser {
 }  // namespace
 
 Expected<JsonValue, FroteError> json_parse(std::string_view text) {
-  return Parser(text).parse();
+  return Parser(text, {}).parse();
+}
+
+Expected<JsonValue, FroteError> json_parse(
+    std::string_view text, std::span<const JsonArraySink> sinks) {
+  return Parser(text, sinks).parse();
 }
 
 // ---------------------------------------------------------------------------
@@ -543,19 +632,31 @@ void write_escaped(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
+template <typename Int>
+void write_integer(Int v, std::string& out) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, end);
+}
+
 void write_double(double v, std::string& out) {
   if (!std::isfinite(v)) {
     throw Error("JSON cannot represent a non-finite double");
   }
   // 17 significant digits round-trip any IEEE-754 double exactly through a
   // correctly-rounded strtod (the checkpoint bit-identity contract).
+  // to_chars(general, 17) is specified as printf's "%.17g" (C++17
+  // [charconv.to.chars]): the same bytes, without the format-string parse
+  // and the locale lookup.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, end);
   // Keep the number recognisably floating-point so the parser restores the
   // same kind (pure-integer text would come back as kInt/kUint).
-  if (out.find_first_of(".eE", out.size() - std::strlen(buf)) ==
-      std::string::npos) {
+  if (std::find_if(buf, end, [](char c) {
+        return c == '.' || c == 'e' || c == 'E';
+      }) == end) {
     out += ".0";
   }
 }
@@ -567,82 +668,163 @@ bool all_scalars(const JsonValue::Array& array) {
   return true;
 }
 
-void write_value(const JsonValue& value, int indent, int depth,
-                 std::string& out) {
-  const bool pretty = indent > 0;
-  const auto newline_indent = [&](int levels) {
-    out.push_back('\n');
-    out.append(static_cast<std::size_t>(indent * levels), ' ');
-  };
-  switch (value.type()) {
-    case JsonType::kNull:
-      out += "null";
-      return;
-    case JsonType::kBool:
-      out += value.as_bool() ? "true" : "false";
-      return;
-    case JsonType::kInt:
-      out += std::to_string(value.as_int64());
-      return;
-    case JsonType::kUint:
-      out += std::to_string(value.as_uint64());
-      return;
-    case JsonType::kDouble:
-      write_double(value.as_double(), out);
-      return;
-    case JsonType::kString:
-      write_escaped(value.as_string(), out);
-      return;
-    case JsonType::kArray: {
-      const auto& array = value.items();
-      if (array.empty()) {
-        out += "[]";
+class Writer {
+ public:
+  Writer(int indent, std::span<const JsonNumberArray> arrays,
+         std::string& out)
+      : indent_(indent), arrays_(arrays), out_(out) {}
+
+  void write_value(const JsonValue& value, int depth) {
+    switch (value.type()) {
+      case JsonType::kNull:
+        out_ += "null";
+        return;
+      case JsonType::kBool:
+        out_ += value.as_bool() ? "true" : "false";
+        return;
+      case JsonType::kInt:
+        write_integer(value.as_int64(), out_);
+        return;
+      case JsonType::kUint:
+        write_integer(value.as_uint64(), out_);
+        return;
+      case JsonType::kDouble:
+        write_double(value.as_double(), out_);
+        return;
+      case JsonType::kString:
+        write_escaped(value.as_string(), out_);
+        return;
+      case JsonType::kArray: {
+        const auto& array = value.items();
+        // Scalar-only arrays (rows of numbers) stay on one line even when
+        // pretty-printing; nested structures get one element per line.
+        const bool inline_array = indent_ == 0 || all_scalars(array);
+        if (!arrays_.empty()) path_.push_back(nullptr);
+        write_elements(array.size(), inline_array, depth, [&](std::size_t i) {
+          write_value(array[i], depth + 1);
+        });
+        if (!arrays_.empty()) path_.pop_back();
         return;
       }
-      // Scalar-only arrays (rows of numbers) stay on one line even when
-      // pretty-printing; nested structures get one element per line.
-      const bool inline_array = !pretty || all_scalars(array);
-      out.push_back('[');
-      for (std::size_t i = 0; i < array.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        if (!inline_array) {
-          newline_indent(depth + 1);
-        } else if (pretty && i > 0) {
-          out.push_back(' ');
+      case JsonType::kObject: {
+        const auto& object = value.members();
+        if (object.empty()) {
+          out_ += "{}";
+          return;
         }
-        write_value(array[i], indent, depth + 1, out);
-      }
-      if (!inline_array) newline_indent(depth);
-      out.push_back(']');
-      return;
-    }
-    case JsonType::kObject: {
-      const auto& object = value.members();
-      if (object.empty()) {
-        out += "{}";
+        const bool pretty = indent_ > 0;
+        out_.push_back('{');
+        for (std::size_t i = 0; i < object.size(); ++i) {
+          if (i > 0) out_.push_back(',');
+          if (pretty) newline_indent(depth + 1);
+          write_escaped(object[i].first, out_);
+          out_.push_back(':');
+          if (pretty) out_.push_back(' ');
+          write_member(object[i].first, object[i].second, depth + 1);
+        }
+        if (pretty) newline_indent(depth);
+        out_.push_back('}');
         return;
       }
-      out.push_back('{');
-      for (std::size_t i = 0; i < object.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        if (pretty) newline_indent(depth + 1);
-        write_escaped(object[i].first, out);
-        out.push_back(':');
-        if (pretty) out.push_back(' ');
-        write_value(object[i].second, indent, depth + 1, out);
-      }
-      if (pretty) newline_indent(depth);
-      out.push_back('}');
-      return;
     }
   }
-}
+
+ private:
+  void write_member(const std::string& key, const JsonValue& value,
+                    int depth) {
+    if (arrays_.empty()) {
+      write_value(value, depth);
+      return;
+    }
+    path_.push_back(&key);
+    if (const JsonNumberArray* numbers = matching_array()) {
+      FROTE_CHECK_MSG(value.is_array() && value.items().empty(),
+                      "a streamed JSON array needs an empty-array placeholder");
+      std::visit(
+          [&](const auto& span) {
+            write_elements(span.size(), /*inline_array=*/true, depth,
+                           [&](std::size_t i) { write_number(span[i]); });
+          },
+          numbers->numbers);
+    } else {
+      write_value(value, depth);
+    }
+    path_.pop_back();
+  }
+
+  void write_number(double v) { write_double(v, out_); }
+  void write_number(int v) {
+    write_integer(static_cast<std::int64_t>(v), out_);
+  }
+  void write_number(std::uint64_t v) { write_integer(v, out_); }
+
+  /// "[e0, e1, ...]": the one array layout, for tree arrays and streamed
+  /// ones alike.
+  template <typename WriteItem>
+  void write_elements(std::size_t size, bool inline_array, int depth,
+                      WriteItem&& write_item) {
+    if (size == 0) {
+      out_ += "[]";
+      return;
+    }
+    const bool pretty = indent_ > 0;
+    out_.push_back('[');
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i > 0) out_.push_back(',');
+      if (!inline_array) {
+        newline_indent(depth + 1);
+      } else if (pretty && i > 0) {
+        out_.push_back(' ');
+      }
+      write_item(i);
+    }
+    if (!inline_array) newline_indent(depth);
+    out_.push_back(']');
+  }
+
+  void newline_indent(int levels) {
+    out_.push_back('\n');
+    out_.append(static_cast<std::size_t>(indent_ * levels), ' ');
+  }
+
+  const JsonNumberArray* matching_array() const {
+    for (const JsonNumberArray& array : arrays_) {
+      if (path_matches(path_, array.path)) return &array;
+    }
+    return nullptr;
+  }
+
+  int indent_;
+  std::span<const JsonNumberArray> arrays_;
+  std::string& out_;
+  /// Member keys from the root; nullptr for an array level (as in Parser).
+  std::vector<const std::string*> path_;
+};
 
 }  // namespace
 
 std::string json_dump(const JsonValue& value, int indent) {
+  return json_dump(value, indent, {});
+}
+
+std::string json_dump(const JsonValue& value, int indent,
+                      std::span<const JsonNumberArray> arrays) {
   std::string out;
-  write_value(value, indent, 0, out);
+  if (!arrays.empty()) {
+    // One allocation for the common case: a double is at most 24 bytes
+    // plus its ", " separator, an integer at most 20 plus 2.
+    std::size_t bytes = 4096;
+    for (const JsonNumberArray& array : arrays) {
+      std::visit(
+          [&](const auto& span) {
+            using T = typename std::decay_t<decltype(span)>::value_type;
+            bytes += span.size() * (std::is_same_v<T, double> ? 26 : 8);
+          },
+          array.numbers);
+    }
+    out.reserve(bytes);
+  }
+  Writer(indent, arrays, out).write_value(value, 0);
   return out;
 }
 

@@ -25,6 +25,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -134,5 +136,41 @@ Expected<JsonValue, FroteError> json_parse(std::string_view text);
 /// are written with enough digits to round-trip bit-exactly; non-finite
 /// doubles throw frote::Error (JSON has no representation for them).
 std::string json_dump(const JsonValue& value, int indent = 0);
+
+// ---------------------------------------------------------------------------
+// Bulk arrays outside the tree
+//
+// A checkpoint's rows are thousands of numbers, and a tree node per number
+// (built, walked, converted) dominates its codec cost. The overloads below
+// move the elements of chosen array members straight between the text and
+// the caller's vectors. A member is named by its path of object keys from
+// the root ({"dataset", "values"}); arrays nested in arrays never match. In
+// the tree such a member is an empty array. The grammar, the number format
+// and the pretty-printer are the ones above, so the bytes are the same as
+// for the equivalent full tree.
+
+/// Writer side: json_dump writes `numbers` in place of the (empty-array)
+/// member at `path`, each element exactly as a JsonValue of that number
+/// kind would be written.
+struct JsonNumberArray {
+  std::vector<std::string_view> path;
+  std::variant<std::span<const double>, std::span<const int>,
+               std::span<const std::uint64_t>>
+      numbers;
+};
+std::string json_dump(const JsonValue& value, int indent,
+                      std::span<const JsonNumberArray> arrays);
+
+/// Reader side: when json_parse meets an array at `path`, it hands each
+/// element, parsed as usual, to `item` instead of storing it.
+/// The member stays in the tree as an empty array; a member at `path` that
+/// is not an array is parsed into the tree as usual and calls nothing.
+/// Exceptions thrown by `item` propagate out of json_parse.
+struct JsonArraySink {
+  std::vector<std::string_view> path;
+  std::function<void(const JsonValue& item)> item;
+};
+Expected<JsonValue, FroteError> json_parse(
+    std::string_view text, std::span<const JsonArraySink> sinks);
 
 }  // namespace frote

@@ -5,6 +5,10 @@
 // seed → bit-identical contract across a process boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cfloat>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,7 +17,9 @@
 
 #include "frote/core/checkpoint.hpp"
 #include "frote/core/engine.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/core/runplan.hpp"
+#include "frote/core/scenario.hpp"
 #include "frote/core/spec.hpp"
 #include "frote/util/fsio.hpp"
 #include "frote/util/parallel.hpp"
@@ -354,6 +360,236 @@ TEST(Checkpoint, CorruptOnDiskCheckpointIsQuarantinedAndRunRestartsFresh) {
     resume(out);
     EXPECT_TRUE(fs::exists(ckpt.string() + ".corrupt"))
         << label << ": corrupt checkpoint was not quarantined";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The codec: to_json_text/parse stream the dataset rows past the JSON tree
+// (util/json.hpp's streamed arrays). Their bytes and values must be the
+// tree path's: to_json_text() == json_dump(to_json(), indent) and
+// parse(text) == from_json(json_parse(text)), for every document.
+
+/// Checkpoints of the built-in scenarios opened the way frote_serve opens
+/// them (scenario_session_spec), at a few points of the edit.
+std::vector<SessionCheckpoint> scenario_corpus() {
+  std::vector<SessionCheckpoint> corpus;
+  for (const char* name :
+       {"multiclass_wine", "drift_adult", "fairness_adult"}) {
+    const EngineSpec spec =
+        scenario_session_spec(make_named_scenario(name).value()).value();
+    const Dataset data = load_spec_dataset(*spec.dataset).value();
+    const auto engine = Engine::Builder::from_spec(spec, data.schema())
+                            .value()
+                            .build()
+                            .value();
+    const auto learner = make_spec_learner(spec).value();
+    auto session = engine.open(data, *learner).value();
+    for (int steps = 0; steps < 3; ++steps) {
+      corpus.push_back(session.snapshot());
+      session.step();
+    }
+  }
+  return corpus;
+}
+
+/// Hand-built checkpoints full of awkward numbers: -0.0, subnormals,
+/// integral doubles, DBL_MAX, negative labels, 64-bit row ids.
+std::vector<SessionCheckpoint> random_checkpoints() {
+  std::vector<SessionCheckpoint> out;
+  Rng rng(20261017);
+  for (int c = 0; c < 6; ++c) {
+    SessionCheckpoint ckpt;
+    ckpt.schema = testing::mixed_schema();
+    const std::size_t rows = static_cast<std::size_t>(c * 37);
+    for (std::size_t i = 0; i < rows * ckpt.schema->num_features(); ++i) {
+      double v = rng.normal(0.0, 1e3);
+      switch (rng.next_u64() % 6) {
+        case 0: v = -0.0; break;
+        case 1: v = std::bit_cast<double>(rng.next_u64() >> 12); break;
+        case 2: v = static_cast<double>(rng.int_range(-1000, 1000)); break;
+        case 3: v = rng.uniform(-1.0, 1.0) * DBL_MAX; break;
+        default: break;
+      }
+      ckpt.values.push_back(v);
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+      ckpt.labels.push_back(static_cast<int>(rng.int_range(-3, 3)));
+      ckpt.row_ids.push_back(rng.next_u64() >> (rng.next_u64() % 64));
+    }
+    ckpt.next_row_id = rng.next_u64();
+    ckpt.best_j_bar = rng.uniform(0.0, 1.0);
+    ckpt.dataset_digest = c % 2 == 0 ? 0 : rng.next_u64();
+    ckpt.trace.push_back(ProgressPoint{1, 2, 0.25, true});
+    out.push_back(std::move(ckpt));
+  }
+  return out;
+}
+
+std::vector<SessionCheckpoint> codec_corpus() {
+  std::vector<SessionCheckpoint> corpus = scenario_corpus();
+  for (auto& ckpt : random_checkpoints()) corpus.push_back(std::move(ckpt));
+  // Sessions of the resume suite, at every step.
+  const auto schema = testing::mixed_schema();
+  const auto data = testing::threshold_dataset(150, 5.0, 11);
+  const EngineSpec spec = checkpoint_spec("ip");
+  const auto engine =
+      Engine::Builder::from_spec(spec, *schema).value().build().value();
+  const auto learner = make_spec_learner(spec).value();
+  auto session = engine.open(data, *learner).value();
+  while (!session.finished()) {
+    corpus.push_back(session.snapshot());
+    if (session.step().terminal()) break;
+  }
+  corpus.push_back(session.snapshot());
+  return corpus;
+}
+
+/// parse(text) and the tree path agree on `text`, and both re-encode to
+/// `canonical`.
+void expect_both_paths_read(const std::string& text,
+                            const std::string& canonical,
+                            const std::string& what) {
+  auto streamed = SessionCheckpoint::parse(text);
+  ASSERT_TRUE(streamed.has_value()) << what << ": " << streamed.error().message;
+  auto tree = SessionCheckpoint::from_json(json_parse(text).value());
+  ASSERT_TRUE(tree.has_value()) << what << ": " << tree.error().message;
+  EXPECT_EQ(streamed->to_json_text(), canonical) << what;
+  EXPECT_EQ(tree->to_json_text(), canonical) << what;
+}
+
+TEST(CheckpointCodec, TextEqualsTheTreeDumpAndRoundTrips) {
+  const auto corpus = codec_corpus();
+  ASSERT_GT(corpus.size(), 20u);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const SessionCheckpoint& ckpt = corpus[i];
+    for (const int indent : {0, 2, 4}) {
+      EXPECT_EQ(ckpt.to_json_text(indent), json_dump(ckpt.to_json(), indent))
+          << "checkpoint " << i << ", indent " << indent;
+    }
+    const std::string text = ckpt.to_json_text();
+    auto parsed = SessionCheckpoint::parse(text);
+    ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+    EXPECT_EQ(parsed->to_json_text(), text) << "checkpoint " << i;
+    ASSERT_EQ(parsed->values.size(), ckpt.values.size());
+    for (std::size_t v = 0; v < ckpt.values.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(parsed->values[v]),
+                std::bit_cast<std::uint64_t>(ckpt.values[v]))
+          << "checkpoint " << i << " value " << v;
+    }
+    EXPECT_EQ(parsed->labels, ckpt.labels);
+    EXPECT_EQ(parsed->row_ids, ckpt.row_ids);
+    expect_both_paths_read(text, text, "checkpoint " + std::to_string(i));
+  }
+}
+
+TEST(CheckpointCodec, NonCanonicalDocumentsReadLikeTheTreePath) {
+  const auto corpus = scenario_corpus();
+  const SessionCheckpoint& ckpt = corpus.back();
+  const std::string canonical = ckpt.to_json_text();
+  const JsonValue doc = ckpt.to_json();
+
+  std::vector<std::pair<std::string, std::string>> variants;
+  variants.emplace_back("compact", json_dump(doc, 0));
+  variants.emplace_back("indent 4", json_dump(doc, 4));
+  {
+    std::string spaced = json_dump(doc, 0);
+    std::string out;
+    for (const char c : spaced) {
+      out += c;
+      if (c == ',' || c == '[' || c == ':') out += " \r\n\t ";
+    }
+    variants.emplace_back("whitespace", "\n " + out + " \t\n");
+  }
+  {
+    // Keys in reverse order at the root and inside dataset.
+    JsonValue reordered = doc;
+    std::reverse(reordered.members().begin(), reordered.members().end());
+    for (auto& [key, value] : reordered.members()) {
+      if (key == "dataset") {
+        std::reverse(value.members().begin(), value.members().end());
+      }
+    }
+    variants.emplace_back("reordered", json_dump(reordered, 2));
+  }
+  {
+    // Unknown keys, including ones named like the streamed arrays on
+    // other paths, are ignored.
+    JsonValue extended = doc;
+    JsonValue unknown = JsonValue::object();
+    JsonValue decoy = JsonValue::array();
+    decoy.push_back("not a number");
+    unknown.set("values", decoy);
+    extended.set("zz_unknown", std::move(unknown));
+    JsonValue nested = JsonValue::array();
+    JsonValue dataset_like = JsonValue::object();
+    dataset_like.set("values", decoy);
+    nested.push_back(std::move(dataset_like));
+    extended.set("datasets", std::move(nested));
+    for (auto& [key, value] : extended.members()) {
+      if (key == "dataset") value.set("labels_note", "ignored");
+      if (key == "state") value.set("values", decoy);
+    }
+    variants.emplace_back("unknown keys", json_dump(extended, 2));
+  }
+  {
+    // Integral values written as integer literals still read as doubles.
+    JsonValue integral = doc;
+    std::size_t rewritten = 0;
+    for (auto& [key, value] : integral.members()) {
+      if (key != "dataset") continue;
+      for (auto& [inner, array] : value.members()) {
+        if (inner != "values") continue;
+        for (JsonValue& v : array.items()) {
+          const double x = v.as_double();
+          if (x == std::floor(x) && std::abs(x) < 1e15 && !std::signbit(x)) {
+            v = JsonValue(static_cast<std::int64_t>(x));
+            ++rewritten;
+          }
+        }
+      }
+    }
+    ASSERT_GT(rewritten, 0u);
+    variants.emplace_back("integer literals", json_dump(integral, 2));
+  }
+  for (const auto& [what, text] : variants) {
+    expect_both_paths_read(text, canonical, what);
+  }
+}
+
+TEST(CheckpointCodec, InvalidRowsGiveTheTreePathErrors) {
+  const auto corpus = random_checkpoints();
+  const JsonValue doc = corpus[2].to_json();
+  const auto with_dataset_member = [&](const char* key, JsonValue value) {
+    JsonValue changed = doc;
+    for (auto& [name, dataset] : changed.members()) {
+      if (name == "dataset") dataset.set(key, std::move(value));
+    }
+    return json_dump(changed, 2);
+  };
+  const auto array_of = [](std::vector<JsonValue> items) {
+    JsonValue array = JsonValue::array();
+    for (auto& item : items) array.push_back(std::move(item));
+    return array;
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"string value", with_dataset_member("values", array_of({1.0, "x"}))},
+      {"nested value",
+       with_dataset_member("values", array_of({array_of({1.0})}))},
+      {"values not an array", with_dataset_member("values", JsonValue(5))},
+      {"label beyond int", with_dataset_member(
+           "labels", array_of({JsonValue(std::int64_t{1} << 40)}))},
+      {"fractional label", with_dataset_member("labels", array_of({1.5}))},
+      {"negative row id", with_dataset_member("row_ids", array_of({-1}))},
+      {"row id too wide", with_dataset_member(
+           "row_ids", array_of({JsonValue(1e20)}))},
+  };
+  for (const auto& [what, text] : cases) {
+    auto streamed = SessionCheckpoint::parse(text);
+    auto tree = SessionCheckpoint::from_json(json_parse(text).value());
+    ASSERT_FALSE(streamed.has_value()) << what;
+    ASSERT_FALSE(tree.has_value()) << what;
+    EXPECT_EQ(streamed.error().code, FroteErrorCode::kParseError) << what;
+    EXPECT_EQ(streamed.error().message, tree.error().message) << what;
   }
 }
 

@@ -2,8 +2,12 @@
 // spec/checkpoint layer depends on.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -219,6 +223,282 @@ TEST(Json, WrongTypeAccessThrows) {
   EXPECT_THROW(parsed->find("s")->as_bool(), Error);
   EXPECT_THROW(parsed->find("neg")->as_uint64(), Error);
   EXPECT_THROW(parsed->items(), Error);
+}
+
+// ---------------------------------------------------------------------------
+// The number codec's byte contract: a double is written as the bytes of
+// snprintf("%.17g") (plus the ".0" rule), and a parsed number has the bits
+// strtod gives — so documents written by a printf/strtod codec and by this
+// one are interchangeable.
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// The writer the codec replaced: "%.17g", plus ".0" when the digits
+/// would read back as an integer.
+std::string printf_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  std::string text = buf;
+  if (text.find_first_of(".eE") == std::string::npos) text += ".0";
+  return text;
+}
+
+std::string written(double v) { return json_dump(JsonValue(v)); }
+
+TEST(JsonNumberCodec, WriteDoubleMatchesPrintf) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                DBL_MIN,
+                                -DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                DBL_TRUE_MIN,
+                                -DBL_TRUE_MIN,
+                                std::nextafter(DBL_MIN, 0.0),  // max subnormal
+                                DBL_EPSILON,
+                                1.0,
+                                0.1,
+                                9007199254740992.0,   // 2^53
+                                9007199254740993.0};  // rounds to 2^53
+  // Integral doubles where %.17g switches between plain digits and an
+  // exponent, and where the ".0" rule applies.
+  for (int e = 15; e <= 22; ++e) {
+    const double p = std::pow(10.0, e);
+    for (const double v : {p, p - 1.0, p + 1.0, std::nextafter(p, 0.0),
+                           std::nextafter(p, 2 * p), p * 1.5, p / 3.0}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  // Subnormals across the whole range.
+  for (int shift = 0; shift < 52; ++shift) {
+    values.push_back(std::bit_cast<double>(std::uint64_t{1} << shift));
+    values.push_back(std::bit_cast<double>((std::uint64_t{1} << shift) | 1));
+  }
+  // Small integers, integers up to 2^53 and their neighbours.
+  std::uint64_t state = 20261017;
+  for (int i = -2000; i <= 2000; ++i) values.push_back(i);
+  for (int i = 0; i < 20000; ++i) {
+    const double v = static_cast<double>(
+        static_cast<std::int64_t>(splitmix64(state) >> (11 + i % 53)));
+    for (const double x : {v, -v, v + 0.5, std::nextafter(v, 1e300)}) {
+      values.push_back(x);
+    }
+  }
+  for (const double v : values) {
+    EXPECT_EQ(written(v), printf_double(v)) << std::bit_cast<std::uint64_t>(v);
+  }
+  // One million seeded random bit patterns (every exponent, both signs).
+  std::size_t mismatches = 0;
+  std::size_t checked = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = std::bit_cast<double>(splitmix64(state));
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    if (written(v) != printf_double(v)) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": "
+                      << written(v) << " vs " << printf_double(v);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(checked, 990000u);
+  JsonValue array = JsonValue::array();
+  array.push_back(1e21);
+  array.push_back(-0.0);
+  array.push_back(100.0);
+  EXPECT_EQ(json_dump(array), "[1e+21,-0.0,100.0]");
+}
+
+double strtod_of(const std::string& text) {
+  return std::strtod(text.c_str(), nullptr);
+}
+
+double parsed_double(const std::string& text) {
+  auto parsed = json_parse(text);
+  EXPECT_TRUE(parsed.has_value()) << text;
+  return parsed.has_value() ? parsed->as_double() : 0.0;
+}
+
+TEST(JsonNumberCodec, ParsedDoublesAreBitIdenticalToStrtod) {
+  std::uint64_t state = 7;
+  std::vector<std::string> texts = {
+      "0.0", "-0.0", "1e-400", "-1e-400", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "4.9406564584124654e-324",
+      "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "0.1", "1e22", "1e23", "9007199254740993.0",
+      // Halfway cases and long digit strings: rounding must be correct.
+      "1.00000000000000011102230246251565404236316680908203125",
+      "1.00000000000000011102230246251565404236316680908203124",
+      "1.00000000000000011102230246251565404236316680908203126",
+      "123456789012345678901234567890e-10",
+      "0.000000000000000000000000000000000000000000001e-280"};
+  for (int i = 0; i < 100000; ++i) {
+    const double v = std::bit_cast<double>(splitmix64(state));
+    if (!std::isfinite(v)) continue;
+    char buf[40];
+    // Shortest-ish, 17-digit and over-long forms of the same value.
+    for (const char* format : {"%.17g", "%.6g", "%.25e"}) {
+      std::snprintf(buf, sizeof buf, format, v);
+      std::string text = buf;
+      if (text.find_first_of(".eE") == std::string::npos) text += ".0";
+      texts.push_back(text);
+    }
+  }
+  // Random decimal strings with up to 30 significant digits.
+  for (int i = 0; i < 50000; ++i) {
+    std::string text = (splitmix64(state) & 1) != 0 ? "-" : "";
+    const int digits = 1 + static_cast<int>(splitmix64(state) % 30);
+    text += static_cast<char>('1' + splitmix64(state) % 9);
+    text += '.';
+    for (int d = 0; d < digits; ++d) {
+      text += static_cast<char>('0' + splitmix64(state) % 10);
+    }
+    const int exponent = static_cast<int>(splitmix64(state) % 640) - 330;
+    text += 'e' + std::to_string(exponent);
+    texts.push_back(text);
+  }
+  std::size_t mismatches = 0;
+  for (const std::string& text : texts) {
+    const double expected = strtod_of(text);
+    if (!std::isfinite(expected)) continue;  // overflow: see below
+    const double got = parsed_double(text);
+    if (std::bit_cast<std::uint64_t>(got) !=
+        std::bit_cast<std::uint64_t>(expected)) {
+      if (++mismatches <= 5) ADD_FAILURE() << text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumberCodec, EdgeNumbersBehaveAsBefore) {
+  // Underflow is accepted (strtod's value), overflow is the same error.
+  auto tiny = json_parse("[1e-400, -1e-400]");
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(tiny->items()[0].as_double()),
+            std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(tiny->items()[1].as_double()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  for (const char* text : {"1e309", "-1e309", "[0, 1e999]"}) {
+    auto huge = json_parse(text);
+    ASSERT_FALSE(huge.has_value()) << text;
+    EXPECT_NE(huge.error().message.find("number overflows a double"),
+              std::string::npos)
+        << huge.error().message;
+  }
+  auto at = json_parse("[1,\n 1e309]");
+  ASSERT_FALSE(at.has_value());
+  EXPECT_NE(at.error().message.find("at 2:2:"), std::string::npos)
+      << at.error().message;
+
+  // "-0" is the integer zero; "-0.0" keeps its sign as a double.
+  auto zeros = json_parse("[-0, -0.0, 0]");
+  ASSERT_TRUE(zeros.has_value());
+  EXPECT_EQ(zeros->items()[0].type(), JsonType::kInt);
+  EXPECT_EQ(zeros->items()[0].as_int64(), 0);
+  EXPECT_EQ(zeros->items()[1].type(), JsonType::kDouble);
+  EXPECT_TRUE(std::signbit(zeros->items()[1].as_double()));
+  EXPECT_EQ(zeros->items()[2].type(), JsonType::kUint);
+
+  // Integers at and beyond the 64-bit limits.
+  auto ints = json_parse(
+      "[18446744073709551615, 18446744073709551616, -9223372036854775808, "
+      "-9223372036854775809, 123456789012345678901234567890]");
+  ASSERT_TRUE(ints.has_value());
+  const auto& items = ints->items();
+  EXPECT_EQ(items[0].type(), JsonType::kUint);
+  EXPECT_EQ(items[0].as_uint64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(items[1].type(), JsonType::kDouble);
+  EXPECT_EQ(items[1].as_double(), strtod_of("18446744073709551616"));
+  EXPECT_EQ(items[2].type(), JsonType::kInt);
+  EXPECT_EQ(items[2].as_int64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(items[3].type(), JsonType::kDouble);
+  EXPECT_EQ(items[3].as_double(), strtod_of("-9223372036854775809"));
+  EXPECT_EQ(items[4].type(), JsonType::kDouble);
+  EXPECT_EQ(items[4].as_double(),
+            strtod_of("123456789012345678901234567890"));
+}
+
+// ---------------------------------------------------------------------------
+// Streamed arrays: the same bytes and values as the full tree.
+
+TEST(JsonStreamedArrays, DumpEqualsTheFullTree) {
+  const std::vector<double> values = {1.5, -0.0, 1e21, 3.0};
+  const std::vector<int> labels = {0, -1, 2147483647};
+  const std::vector<std::uint64_t> ids = {};
+  const auto document = [&](bool with_rows) {
+    JsonValue rows = JsonValue::object();
+    JsonValue v = JsonValue::array(), l = JsonValue::array(),
+              i = JsonValue::array();
+    if (with_rows) {
+      for (const double x : values) v.push_back(x);
+      for (const int x : labels) l.push_back(x);
+    }
+    rows.set("values", std::move(v));
+    rows.set("labels", std::move(l));
+    rows.set("ids", std::move(i));
+    JsonValue root = JsonValue::object();
+    root.set("name", "t");
+    root.set("rows", std::move(rows));
+    // Same key, wrong path: never streamed.
+    JsonValue nested = JsonValue::array();
+    JsonValue inner = JsonValue::object();
+    inner.set("values", JsonValue::array());
+    nested.push_back(std::move(inner));
+    root.set("values", std::move(nested));
+    return root;
+  };
+  const JsonNumberArray arrays[] = {
+      {{"rows", "values"}, std::span<const double>(values)},
+      {{"rows", "labels"}, std::span<const int>(labels)},
+      {{"rows", "ids"}, std::span<const std::uint64_t>(ids)},
+  };
+  for (const int indent : {0, 2, 4}) {
+    EXPECT_EQ(json_dump(document(false), indent, arrays),
+              json_dump(document(true), indent))
+        << "indent " << indent;
+  }
+}
+
+TEST(JsonStreamedArrays, SinksSeeEveryElementAndLeaveAnEmptyArray) {
+  const std::string text =
+      "{\"values\": [[9]], \"rows\": {\"ids\": 5, \"values\": [1, -2.5, "
+      "\"x\", [3], {\"values\": [4]}]}}";
+  std::vector<std::string> seen;
+  const JsonArraySink sinks[] = {
+      {{"rows", "values"},
+       [&](const JsonValue& item) { seen.push_back(json_dump(item)); }},
+      {{"rows", "ids"},
+       [&](const JsonValue&) { ADD_FAILURE() << "ids is not an array"; }},
+  };
+  auto streamed = json_parse(text, sinks);
+  ASSERT_TRUE(streamed.has_value()) << streamed.error().message;
+  EXPECT_EQ(seen, (std::vector<std::string>{"1", "-2.5", "\"x\"", "[3]",
+                                            "{\"values\":[4]}"}));
+  auto tree = json_parse(text);
+  ASSERT_TRUE(tree.has_value());
+  // Only the streamed member differs: it is left as an empty array.
+  tree->members()[1].second.members()[1].second = JsonValue::array();
+  EXPECT_TRUE(*streamed == *tree);
+
+  // Errors inside a streamed array are the parser's own.
+  for (const char* bad : {"{\"rows\": {\"values\": [1,]}}",
+                          "{\"rows\": {\"values\": [1 2]}}",
+                          "{\"rows\": {\"values\": [1e999]}}",
+                          "{\"rows\": {\"values\": [1], \"values\": []}}"}) {
+    auto plain = json_parse(bad);
+    auto sunk = json_parse(bad, sinks);
+    ASSERT_FALSE(plain.has_value()) << bad;
+    ASSERT_FALSE(sunk.has_value()) << bad;
+    EXPECT_EQ(plain.error().message, sunk.error().message);
+  }
 }
 
 }  // namespace

@@ -27,15 +27,24 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "frote/core/session_pool.hpp"
 #include "frote/net/http.hpp"
+#include "frote/util/parallel.hpp"
 #include "serve_harness.hpp"
 
 namespace {
@@ -290,6 +299,207 @@ TEST(ServeContract, EvictionIsByteTransparent) {
   EXPECT_GE(entry.find("model_updates")->as_uint64(),
             entry.find("accepts")->as_uint64());
   EXPECT_EQ(daemon.close_and_wait(), 0);
+}
+
+TEST(ServeContract, MaxLiveOneAlternatingSessionsIsByteTransparent) {
+  // With one live slot, every request to the other session evicts the
+  // current one and hydrates its own. The pool makes room *before* the
+  // hydrate, so a restoring request never holds two live sessions, and on
+  // a serial daemon it must choose exactly the victims the after-request
+  // sweep chose: the same bytes, and the same eviction/restore counts.
+  const fs::path dir = scratch_dir("max_live_one");
+  const auto spec = scenario_spec(dir);
+  const std::string a = "s-000001";
+  const std::string b = "s-000002";
+  std::vector<std::string> script;
+  script.push_back(create_line("a-create", spec));
+  script.push_back(create_line("b-create", spec));
+  for (int i = 0; i < 5; ++i) {
+    script.push_back(step_line("a-step" + std::to_string(i), a));
+    script.push_back(step_line("b-step" + std::to_string(i), b));
+  }
+  script.push_back(session_line("a-snap", "session.snapshot", a));
+  script.push_back(session_line("b-result", "session.result", b));
+  script.push_back(session_line("a-result", "session.result", a));
+  script.push_back(session_line("b-close", "session.close", b));
+  script.push_back(session_line("a-close", "session.close", a));
+
+  const auto run = [&](const std::vector<std::string>& args,
+                       JsonValue* stats) {
+    ServeProcess::Options options;
+    options.args = args;
+    ServeProcess daemon(options);
+    std::vector<std::string> responses;
+    for (const std::string& line : script) {
+      if (line == script[script.size() - 2]) {
+        // Counters as of the last request before the closes.
+        *stats = result_of(
+            parse_response(daemon.request(rpc_line("stats", "server.stats"))));
+      }
+      responses.push_back(daemon.request(line));
+    }
+    EXPECT_EQ(daemon.close_and_wait(), 0);
+    return responses;
+  };
+
+  JsonValue stats_all_live;
+  JsonValue stats_one_live;
+  const auto all_live =
+      run({"--spool", (dir / "spool_a").string()}, &stats_all_live);
+  const auto one_live = run({"--spool", (dir / "spool_b").string(),
+                             "--max-live-sessions", "1"},
+                            &stats_one_live);
+  ASSERT_EQ(all_live.size(), one_live.size());
+  for (std::size_t i = 0; i < all_live.size(); ++i) {
+    EXPECT_EQ(all_live[i], one_live[i])
+        << "response " << i << " diverged with one live slot\n"
+        << "request: " << script[i];
+  }
+  EXPECT_EQ(stats_all_live.find("evictions")->as_uint64(), 0u);
+  EXPECT_EQ(stats_all_live.find("restores")->as_uint64(), 0u);
+  // b-create evicts a; after that every request addresses the session
+  // that is not live (a-snap follows b-step4), so each of the 13 requests
+  // up to a-result evicts one session and restores another. These are the
+  // counts the after-request sweep produced.
+  EXPECT_EQ(stats_one_live.find("evictions")->as_uint64(), 14u);
+  EXPECT_EQ(stats_one_live.find("restores")->as_uint64(), 13u);
+  EXPECT_EQ(stats_one_live.find("sessions_live")->as_uint64(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// SessionPool driven in process from several threads: the library API
+// allows concurrent requests to different sessions.
+
+using frote::SessionPool;
+using frote::SessionPoolConfig;
+using frote::SessionStepOutcome;
+
+std::string describe(const SessionStepOutcome& outcome) {
+  std::ostringstream out;
+  out << outcome.steps_executed << ' ' << outcome.last_accepted << ' '
+      << outcome.finished << ' ' << outcome.iterations_run << ' '
+      << outcome.iterations_accepted << ' ' << outcome.instances_added << ' '
+      << outcome.rows << ' ' << std::bit_cast<std::uint64_t>(outcome.j_bar);
+  return out.str();
+}
+
+/// `steps` single-step requests to `id`, each outcome described.
+std::vector<std::string> step_each(SessionPool& pool, const std::string& id,
+                                   int steps) {
+  std::vector<std::string> outcomes;
+  for (int i = 0; i < steps; ++i) {
+    auto outcome = pool.step(id, 1);
+    outcomes.push_back(outcome ? describe(*outcome) : outcome.error().message);
+  }
+  return outcomes;
+}
+
+/// Runs `body` on its own thread. A deadlocked thread can be neither
+/// joined nor cancelled, so missing the deadline fails the whole binary.
+void run_with_deadline(std::chrono::seconds limit,
+                       const std::function<void()>& body) {
+  std::packaged_task<void()> task(body);
+  std::future<void> done = task.get_future();
+  std::thread worker(std::move(task));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "deadlock: the body did not finish within %llds\n",
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  worker.join();
+  done.get();
+}
+
+TEST(SessionPoolThreads, StatsWhileTwoThreadsStepDifferentSessions) {
+  // Two requests to different sessions run at once while a third thread
+  // reads server.stats; one live slot keeps every request evicting and
+  // hydrating. stats reads residency without the entry mutexes; the data
+  // race that once was there shows only under TSan. Without it, the test
+  // checks that each session's outcomes are the ones a serial run gives
+  // and that the idle tenant is never live beside both stepped sessions.
+  const fs::path dir = scratch_dir("pool_threads_stats");
+  const auto spec = scenario_spec(dir);
+  constexpr int kSteps = 12;
+
+  std::vector<std::string> serial_a, serial_b;
+  {
+    SessionPool pool(SessionPoolConfig{});
+    const std::string a = pool.create(spec).value();
+    const std::string b = pool.create(spec).value();
+    serial_a = step_each(pool, a, kSteps);
+    serial_b = step_each(pool, b, kSteps);
+  }
+
+  SessionPoolConfig config;
+  config.spool_dir = (dir / "spool").string();
+  config.max_live = 1;
+  SessionPool pool(config);
+  const std::string a = pool.create(spec).value();
+  const std::string b = pool.create(spec).value();
+  pool.create(spec).value();  // a third, idle tenant
+
+  std::vector<std::string> threaded_a, threaded_b;
+  std::atomic<bool> stepping{true};
+  std::size_t stats_reads = 0;
+  run_with_deadline(std::chrono::seconds(60), [&] {
+    std::thread reader([&] {
+      while (stepping.load()) {
+        const JsonValue stats = pool.stats();
+        // max_live plus the one extra session a concurrent request hydrates.
+        EXPECT_LE(stats.find("sessions_live")->as_uint64(), 2u);
+        ++stats_reads;
+      }
+    });
+    std::thread step_b([&] { threaded_b = step_each(pool, b, kSteps); });
+    threaded_a = step_each(pool, a, kSteps);
+    step_b.join();
+    stepping.store(false);
+    reader.join();
+  });
+
+  EXPECT_EQ(threaded_a, serial_a);
+  EXPECT_EQ(threaded_b, serial_b);
+  EXPECT_GT(stats_reads, 0u);
+  const JsonValue stats = pool.stats();
+  EXPECT_EQ(stats.find("sessions_live")->as_uint64(), 1u)
+      << "max_live must hold once the requests are done";
+  EXPECT_GT(stats.find("restores")->as_uint64(), 0u);
+}
+
+TEST(SessionPoolThreads, CheckpointAllWhileAnotherThreadSteps) {
+  // checkpoint_all spools sessions from a parallel region. A step request
+  // holds its session's mutex and, through hydrate and training, submits
+  // parallel regions of its own; a chunk body that blocked on that mutex
+  // would wait on a thread that waits on the chunk's own pool job.
+  frote::set_default_threads(4);  // as FROTE_NUM_THREADS=4
+  const fs::path dir = scratch_dir("pool_threads_checkpoint_all");
+  const auto spec = scenario_spec(dir);
+  SessionPoolConfig config;
+  config.spool_dir = (dir / "spool").string();
+  SessionPool pool(config);
+  const std::string stepped = pool.create(spec).value();
+  for (int i = 0; i < 3; ++i) pool.create(spec).value();
+
+  std::atomic<bool> stepping{true};
+  std::size_t steps = 0;
+  std::size_t sweeps = 0;
+  run_with_deadline(std::chrono::seconds(60), [&] {
+    std::thread stepper([&] {
+      while (stepping.load()) {
+        EXPECT_TRUE(pool.step(stepped, 1).has_value());
+        ++steps;
+      }
+    });
+    for (; sweeps < 200; ++sweeps) pool.checkpoint_all();
+    stepping.store(false);
+    stepper.join();
+  });
+  EXPECT_GT(steps, 0u);
+  // Nothing is left live after a final sweep with no request in flight.
+  pool.checkpoint_all();
+  EXPECT_EQ(pool.stats().find("sessions_live")->as_uint64(), 0u);
+  frote::set_default_threads(0);
 }
 
 /// Responses to one session's requests, keyed by that session's request
