@@ -331,6 +331,41 @@ void BM_IpSelectionWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_IpSelectionWarm)->Arg(1000)->Arg(4000)->Arg(8000);
 
+void BM_IpSolveEdit(benchmark::State& state) {
+  // The solve alone, at the edit's shape: perfbench edit_ip_adult8k's
+  // first LP (adult 8000, its three rules, η = 200, engine seed 1),
+  // captured from the session workspace's IP memo after one step. The memo
+  // answers a rejected step's selection without solving (BM_IpSelectionWarm
+  // times that hit); this row keeps the solve's own cost visible.
+  const EngineSpec spec = EngineSpec::parse(R"({
+    "format": "frote.engine_spec", "version": 1,
+    "tau": 20, "q": 0.5, "k": 5, "seed": 1, "mod_strategy": "none",
+    "selector": "ip", "learner": {"name": "rf", "fast": true},
+    "rules": ["IF hours_per_week > 50 THEN class = >50K",
+              "IF education = 'advanced' THEN class = >50K",
+              "IF age > 55 AND capital_gain < 1000 THEN class = <=50K"],
+    "dataset": {"kind": "synthetic", "name": "adult", "size": 8000,
+                "seed": 42}})").value();
+  const Dataset data = load_spec_dataset(*spec.dataset).value();
+  const auto learner = make_spec_learner(spec).value();
+  const Engine engine =
+      Engine::Builder::from_spec(spec, data.schema()).value().build().value();
+  auto session = engine.open(data, *learner).value();
+  session.step();
+  const LpProblem lp = session.workspace().ip_problem();
+  const std::vector<std::size_t> binaries = session.workspace().ip_binaries();
+  const IpConfig config;
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const IpResult result = solve_binary_ip(lp, binaries, config);
+    nodes = result.nodes_explored;
+    benchmark::DoNotOptimize(result.objective);
+  }
+  state.counters["vars"] = static_cast<double>(binaries.size());
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_IpSolveEdit);
+
 void RunNeighborhoodFill(benchmark::State& state, const Dataset& data) {
   // IP selection's "neighbourhoods" stage cold: a fresh workspace fills the
   // (k+1)-neighbourhoods of 1000 evenly spaced rows (k = 5, as the IP

@@ -11,7 +11,8 @@
 #   ./ci.sh -L unit         # extra args are forwarded to ctest
 #   FROTE_CI_VENDORED=1 ./ci.sh   # force the vendored runners (offline mode)
 #   FROTE_CI_SKIP_PACKAGE=1 / FROTE_CI_SKIP_BENCH=1 /
-#   FROTE_CI_SKIP_SANITIZE=1 skip the extra stages
+#   FROTE_CI_SKIP_SANITIZE=1 skip the extra stages (the last skips both
+#   sanitizer legs, ASan+UBSan and TSan)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -163,13 +164,30 @@ if [[ "${FROTE_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
   echo "=== sanitizer leg: ASan+UBSan ctest -L unit|chaos ==="
   SAN_DIR="$BUILD_DIR-asan"
   cmake -B "$SAN_DIR" -S . "${CMAKE_ARGS[@]}" -DFROTE_SANITIZE=ON \
-    -DFROTE_BUILD_BENCHES=OFF -DFROTE_BUILD_EXAMPLES=OFF > /dev/null
+    -DFROTE_BUILD_BENCHES=OFF -DFROTE_BUILD_EXAMPLES=OFF \
+    -DFROTE_BUILD_TOOLS=ON > /dev/null
   cmake --build "$SAN_DIR" -j "$(nproc)"
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$(nproc)" -L 'unit|chaos'
   echo "=== sanitizer leg: FROTE_FAULTS smoke ==="
   FROTE_FAULTS="fsio.fsync:nth=3" "$SAN_DIR/tools/frote_serve" \
     --spool "$SAN_DIR/faults-spool" --evict-every-request \
     < "$SERVE_DIR/script.jsonl" > /dev/null
+
+  # ThreadSanitizer leg (-DFROTE_SANITIZE=thread, its own build dir): the
+  # suites whose work fans out on util/parallel.hpp's pool — RF trees and
+  # their per-tree scratch, the coded-column build, the neighbourhood fill,
+  # the borderline scoring — plus the session pool's threads, at 4 workers.
+  # Tools stay on: test_serve drives the real daemon. A reported race fails
+  # the leg.
+  echo "=== sanitizer leg: TSan FROTE_NUM_THREADS=4 ==="
+  TSAN_DIR="$BUILD_DIR-tsan"
+  cmake -B "$TSAN_DIR" -S . "${CMAKE_ARGS[@]}" -DFROTE_SANITIZE=thread \
+    -DFROTE_BUILD_BENCHES=OFF -DFROTE_BUILD_EXAMPLES=OFF \
+    -DFROTE_BUILD_TOOLS=ON > /dev/null
+  cmake --build "$TSAN_DIR" -j "$(nproc)"
+  FROTE_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    ctest --test-dir "$TSAN_DIR" --output-on-failure \
+    -R 'test_parallel|test_determinism|test_ml|test_incremental_learners|test_workspace|test_engine_api|test_serve'
 fi
 
 # Package smoke: install to a scratch prefix, then build and run a 10-line

@@ -325,8 +325,8 @@ StepReport Session::step() {
   ws_->bind(active_);
 
   // Line 7: B ← SelectBaseInstances(P, η). The workspace hands the selector
-  // the cached distance / index / predictions (and, on the reject
-  // fast-path, the previous iteration's IP weights).
+  // the cached distance, neighbourhoods and predictions (and, on the reject
+  // fast-path, the previous iteration's IP weights and IP solution).
   const auto selected =
       engine_->selector->select(active_, bp_, *model_, eta_, rng_, ws_.get());
   if (selected.empty()) {  // no usable base population left
@@ -401,7 +401,9 @@ StepReport Session::step() {
     // Line 15: P ← PreSelectBP(D̂, F), incrementally — only the appended
     // rows can join an unrelaxed rule's population; relaxed rules rescan.
     // The workspace absorbs the batch: moments extend, the distance refits
-    // from them, and the kNN index appends rather than rebuilds.
+    // from them, and the next selection certifies the cached neighbourhoods
+    // against the batch; the weights and predictions follow the new model
+    // stamp, and the IP memo is keyed by the LP's bytes.
     update_base_population(bp_, active_, engine_->frs, engine_->config.k,
                            staged_at);
     ws_->bind(active_);

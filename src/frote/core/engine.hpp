@@ -182,8 +182,8 @@ class Session {
 
   /// The evolving augmented dataset D̂.
   const Dataset& augmented() const { return active_; }
-  /// The session's workspace: incrementally maintained distance / kNN index
-  /// / prediction caches over D̂ (see core/workspace.hpp).
+  /// The session's workspace: the distance, neighbourhood, prediction,
+  /// weight and IP-solution caches over D̂ (see core/workspace.hpp).
   const SessionWorkspace& workspace() const { return *ws_; }
   /// The current model M_D̂ (retrained on every accepted step).
   const Model& model() const { return *model_; }

@@ -231,9 +231,14 @@ std::vector<SelectedInstance> IpSelector::select(
     lp.b[j] = upper_bound[j];
   }
 
+  // On a rejected step the LP above is byte-identical to the previous one
+  // (D̂, the model and P rolled back; η is fixed), so the workspace returns
+  // the stored solution instead of solving again.
   std::vector<std::size_t> binaries(p);
   for (std::size_t i = 0; i < p; ++i) binaries[i] = i;
-  const IpResult ip = solve_binary_ip(lp, binaries, config_.ip);
+  const IpResult ip = ws != nullptr
+                          ? ws->solve_ip(lp, binaries, config_.ip)
+                          : solve_binary_ip(lp, binaries, config_.ip);
 
   std::vector<bool> selected_rows(p, false);
   if (ip.feasible) {

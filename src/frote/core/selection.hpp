@@ -71,11 +71,11 @@ struct IpSelectorConfig {
 
 /// Integer-program selection (eq. 5) with borderline weights; falls back to
 /// a greedy bound-repair heuristic when the IP is infeasible or the node
-/// budget is exhausted. With a SessionWorkspace, the fitted distance, kNN
-/// index, model predictions and the borderline weights themselves are
-/// served from (and stored into) the workspace caches — bit-identical to
-/// the standalone computation, but rejected FROTE iterations skip the
-/// entire O(|BP|) scoring pass.
+/// budget is exhausted. With a SessionWorkspace, the fitted distance,
+/// cached neighbourhoods, model predictions, the borderline weights and the
+/// IP's solution are served from (and stored into) the workspace caches —
+/// bit-identical to the standalone computation, but rejected FROTE
+/// iterations skip the entire O(|BP|) scoring pass and the solve.
 class IpSelector : public BaseInstanceSelector {
  public:
   explicit IpSelector(IpSelectorConfig config = {}) : config_(config) {}

@@ -1,7 +1,9 @@
 #include "frote/core/workspace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "frote/util/parallel.hpp"
@@ -56,6 +58,26 @@ constexpr std::size_t kNbrPad = 8;
 /// (about 230 KiB of adult's 14-slot packed rows, well inside L2).
 constexpr std::size_t kFillQueries = 8;
 constexpr std::size_t kFillRowTile = 2048;
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_lp(const LpProblem& a, const LpProblem& b) {
+  return a.num_vars == b.num_vars && a.num_rows == b.num_rows &&
+         same_bytes(a.c, b.c) && same_bytes(a.lo, b.lo) &&
+         same_bytes(a.hi, b.hi) && same_bytes(a.a, b.a) &&
+         same_bytes(a.b, b.b);
+}
+
+bool same_config(const IpConfig& a, const IpConfig& b) {
+  return a.max_nodes == b.max_nodes &&
+         std::bit_cast<std::uint64_t>(a.integrality_tol) ==
+             std::bit_cast<std::uint64_t>(b.integrality_tol);
+}
 
 }  // namespace
 
@@ -116,6 +138,24 @@ void SessionWorkspace::store_weights(const std::vector<std::size_t>& rows,
   weights_snapshot_ = bound_;
   weights_model_stamp_ = model_stamp_;
   weights_valid_ = true;
+}
+
+const IpResult& SessionWorkspace::solve_ip(
+    const LpProblem& lp, const std::vector<std::size_t>& binaries,
+    const IpConfig& config) {
+  if (ip_valid_ && same_lp(lp, ip_lp_) && binaries == ip_binaries_ &&
+      same_config(config, ip_config_)) {
+    ++ip_memo_hits_;
+    return ip_result_;
+  }
+  ip_valid_ = false;
+  ip_result_ = solve_binary_ip(lp, binaries, config);
+  ip_lp_ = lp;
+  ip_binaries_ = binaries;
+  ip_config_ = config;
+  ip_valid_ = true;
+  ++ip_solves_;
+  return ip_result_;
 }
 
 std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(

@@ -5,9 +5,10 @@
 // though D̂ only changes on *accepted* steps, and then only by an appended
 // tail: the fitted SMOTE-NC distance, a packed mirror of D̂ and the rows'
 // cached neighbourhoods, the current model's predictions, the IP
-// selector's borderline weights, and the per-rule constrained generators
-// with their memoised neighbour lists. The workspace owns all of them,
-// keyed by a cheap dataset snapshot (uid / append_epoch / row count), so
+// selector's borderline weights, the per-rule constrained generators with
+// their memoised neighbour lists, and IP (5)'s last solution. The workspace
+// owns all of them, keyed by a cheap dataset snapshot (uid / append_epoch /
+// row count) — the IP memo by the LP's own bytes — so
 //   - rejected iterations reuse everything (the "reject fast-path"),
 //   - accepted iterations refresh incrementally: column moments absorb only
 //     the appended rows (bit-identical to a full refit, see ColumnMoments),
@@ -33,6 +34,7 @@
 #include "frote/core/generate.hpp"
 #include "frote/knn/knn.hpp"
 #include "frote/metrics/metrics.hpp"
+#include "frote/opt/ip.hpp"
 
 namespace frote {
 
@@ -108,6 +110,27 @@ class SessionWorkspace {
   void store_weights(const std::vector<std::size_t>& rows,
                      std::vector<double> weights);
 
+  /// solve_binary_ip(lp, binaries, config), memoised over the last solve
+  /// (docs/DESIGN.md §5): when the LP's dimensions and c/lo/hi/a/b arrays,
+  /// the binaries and the config are bytewise equal to the stored ones
+  /// (memcmp, so -0.0 and NaN payloads cannot alias), the stored result is
+  /// returned; otherwise the LP is solved and replaces the memo. The solver
+  /// is a pure function that draws no randomness, so a hit is exact by
+  /// construction and no accept, rebind or model stamp invalidates it.
+  /// Never serialised. The reference stays valid until the next call.
+  const IpResult& solve_ip(const LpProblem& lp,
+                           const std::vector<std::size_t>& binaries,
+                           const IpConfig& config);
+
+  /// solve_ip() calls since construction that ran the solver, and those
+  /// answered from the memo.
+  std::uint64_t ip_solves() const { return ip_solves_; }
+  std::uint64_t ip_memo_hits() const { return ip_memo_hits_; }
+  /// The memo's problem and binaries (empty before the first solve): what
+  /// a benchmark hands solve_binary_ip to time the solve a hit skips.
+  const LpProblem& ip_problem() const { return ip_lp_; }
+  const std::vector<std::size_t>& ip_binaries() const { return ip_binaries_; }
+
   /// Exact (k+1)-nearest neighbourhoods of each `rows[i]` over the bound
   /// dataset — the first min(k+1, n) entries of out[i]->list are
   /// bit-identical to a fresh make_knn_index(data(), distance())'s
@@ -166,6 +189,15 @@ class SessionWorkspace {
   DatasetSnapshot weights_snapshot_;
   std::uint64_t weights_model_stamp_ = 0;
   bool weights_valid_ = false;
+
+  /// IP memo (see solve_ip()): the last solved problem and its result.
+  LpProblem ip_lp_;
+  std::vector<std::size_t> ip_binaries_;
+  IpConfig ip_config_;
+  IpResult ip_result_;
+  bool ip_valid_ = false;
+  std::uint64_t ip_solves_ = 0;
+  std::uint64_t ip_memo_hits_ = 0;
 
   /// Neighbourhood cache (see neighborhoods()). The slot stamp marks which
   /// refresh generation last touched an entry, so one pass can tell

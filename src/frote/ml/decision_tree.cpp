@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <utility>
 
@@ -73,6 +72,18 @@ double gini_impurity(std::span<const double> counts, double total) {
   return acc;
 }
 
+/// A radix payload: a sampled row's label and its multiplicity.
+struct WeightedLabel {
+  int label;
+  std::uint32_t mult;
+};
+
+/// Grows one tree over the rows a fit sampled, each walked once with its
+/// multiplicity (DecisionTreeLearner::train_weighted). Every statistic the
+/// split search reads — class counts, categorical histograms, the numeric
+/// sweep, quantile cut positions, the min_samples rules — is an integer
+/// count of draws, so it equals the count over one entry per draw exactly
+/// (docs/DESIGN.md §12).
 class TreeBuilder {
  public:
   TreeBuilder(const Dataset& data, const CodedColumns& columns,
@@ -83,9 +94,15 @@ class TreeBuilder {
         rng_(rng),
         labels_(data.raw_labels().data()) {}
 
-  std::vector<DecisionTreeModel::Node> build(std::vector<std::size_t> indices) {
+  std::vector<DecisionTreeModel::Node> build(
+      const std::vector<std::uint32_t>& multiplicity) {
     nodes_.clear();
-    order_ = std::move(indices);
+    mult_ = multiplicity.data();
+    order_.clear();
+    for (std::size_t row = 0; row < multiplicity.size(); ++row) {
+      if (multiplicity[row] != 0) order_.push_back(row);
+    }
+    FROTE_CHECK(!order_.empty());
     build_node(0, order_.size(), 0);
     return std::move(nodes_);
   }
@@ -100,17 +117,21 @@ class TreeBuilder {
     if (depth >= counts_stack_.size()) counts_stack_.resize(depth + 1);
     std::vector<double>& counts = counts_stack_[depth];
     counts.assign(data_.num_classes(), 0.0);
+    std::size_t weight = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      counts[static_cast<std::size_t>(labels_[order_[i]])] += 1.0;
+      const std::size_t idx = order_[i];
+      counts[static_cast<std::size_t>(labels_[idx])] +=
+          static_cast<double>(mult_[idx]);
+      weight += mult_[idx];
     }
-    const auto total = static_cast<double>(end - begin);
+    const auto total = static_cast<double>(weight);
 
     const bool pure = std::any_of(counts.begin(), counts.end(), [&](double c) {
       return c == total;
     });
     SplitCandidate split;
     if (!pure && depth < config_.max_depth &&
-        end - begin >= config_.min_samples_split) {
+        weight >= config_.min_samples_split) {
       split = best_split(begin, end, counts, total);
     }
 
@@ -124,6 +145,7 @@ class TreeBuilder {
     // the subsequences the old per-node left/right vectors held.
     right_scratch_.clear();
     std::size_t write = begin;
+    std::size_t left_weight = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t idx = order_[i];
       const double x = columns_.value(split.feature, idx);
@@ -131,6 +153,7 @@ class TreeBuilder {
                                              : (x <= split.threshold);
       if (go_left) {
         order_[write++] = idx;
+        left_weight += mult_[idx];
       } else {
         right_scratch_.push_back(idx);
       }
@@ -138,8 +161,8 @@ class TreeBuilder {
     std::copy(right_scratch_.begin(), right_scratch_.end(),
               order_.begin() + static_cast<std::ptrdiff_t>(write));
     const std::size_t mid = write;
-    if (mid - begin < config_.min_samples_leaf ||
-        end - mid < config_.min_samples_leaf) {
+    if (left_weight < config_.min_samples_leaf ||
+        weight - left_weight < config_.min_samples_leaf) {
       make_leaf(node_id, counts, total);
       return node_id;
     }
@@ -207,8 +230,9 @@ class TreeBuilder {
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t idx = order_[i];
       const std::size_t code = codes[idx];
-      ++per_code_[code * classes + static_cast<std::size_t>(labels_[idx])];
-      ++code_totals_[code];
+      per_code_[code * classes + static_cast<std::size_t>(labels_[idx])] +=
+          mult_[idx];
+      code_totals_[code] += mult_[idx];
     }
     code_counts_.resize(classes);
     rest_.resize(classes);
@@ -230,7 +254,7 @@ class TreeBuilder {
     }
   }
 
-  /// Sort the node's (rank, label) pairs for feature f by rank into
+  /// Sort the node's (rank, {label, mult}) pairs for feature f by rank into
   /// ranks_[cur] / labs_[cur] and return cur: the stable LSD byte-radix
   /// kernel (ml/split_radix.hpp) over the column's 32-bit dense ranks, one
   /// pass per rank byte. Ranks order rows exactly as their raw values'
@@ -248,7 +272,7 @@ class TreeBuilder {
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t idx = order_[begin + i];
       ranks_[0][i] = codes[idx];
-      labs_[0][i] = labels_[idx];
+      labs_[0][i] = {labels_[idx], mult_[idx]};
       detail::radix_count(codes[idx], bytes, hist_.data());
     }
     return detail::radix_sort_pairs(ranks_, labs_, hist_, bytes);
@@ -264,18 +288,26 @@ class TreeBuilder {
     // ascending order.
     const int cur = sort_by_rank(f, begin, end);
     const std::uint32_t* ranks = ranks_[cur].data();
-    const int* labels = labs_[cur].data();
+    const WeightedLabel* entries = labs_[cur].data();
     const double* values = columns_.values(f).data();
     const std::size_t m = end - begin;
     if (values[ranks[0]] == values[ranks[m - 1]]) return;
     // Quantile thresholds (midpoints between adjacent distinct quantiles),
     // deduplicated ascending — the same candidate set the std::set built.
+    // Positions index the node's draws in value order: entry e stands for
+    // the draws [e_end − mult, e_end), so `pos` is looked up by walking the
+    // cumulative multiplicity (positions never decrease), and `pos + 1` is
+    // in the same entry or the next one.
     cuts_.clear();
-    const std::size_t k = std::min(config_.numeric_cuts, m - 1);
+    const auto draws = static_cast<std::size_t>(total);
+    const std::size_t k = std::min(config_.numeric_cuts, draws - 1);
+    std::size_t e = 0;
+    std::size_t e_end = entries[0].mult;
     for (std::size_t t = 1; t <= k; ++t) {
-      const std::size_t pos = t * (m - 1) / (k + 1);
-      const double lo = values[ranks[pos]];
-      const double hi = values[ranks[pos + 1]];
+      const std::size_t pos = t * (draws - 1) / (k + 1);
+      while (e_end <= pos) e_end += entries[++e].mult;
+      const double lo = values[ranks[e]];
+      const double hi = values[ranks[pos + 1 < e_end ? e : e + 1]];
       cuts_.push_back(lo != hi ? 0.5 * (lo + hi) : lo);
     }
     std::sort(cuts_.begin(), cuts_.end());
@@ -288,8 +320,9 @@ class TreeBuilder {
     std::size_t p = 0;
     for (double cut : cuts_) {
       while (p < m && values[ranks[p]] <= cut) {
-        left_[static_cast<std::size_t>(labels[p])] += 1.0;
-        left_total += 1.0;
+        const auto mult = static_cast<double>(entries[p].mult);
+        left_[static_cast<std::size_t>(entries[p].label)] += mult;
+        left_total += mult;
         ++p;
       }
       if (left_total == 0.0 || left_total == total) continue;
@@ -312,13 +345,15 @@ class TreeBuilder {
   const DecisionTreeConfig& config_;
   Rng& rng_;
   const int* labels_;
+  const std::uint32_t* mult_ = nullptr;  // per-row multiplicity
   std::vector<DecisionTreeModel::Node> nodes_;
-  std::vector<std::size_t> order_;  // shared node-range index buffer
+  // Shared node-range buffer of the sampled rows, ascending at the root.
+  std::vector<std::size_t> order_;
   // Split-search scratch, hoisted so deep forests do not allocate per node.
   std::vector<std::vector<double>> counts_stack_;  // per-depth class counts
   std::vector<std::size_t> right_scratch_;
   std::vector<std::uint32_t> ranks_[2];  // radix double-buffers
-  std::vector<int> labs_[2];
+  std::vector<WeightedLabel> labs_[2];
   std::vector<std::uint32_t> hist_;
   std::vector<double> cuts_;
   std::vector<double> left_;
@@ -332,21 +367,20 @@ class TreeBuilder {
 
 std::unique_ptr<Model> DecisionTreeLearner::train(const Dataset& data) const {
   FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
-  std::vector<std::size_t> indices(data.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  const std::vector<std::uint32_t> multiplicity(data.size(), 1);
   const CodedColumns columns(data, CodedColumns::ZeroSign::kDistinct, 0);
   Rng rng(config_.seed);
-  return train_weighted(data, columns, indices, rng);
+  return train_weighted(data, columns, multiplicity, rng);
 }
 
 std::unique_ptr<DecisionTreeModel> DecisionTreeLearner::train_weighted(
     const Dataset& data, const CodedColumns& columns,
-    const std::vector<std::size_t>& indices, Rng& rng) const {
-  FROTE_CHECK(!indices.empty());
+    const std::vector<std::uint32_t>& multiplicity, Rng& rng) const {
+  FROTE_CHECK(multiplicity.size() == data.size());
   FROTE_CHECK(columns.rows() == data.size());
   FROTE_CHECK(columns.zeros() == CodedColumns::ZeroSign::kDistinct);
   TreeBuilder builder(data, columns, config_, rng);
-  return std::make_unique<DecisionTreeModel>(builder.build(indices),
+  return std::make_unique<DecisionTreeModel>(builder.build(multiplicity),
                                              data.num_classes());
 }
 

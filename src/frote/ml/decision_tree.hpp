@@ -59,9 +59,9 @@ class DecisionTreeModel : public Model {
   std::vector<Node> nodes_;
 };
 
-/// Trains a single CART tree. With train_weighted the forest passes
-/// bootstrap samples without copying rows, and one coded-column table
-/// (ml/coded_columns.hpp) shared by all its trees.
+/// Trains a single CART tree. With train_weighted the forest passes each
+/// bootstrap sample as per-row multiplicities, without copying rows, and one
+/// coded-column table (ml/coded_columns.hpp) shared by all its trees.
 class DecisionTreeLearner : public Learner {
  public:
   explicit DecisionTreeLearner(DecisionTreeConfig config = {})
@@ -70,12 +70,13 @@ class DecisionTreeLearner : public Learner {
   std::unique_ptr<Model> train(const Dataset& data) const override;
   std::string name() const override { return "DT"; }
 
-  /// Train on a weighted subset of rows (repeated indices act as row
-  /// multiplicities). `columns` must be data's table with
+  /// Train on the rows with nonzero `multiplicity` (one entry per row of
+  /// `data`, at least one nonzero), each counted that many times; train()
+  /// is the all-ones case. `columns` must be data's table with
   /// CodedColumns::ZeroSign::kDistinct.
   std::unique_ptr<DecisionTreeModel> train_weighted(
       const Dataset& data, const CodedColumns& columns,
-      const std::vector<std::size_t>& indices, Rng& rng) const;
+      const std::vector<std::uint32_t>& multiplicity, Rng& rng) const;
 
  private:
   DecisionTreeConfig config_;

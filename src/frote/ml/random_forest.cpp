@@ -29,6 +29,7 @@ DecisionTreeLearner RandomForestLearner::tree_learner(
     const Dataset& data) const {
   DecisionTreeConfig tree_config;
   tree_config.max_depth = config_.max_depth;
+  tree_config.min_samples_split = config_.min_samples_split;
   tree_config.min_samples_leaf = config_.min_samples_leaf;
   tree_config.numeric_cuts = config_.numeric_cuts;
   tree_config.max_features =
@@ -56,11 +57,13 @@ std::unique_ptr<Model> RandomForestLearner::train(const Dataset& data) const {
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t t = begin; t < end; ++t) {
                    Rng rng(derive_seed(config_.seed, t));
-                   // Bootstrap sample of size n.
-                   std::vector<std::size_t> sample(data.size());
-                   for (auto& idx : sample) idx = rng.index(data.size());
-                   trees[t] = learner.train_weighted(data, columns, sample,
-                                                     rng);
+                   // Bootstrap sample of size n, as per-row draw counts.
+                   std::vector<std::uint32_t> multiplicity(data.size(), 0);
+                   for (std::size_t draw = 0; draw < data.size(); ++draw) {
+                     ++multiplicity[rng.index(data.size())];
+                   }
+                   trees[t] = learner.train_weighted(data, columns,
+                                                     multiplicity, rng);
                  }
                });
   return std::make_unique<RandomForestModel>(std::move(trees),

@@ -272,12 +272,12 @@ constexpr std::size_t kPinRows = 600;
 constexpr std::size_t kPinTrained = 480;
 
 /// Runs `fit(data, threads)` on `make_data()` under flat and chunked
-/// storage at 1 and 4 threads and expects every digest (over the training
-/// rows and `probes`) to equal `pinned`.
+/// (`chunk`-row) storage at 1 and 4 threads and expects every digest (over
+/// the training rows and `probes`) to equal `pinned`.
 template <typename MakeData, typename Fit>
 void expect_pinned_on(MakeData make_data, const Dataset& probes,
-                      std::uint64_t pinned, Fit fit) {
-  for (const std::size_t chunk_rows : {std::size_t{0}, std::size_t{64}}) {
+                      std::uint64_t pinned, Fit fit, std::size_t chunk = 64) {
+  for (const std::size_t chunk_rows : {std::size_t{0}, chunk}) {
     for (const int threads : {1, 4}) {
       Dataset data = make_data();
       if (chunk_rows != 0) {
@@ -388,6 +388,39 @@ TEST(ModelPins, RandomForestUpdate) {
     const auto previous = rf.train(prefix_of(data));
     return rf.update(*previous, data, kPinTrained);
   });
+}
+
+// Forests whose bootstrap duplicates reach the split rules: weight-sum
+// min_samples_split/_leaf, and a small n whose nodes hold fewer draws than
+// numeric_cuts, so quantile cut positions land inside runs of one row's
+// duplicate draws. Recorded with one tree entry per bootstrap draw.
+
+TEST(ModelPins, RandomForestMinSamples) {
+  expect_pinned(2, 0x018c1e0efef264d6ull, [](const Dataset& data, int threads) {
+    RandomForestConfig config = pin_forest(threads);
+    config.max_depth = 6;
+    config.min_samples_split = 6;
+    config.min_samples_leaf = 3;
+    return RandomForestLearner(config).train(data);
+  });
+}
+
+TEST(ModelPins, RandomForestSmallN) {
+  expect_pinned_on(
+      [] {
+        const Dataset source = adversarial_dataset(kPinRows, 2, 17);
+        Dataset data(source.schema_ptr());
+        for (std::size_t i = 0; i < 20; ++i) {
+          data.add_row(source.row(i % 14), source.label(i % 14));
+        }
+        return data;
+      },
+      probe_grid(2), 0x4189022788a9baa1ull, [](const Dataset& data, int threads) {
+        RandomForestConfig config = pin_forest(threads);
+        config.max_depth = 5;
+        return RandomForestLearner(config).train(data);
+      },
+      /*chunk=*/8);
 }
 
 TEST(ModelPins, GbdtBinary) {

@@ -3,9 +3,10 @@
 // from-scratch counterpart — the moments-based distance refit vs
 // MixedDistance::fit, update_base_population vs preselect_base_population,
 // the neighbourhood fill vs fresh indexes, workspace generation vs
-// standalone generation, and IpSelector with a workspace vs without. Plus
-// the threads knob: an IP-selection session is bit-identical at every
-// thread count (ci.sh reruns this suite under FROTE_NUM_THREADS=4).
+// standalone generation, and IpSelector with a workspace vs without (the
+// IP memo included). Plus the threads knob: an IP-selection session is
+// bit-identical at every thread count (ci.sh reruns this suite under
+// FROTE_NUM_THREADS=4).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "frote/core/checkpoint.hpp"
 #include "frote/core/engine.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/core/stages.hpp"
 #include "frote/core/workspace.hpp"
 #include "frote/exp/learners.hpp"
@@ -390,6 +393,133 @@ TEST(IpSelectorWorkspace, SessionIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.instances_added, threaded.instances_added);
   EXPECT_EQ(serial.iterations_run, threaded.iterations_run);
   expect_bit_identical(serial.augmented, threaded.augmented);
+}
+
+// ---------------------------------------------------------------------------
+// The IP memo (SessionWorkspace::solve_ip): a session's selections and RNG
+// stream equal the standalone solver's on every call, a rejected step
+// solves nothing, and a restored session solves once and then hits.
+
+void expect_same_selection(const std::vector<SelectedInstance>& a,
+                           const std::vector<SelectedInstance>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].rule_index, b[i].rule_index) << "pick " << i;
+    EXPECT_EQ(a[i].bp_slot, b[i].bp_slot) << "pick " << i;
+  }
+}
+
+std::size_t oracle_calls = 0;
+
+/// Forwards to "ip" through the session's workspace and, on every call,
+/// also runs the standalone path (no workspace, so no memo) on a copy of
+/// the RNG: both must pick the same instances and leave the same state.
+class IpOracleSelector final : public BaseInstanceSelector {
+ public:
+  IpOracleSelector() : ip_(make_named_selector("ip").value()) {}
+
+  std::vector<SelectedInstance> select(const Dataset& data,
+                                       const BasePopulation& bp,
+                                       const Model& model, std::size_t eta,
+                                       Rng& rng) const override {
+    return ip_->select(data, bp, model, eta, rng);
+  }
+
+  std::vector<SelectedInstance> select(const Dataset& data,
+                                       const BasePopulation& bp,
+                                       const Model& model, std::size_t eta,
+                                       Rng& rng, SessionWorkspace* workspace)
+      const override {
+    Rng reference_rng = rng;
+    const auto reference = ip_->select(data, bp, model, eta, reference_rng);
+    auto selected = ip_->select(data, bp, model, eta, rng, workspace);
+    expect_same_selection(reference, selected);
+    EXPECT_EQ(reference_rng.state(), rng.state()) << "call " << oracle_calls;
+    ++oracle_calls;
+    return selected;
+  }
+
+ private:
+  std::shared_ptr<const BaseInstanceSelector> ip_;
+};
+
+class RejectEveryStep final : public AcceptancePolicy {
+ public:
+  bool accept(const AcceptanceContext&) const override { return false; }
+};
+
+Engine memo_engine(const std::string& selector, int threads,
+                   bool reject_all) {
+  register_selector(
+      "test-ip-oracle",
+      [](const SelectorSpec&)
+          -> Expected<std::shared_ptr<const BaseInstanceSelector>> {
+        return std::shared_ptr<const BaseInstanceSelector>(
+            std::make_shared<IpOracleSelector>());
+      });
+  FeedbackRuleSet frs(std::vector<FeedbackRule>{
+      testing::x_gt_rule(7.0, 0), testing::x_gt_rule(3.0, 1)});
+  Engine::Builder builder;
+  builder.rules(frs)
+      .tau(24)
+      .q(0.6)
+      .seed(5)
+      .mod_strategy(ModStrategy::kNone)
+      .selector(selector)
+      .threads(threads);
+  if (reject_all) builder.acceptance(std::make_shared<RejectEveryStep>());
+  return builder.build().value();
+}
+
+TEST(IpMemo, SessionMatchesTheStandaloneSolverOnEveryCall) {
+  for (const int threads : {1, 4}) {
+    const auto data = testing::threshold_dataset(180, 5.0, 23);
+    DecisionTreeLearner learner;
+    const Engine engine = memo_engine("test-ip-oracle", threads, false);
+    auto session = engine.open(data, learner).value();
+    oracle_calls = 0;
+    session.run();
+    const SessionWorkspace& ws = session.workspace();
+    EXPECT_EQ(ws.ip_solves() + ws.ip_memo_hits(), oracle_calls)
+        << "threads " << threads;
+    // Not vacuous: the session accepted some steps and rejected others, so
+    // it both re-solved and hit.
+    EXPECT_GT(session.progress().instances_added, 0u) << "threads " << threads;
+    EXPECT_GT(ws.ip_solves(), 1u) << "threads " << threads;
+    EXPECT_GT(ws.ip_memo_hits(), 0u) << "threads " << threads;
+  }
+}
+
+TEST(IpMemo, RejectedStepsSolveOnce) {
+  const auto data = testing::threshold_dataset(180, 5.0, 23);
+  DecisionTreeLearner learner;
+  const Engine engine = memo_engine("ip", 0, true);
+  auto session = engine.open(data, learner).value();
+  constexpr std::uint64_t kSteps = 6;
+  for (std::uint64_t step = 0; step < kSteps; ++step) {
+    ASSERT_EQ(session.step().status, StepStatus::kRejected) << "step " << step;
+  }
+  EXPECT_EQ(session.workspace().ip_solves(), 1u);
+  EXPECT_EQ(session.workspace().ip_memo_hits(), kSteps - 1);
+}
+
+TEST(IpMemo, RestoredSessionSolvesOnceThenHits) {
+  const auto data = testing::threshold_dataset(180, 5.0, 23);
+  DecisionTreeLearner learner;
+  const Engine engine = memo_engine("test-ip-oracle", 0, true);
+  auto session = engine.open(data, learner).value();
+  for (int step = 0; step < 3; ++step) session.step();
+  const auto checkpoint =
+      SessionCheckpoint::parse(session.snapshot().to_json_text());
+  ASSERT_TRUE(checkpoint.has_value()) << checkpoint.error().message;
+  auto restored = Session::restore(engine, learner, *checkpoint);
+  ASSERT_TRUE(restored.has_value()) << restored.error().message;
+  EXPECT_EQ(restored->workspace().ip_solves(), 0u);  // the memo is not saved
+  for (int step = 0; step < 4; ++step) {
+    ASSERT_EQ(restored->step().status, StepStatus::kRejected);
+  }
+  EXPECT_EQ(restored->workspace().ip_solves(), 1u);
+  EXPECT_EQ(restored->workspace().ip_memo_hits(), 3u);
 }
 
 }  // namespace
