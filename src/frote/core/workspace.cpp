@@ -1,7 +1,6 @@
 #include "frote/core/workspace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -73,12 +72,6 @@ bool same_lp(const LpProblem& a, const LpProblem& b) {
          same_bytes(a.b, b.b);
 }
 
-bool same_config(const IpConfig& a, const IpConfig& b) {
-  return a.max_nodes == b.max_nodes &&
-         std::bit_cast<std::uint64_t>(a.integrality_tol) ==
-             std::bit_cast<std::uint64_t>(b.integrality_tol);
-}
-
 }  // namespace
 
 void SessionWorkspace::bind(const Dataset& data) {
@@ -144,7 +137,7 @@ const IpResult& SessionWorkspace::solve_ip(
     const LpProblem& lp, const std::vector<std::size_t>& binaries,
     const IpConfig& config) {
   if (ip_valid_ && same_lp(lp, ip_lp_) && binaries == ip_binaries_ &&
-      same_config(config, ip_config_)) {
+      config == ip_config_) {
     ++ip_memo_hits_;
     return ip_result_;
   }

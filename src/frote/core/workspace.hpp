@@ -111,10 +111,10 @@ class SessionWorkspace {
                      std::vector<double> weights);
 
   /// solve_binary_ip(lp, binaries, config), memoised over the last solve
-  /// (docs/DESIGN.md §5): when the LP's dimensions and c/lo/hi/a/b arrays,
-  /// the binaries and the config are bytewise equal to the stored ones
-  /// (memcmp, so -0.0 and NaN payloads cannot alias), the stored result is
-  /// returned; otherwise the LP is solved and replaces the memo. The solver
+  /// (docs/DESIGN.md §5): when the LP's dimensions and c/lo/hi/a/b arrays
+  /// are bytewise equal to the stored ones (memcmp, so -0.0 and NaN
+  /// payloads cannot alias) and the binaries and config compare equal, the
+  /// stored result is returned; otherwise the LP is solved and replaces the memo. The solver
   /// is a pure function that draws no randomness, so a hit is exact by
   /// construction and no accept, rebind or model stamp invalidates it.
   /// Never serialised. The reference stays valid until the next call.

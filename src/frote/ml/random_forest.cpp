@@ -29,7 +29,6 @@ DecisionTreeLearner RandomForestLearner::tree_learner(
     const Dataset& data) const {
   DecisionTreeConfig tree_config;
   tree_config.max_depth = config_.max_depth;
-  tree_config.min_samples_split = config_.min_samples_split;
   tree_config.min_samples_leaf = config_.min_samples_leaf;
   tree_config.numeric_cuts = config_.numeric_cuts;
   tree_config.max_features =

@@ -15,7 +15,6 @@ namespace frote {
 struct RandomForestConfig {
   std::size_t num_trees = 50;
   std::size_t max_depth = 3;  // the paper's setting
-  std::size_t min_samples_split = 2;
   std::size_t min_samples_leaf = 1;
   /// 0 ⇒ sqrt(num_features), sklearn's default for classification.
   std::size_t max_features = 0;

@@ -390,18 +390,36 @@ TEST(ModelPins, RandomForestUpdate) {
   });
 }
 
-// Forests whose bootstrap duplicates reach the split rules: weight-sum
-// min_samples_split/_leaf, and a small n whose nodes hold fewer draws than
-// numeric_cuts, so quantile cut positions land inside runs of one row's
-// duplicate draws. Recorded with one tree entry per bootstrap draw.
+// Trees whose bootstrap duplicates reach the split rules: a weight-sum
+// min_samples_leaf (forest) and min_samples_split (one tree on a bootstrap
+// drawn here, since the forest keeps the tree default of 2, where a node of
+// one distinct row is pure anyway), and a small n whose nodes hold fewer
+// draws than numeric_cuts, so quantile cut positions land inside runs of
+// one row's duplicate draws. Recorded with one tree entry per bootstrap
+// draw.
 
 TEST(ModelPins, RandomForestMinSamples) {
-  expect_pinned(2, 0x018c1e0efef264d6ull, [](const Dataset& data, int threads) {
+  expect_pinned(2, 0xae0b25965142e4bcull, [](const Dataset& data, int threads) {
     RandomForestConfig config = pin_forest(threads);
     config.max_depth = 6;
-    config.min_samples_split = 6;
     config.min_samples_leaf = 3;
     return RandomForestLearner(config).train(data);
+  });
+}
+
+TEST(ModelPins, DecisionTreeBootstrapMinSplit) {
+  expect_pinned(2, 0x44a169a64301a6ddull, [](const Dataset& data, int threads) {
+    DecisionTreeConfig config;
+    config.min_samples_split = 6;
+    const CodedColumns columns(data, CodedColumns::ZeroSign::kDistinct,
+                               threads);
+    Rng rng(9);
+    std::vector<std::uint32_t> multiplicity(data.size(), 0);
+    for (std::size_t draw = 0; draw < data.size(); ++draw) {
+      ++multiplicity[rng.index(data.size())];
+    }
+    return DecisionTreeLearner(config).train_weighted(data, columns,
+                                                      multiplicity, rng);
   });
 }
 
