@@ -5,13 +5,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "frote/opt/ip.hpp"
 #include "frote/opt/lp.hpp"
 #include "frote/smote/smote.hpp"
+#include "frote/util/parallel.hpp"
 #include "ip5_instances.hpp"  // tests/; gtest-free by design
 
 #ifdef FROTE_SERVE_BINARY
@@ -657,6 +661,36 @@ void BM_CheckpointDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_CheckpointDecode)->Name("BM_CheckpointCodec/decode");
+
+/// A small pool job: 16 chunks of 256 square roots at 2 threads.
+void small_parallel_job(std::vector<double>& out) {
+  parallel_for(out.size(), 256, 2, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = std::sqrt(out[i] + static_cast<double>(i));
+    }
+  });
+}
+
+// Two submitters on the shared pool at once, as two served sessions are: a
+// partner thread submits small jobs back to back while the timed thread
+// runs one per iteration, both at 2 threads. This isolates the pool's
+// admission layer; when the pool runs one job at a time, each timed job
+// also waits out a partner job.
+void BM_ParallelForConcurrent(benchmark::State& state) {
+  std::atomic<bool> running{true};
+  std::thread partner([&] {
+    std::vector<double> out(4096, 1.0);
+    while (running.load(std::memory_order_relaxed)) small_parallel_job(out);
+  });
+  std::vector<double> out(4096, 1.0);
+  for (auto _ : state) {
+    small_parallel_job(out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  running.store(false);
+  partner.join();
+}
+BENCHMARK(BM_ParallelForConcurrent);
 
 #ifdef FROTE_SERVE_BINARY
 // Serving-layer costs, measured against the real frote_serve binary via

@@ -174,20 +174,23 @@ if [[ "${FROTE_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
     < "$SERVE_DIR/script.jsonl" > /dev/null
 
   # ThreadSanitizer leg (-DFROTE_SANITIZE=thread, its own build dir): the
-  # suites whose work fans out on util/parallel.hpp's pool — RF trees and
-  # their per-tree scratch, the coded-column build, the neighbourhood fill,
-  # the borderline scoring — plus the session pool's threads, at 4 workers.
-  # Tools stay on: test_serve drives the real daemon. A reported race fails
-  # the leg.
-  echo "=== sanitizer leg: TSan FROTE_NUM_THREADS=4 ==="
+  # unit + chaos labels at 4 workers, so every region that fans out on
+  # util/parallel.hpp's pool — including concurrent submitters on the
+  # per-job admission path — and the session pool's threads run under the
+  # race detector, plus test_ml (labelled slow) for the RF trees and their
+  # per-tree scratch, which fit inside parallel_for. Tools stay on:
+  # test_serve drives the real daemon. A reported race fails the leg.
+  echo "=== sanitizer leg: TSan FROTE_NUM_THREADS=4 ctest -L unit|chaos + test_ml ==="
   TSAN_DIR="$BUILD_DIR-tsan"
   cmake -B "$TSAN_DIR" -S . "${CMAKE_ARGS[@]}" -DFROTE_SANITIZE=thread \
     -DFROTE_BUILD_BENCHES=OFF -DFROTE_BUILD_EXAMPLES=OFF \
     -DFROTE_BUILD_TOOLS=ON > /dev/null
   cmake --build "$TSAN_DIR" -j "$(nproc)"
   FROTE_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-    ctest --test-dir "$TSAN_DIR" --output-on-failure \
-    -R 'test_parallel|test_determinism|test_ml|test_incremental_learners|test_workspace|test_engine_api|test_serve'
+    ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
+    -L 'unit|chaos'
+  FROTE_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^test_ml$'
 fi
 
 # Package smoke: install to a scratch prefix, then build and run a 10-line

@@ -13,7 +13,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "frote/util/faultsim.hpp"
 
@@ -116,6 +120,139 @@ bool parse_head(const std::string& head, HttpRequest& request) {
   return true;
 }
 
+/// Read one request from `client` under limits, answer it and close the
+/// connection.
+void serve_connection(
+    int client, const std::function<HttpResponse(const HttpRequest&)>& handler,
+    const HttpLimits& limits) {
+  using Clock = std::chrono::steady_clock;
+  // Read head + body under one whole-request deadline. Buffering is
+  // bounded at every stage: the head by max_header_bytes, the body by
+  // the (already-validated) Content-Length.
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(limits.read_timeout_ms);
+  std::string data;
+  HttpRequest request;
+  bool head_done = false;
+  std::size_t body_start = 0;
+  std::size_t content_length = 0;
+  bool bad = false;
+  bool dropped = false;
+  bool timed_out = false;
+  bool too_large = false;
+  bool head_too_large = false;
+  char buffer[4096];
+  for (;;) {
+    if (limits.read_timeout_ms > 0) {
+      const auto remaining = std::chrono::duration_cast<
+          std::chrono::milliseconds>(deadline - Clock::now()).count();
+      if (remaining <= 0) {
+        timed_out = true;
+        break;
+      }
+      pollfd client_fd{client, POLLIN, 0};
+      const int got = ::poll(&client_fd, 1, static_cast<int>(remaining));
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        dropped = true;
+        break;
+      }
+      if (got == 0) {
+        timed_out = true;
+        break;
+      }
+    }
+    if (faultsim::should_fail("net.read")) {
+      dropped = true;  // simulated mid-request connection loss
+      break;
+    }
+    const ssize_t n = ::read(client, buffer, sizeof buffer);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      dropped = true;
+      break;
+    }
+    if (n == 0) {
+      bad = !head_done || data.size() - body_start < content_length;
+      break;
+    }
+    data.append(buffer, static_cast<std::size_t>(n));
+    if (!head_done) {
+      const std::size_t head_end = data.find("\r\n\r\n");
+      if (head_end == std::string::npos) {
+        if (data.size() > limits.max_header_bytes) {
+          head_too_large = true;
+          break;
+        }
+        continue;
+      }
+      if (head_end + 2 > limits.max_header_bytes) {
+        head_too_large = true;
+        break;
+      }
+      head_done = true;
+      body_start = head_end + 4;
+      if (!parse_head(data.substr(0, head_end + 2), request)) {
+        bad = true;
+        break;
+      }
+      if (const std::string* header = request.header("content-length")) {
+        char* end = nullptr;
+        const unsigned long long parsed =
+            std::strtoull(header->c_str(), &end, 10);
+        if (end == nullptr || *end != '\0') {
+          bad = true;
+          break;
+        }
+        content_length = static_cast<std::size_t>(parsed);
+        if (content_length > limits.max_body_bytes) {
+          too_large = true;
+          break;
+        }
+      }
+    }
+    if (head_done && data.size() - body_start >= content_length) break;
+  }
+
+  if (dropped) {
+    // Peer (or the fault simulator) abandoned the connection; there is
+    // nobody to answer.
+    ::close(client);
+    return;
+  }
+  HttpResponse response;
+  if (timed_out) {
+    response.status = 408;
+    response.body = "read deadline exceeded\n";
+    response.content_type = "text/plain";
+  } else if (head_too_large) {
+    response.status = 431;
+    response.body = "request head too large\n";
+    response.content_type = "text/plain";
+  } else if (too_large) {
+    response.status = 413;
+    response.body = "request body too large\n";
+    response.content_type = "text/plain";
+  } else if (bad) {
+    response.status = 400;
+    response.body = "malformed HTTP request\n";
+    response.content_type = "text/plain";
+  } else {
+    request.body = data.substr(body_start, content_length);
+    try {
+      response = handler(request);
+    } catch (const std::exception& e) {
+      response = HttpResponse{};
+      response.status = 500;
+      response.content_type = "text/plain";
+      response.body = std::string("internal error: ") + e.what() + "\n";
+    }
+  }
+  send_response(client, response);
+  ::shutdown(client, SHUT_RDWR);
+  ::close(client);
+}
+
 }  // namespace
 
 const std::string* HttpRequest::header(const std::string& name) const {
@@ -131,6 +268,13 @@ Expected<HttpServer, FroteError> HttpServer::listen(std::uint16_t port,
   server.listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (server.listen_fd_ < 0) {
     return FroteError::io_error(std::string("socket: ") +
+                                std::strerror(errno));
+  }
+  // Non-blocking, so that an accept loop that loses the race for a
+  // connection to another loop returns to poll() instead of blocking.
+  if (::fcntl(server.listen_fd_, F_SETFL,
+              ::fcntl(server.listen_fd_, F_GETFL) | O_NONBLOCK) != 0) {
+    return FroteError::io_error(std::string("fcntl: ") +
                                 std::strerror(errno));
   }
   const int reuse = 1;
@@ -204,8 +348,39 @@ void HttpServer::stop() {
 
 void HttpServer::serve(
     const std::function<HttpResponse(const HttpRequest&)>& handler,
-    HttpLimits limits) {
-  using Clock = std::chrono::steady_clock;
+    HttpLimits limits, int workers) {
+  // The first exception out of a loop (or out of starting one) stops the
+  // others and is rethrown here once every loop has returned.
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto fail = [&] {
+    {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+    stop();
+  };
+  const auto run_loop = [&] {
+    try {
+      accept_loop(handler, limits);
+    } catch (...) {
+      fail();
+    }
+  };
+  std::vector<std::thread> extra;
+  try {
+    for (int i = 1; i < workers; ++i) extra.emplace_back(run_loop);
+  } catch (...) {
+    fail();
+  }
+  run_loop();
+  for (std::thread& loop : extra) loop.join();
+  if (error) std::rethrow_exception(error);
+}
+
+void HttpServer::accept_loop(
+    const std::function<HttpResponse(const HttpRequest&)>& handler,
+    const HttpLimits& limits) {
   for (;;) {
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_fd_, POLLIN, 0}};
     const int ready = ::poll(fds, 2, -1);
@@ -213,8 +388,13 @@ void HttpServer::serve(
       if (errno == EINTR) continue;
       return;
     }
-    if (fds[1].revents != 0) return;  // stop() was called
+    // stop() was called. Nothing drains the wake pipe, so it stays readable
+    // and every accept loop sees it.
+    if (fds[1].revents != 0) return;
     if ((fds[0].revents & POLLIN) == 0) continue;
+    // A loop that lost the race for this connection gets EAGAIN from the
+    // non-blocking listener and goes back to poll. On Linux the accepted
+    // socket does not inherit O_NONBLOCK.
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
     if (faultsim::should_fail("net.accept")) {
@@ -223,132 +403,7 @@ void HttpServer::serve(
       ::close(client);
       continue;
     }
-
-    // Read head + body under one whole-request deadline. Buffering is
-    // bounded at every stage: the head by max_header_bytes, the body by
-    // the (already-validated) Content-Length.
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(limits.read_timeout_ms);
-    std::string data;
-    HttpRequest request;
-    bool head_done = false;
-    std::size_t body_start = 0;
-    std::size_t content_length = 0;
-    bool bad = false;
-    bool dropped = false;
-    bool timed_out = false;
-    bool too_large = false;
-    bool head_too_large = false;
-    char buffer[4096];
-    for (;;) {
-      if (limits.read_timeout_ms > 0) {
-        const auto remaining = std::chrono::duration_cast<
-            std::chrono::milliseconds>(deadline - Clock::now()).count();
-        if (remaining <= 0) {
-          timed_out = true;
-          break;
-        }
-        pollfd client_fd{client, POLLIN, 0};
-        const int got = ::poll(&client_fd, 1, static_cast<int>(remaining));
-        if (got < 0) {
-          if (errno == EINTR) continue;
-          dropped = true;
-          break;
-        }
-        if (got == 0) {
-          timed_out = true;
-          break;
-        }
-      }
-      if (faultsim::should_fail("net.read")) {
-        dropped = true;  // simulated mid-request connection loss
-        break;
-      }
-      const ssize_t n = ::read(client, buffer, sizeof buffer);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        dropped = true;
-        break;
-      }
-      if (n == 0) {
-        bad = !head_done || data.size() - body_start < content_length;
-        break;
-      }
-      data.append(buffer, static_cast<std::size_t>(n));
-      if (!head_done) {
-        const std::size_t head_end = data.find("\r\n\r\n");
-        if (head_end == std::string::npos) {
-          if (data.size() > limits.max_header_bytes) {
-            head_too_large = true;
-            break;
-          }
-          continue;
-        }
-        if (head_end + 2 > limits.max_header_bytes) {
-          head_too_large = true;
-          break;
-        }
-        head_done = true;
-        body_start = head_end + 4;
-        if (!parse_head(data.substr(0, head_end + 2), request)) {
-          bad = true;
-          break;
-        }
-        if (const std::string* header = request.header("content-length")) {
-          char* end = nullptr;
-          const unsigned long long parsed =
-              std::strtoull(header->c_str(), &end, 10);
-          if (end == nullptr || *end != '\0') {
-            bad = true;
-            break;
-          }
-          content_length = static_cast<std::size_t>(parsed);
-          if (content_length > limits.max_body_bytes) {
-            too_large = true;
-            break;
-          }
-        }
-      }
-      if (head_done && data.size() - body_start >= content_length) break;
-    }
-
-    if (dropped) {
-      // Peer (or the fault simulator) abandoned the connection; there is
-      // nobody to answer.
-      ::close(client);
-      continue;
-    }
-    HttpResponse response;
-    if (timed_out) {
-      response.status = 408;
-      response.body = "read deadline exceeded\n";
-      response.content_type = "text/plain";
-    } else if (head_too_large) {
-      response.status = 431;
-      response.body = "request head too large\n";
-      response.content_type = "text/plain";
-    } else if (too_large) {
-      response.status = 413;
-      response.body = "request body too large\n";
-      response.content_type = "text/plain";
-    } else if (bad) {
-      response.status = 400;
-      response.body = "malformed HTTP request\n";
-      response.content_type = "text/plain";
-    } else {
-      request.body = data.substr(body_start, content_length);
-      try {
-        response = handler(request);
-      } catch (const std::exception& e) {
-        response = HttpResponse{};
-        response.status = 500;
-        response.content_type = "text/plain";
-        response.body = std::string("internal error: ") + e.what() + "\n";
-      }
-    }
-    send_response(client, response);
-    ::shutdown(client, SHUT_RDWR);
-    ::close(client);
+    serve_connection(client, handler, limits);
   }
 }
 

@@ -18,9 +18,12 @@
 //
 // stop() only write()s one byte to an internal wake pipe, so it is
 // async-signal-safe: the daemon's SIGTERM handler calls it directly and
-// serve() returns between requests. Connections are handled one at a time
-// on the serve() thread — per-session request ordering stays deterministic
-// because there is exactly one in-flight request per transport.
+// serve() returns once every accept loop has finished its in-flight
+// request. serve(handler, limits, workers) runs `workers` accept loops on
+// one non-blocking listener, so up to `workers` connections are served at
+// once and a slow client holds only its own loop; the handler must be safe
+// to call from several threads. One loop (the default) serves connections
+// one at a time on the serve() thread.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +58,7 @@ struct HttpResponse {
 /// max_body_bytes caps declared and actual body size (413), and
 /// read_timeout_ms is a whole-request read deadline — a client that
 /// trickles bytes (slowloris) or stalls mid-body gets 408 and the
-/// connection back, instead of parking the serve loop forever.
+/// connection back, instead of parking its accept loop forever.
 struct HttpLimits {
   std::size_t max_body_bytes = std::size_t{4} << 20;
   std::size_t max_header_bytes = std::size_t{64} << 10;
@@ -78,23 +81,32 @@ class HttpServer {
 
   std::uint16_t port() const { return port_; }
 
-  /// Accept loop: handle one connection at a time, invoking `handler` per
-  /// request and writing its response. Malformed requests get 400, bodies
+  /// Run `workers` accept loops (the calling thread is one of them; values
+  /// below 1 mean 1). Each loop handles one connection at a time, invoking
+  /// `handler` per request and writing its response, so up to `workers`
+  /// requests are in flight at once. Malformed requests get 400, bodies
   /// beyond limits.max_body_bytes get 413, heads beyond
   /// limits.max_header_bytes get 431, and connections that miss the
   /// limits.read_timeout_ms read deadline get 408 — all without reaching
   /// the handler. Handler exceptions become 500 responses; the loop keeps
-  /// serving. Returns when stop() is called.
+  /// serving. Returns when stop() is called and every loop has finished
+  /// its in-flight request. Any other exception out of a loop stops the
+  /// rest and is rethrown once they have returned.
   void serve(const std::function<HttpResponse(const HttpRequest&)>& handler,
-             HttpLimits limits = {});
+             HttpLimits limits = {}, int workers = 1);
 
-  /// Wake serve() and make it return after the in-flight request, if any.
+  /// Wake serve() and make it return after the in-flight requests, if any.
   /// Async-signal-safe (a single write() on a pipe) — callable from a
   /// signal handler and from any thread.
   void stop();
 
  private:
   HttpServer() = default;
+
+  /// One accept loop of serve(); returns when stop() is called.
+  void accept_loop(
+      const std::function<HttpResponse(const HttpRequest&)>& handler,
+      const HttpLimits& limits);
 
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;

@@ -23,25 +23,37 @@ constexpr int kMaxThreads = 256;
 thread_local bool t_in_parallel = false;
 
 /// One fan-out of chunk tasks. Workers and the submitting thread pull chunk
-/// indices from `next` until exhausted; `done` counts completed chunks.
-/// Heap-allocated and shared: a worker that wakes for a job keeps its own
-/// reference, so a late worker touching the bookkeeping after the submitter
-/// has already returned reads valid (exhausted) state, never a dead frame.
+/// indices from `next` until exhausted; `done` counts completed chunks and
+/// `finished` is the submitter's completion latch. Heap-allocated and
+/// shared: a worker that joins a job keeps its own reference, so a late
+/// worker touching the bookkeeping after the submitter has already returned
+/// reads valid (exhausted) state, never a dead frame.
 struct Job {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t total = 0;
   /// Pool workers allowed to join (the submitter always participates).
   int helper_limit = 0;
-  std::atomic<int> helpers{0};
+  int helpers = 0;  // workers that joined; guarded by Pool::mu_
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
+  std::condition_variable finished;  // waited on under Pool::mu_
   std::exception_ptr error;  // first exception, guarded by error_mu
   std::mutex error_mu;
+
+  bool claimable() const {
+    return helpers < helper_limit && next.load() < total;
+  }
 };
 
-/// Lazily-started shared worker pool. One job runs at a time (submissions
-/// serialize on submit_mu_); nested parallel regions never reach the pool —
-/// parallel_for/parallel_reduce run them inline on the calling worker.
+/// Lazily-started shared worker pool with per-job admission. Every
+/// submission is admitted at once into a FIFO of jobs; a worker joins the
+/// oldest job that still has unclaimed chunks and helper budget (checked
+/// and claimed together under mu_), and a submitter only ever drains its
+/// own job. So every job can finish with its submitter alone: a chunk body
+/// may block on a lock that another submitter holds, because that
+/// submitter never waits for a worker to become free. Nested parallel
+/// regions never reach the pool — parallel_for/parallel_reduce run them
+/// inline on the calling thread.
 class Pool {
  public:
   static Pool& instance() {
@@ -51,29 +63,28 @@ class Pool {
 
   void run(std::size_t chunks, int threads,
            const std::function<void(std::size_t)>& fn) {
-    std::unique_lock<std::mutex> submit_lock(submit_mu_);
     const int helpers = std::min<int>(
         threads - 1, static_cast<int>(std::min<std::size_t>(chunks, kMaxThreads)));
-    ensure_workers(helpers);
-
     auto job = std::make_shared<Job>();
     job->fn = &fn;
     job->total = chunks;
     job->helper_limit = helpers;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      current_ = job;
+      while (static_cast<int>(workers_.size()) < helpers) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+      jobs_.push_back(job);
     }
     cv_.notify_all();
 
-    // The submitting thread participates: it drains chunks alongside the
-    // workers, then waits for the stragglers.
+    // The submitting thread drains its own job alongside any helpers, then
+    // waits for the stragglers.
     work_on(*job);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&] { return job->done.load() == job->total; });
-      if (current_ == job) current_ = nullptr;
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
+    job->finished.wait(lock, [&] { return job->done.load() == job->total; });
+    lock.unlock();
     if (job->error) std::rethrow_exception(job->error);
   }
 
@@ -89,30 +100,26 @@ class Pool {
     for (auto& worker : workers_) worker.join();
   }
 
-  void ensure_workers(int count) {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (static_cast<int>(workers_.size()) < count) {
-      workers_.emplace_back([this] { worker_loop(); });
+  /// Oldest admitted job a worker may join, or null. Caller holds mu_.
+  std::shared_ptr<Job> claimable_job() const {
+    for (const auto& job : jobs_) {
+      if (job->claimable()) return job;
     }
+    return nullptr;
   }
 
   void worker_loop() {
     t_in_parallel = true;  // nested regions on this thread run inline
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      cv_.wait(lock, [&] { return stop_ || current_ != nullptr; });
+      std::shared_ptr<Job> job;  // own a reference past unlock
+      cv_.wait(lock, [&] { return stop_ || (job = claimable_job()); });
       if (stop_) return;
-      std::shared_ptr<Job> job = current_;  // own a reference past unlock
+      ++job->helpers;  // the budget check above and this claim share mu_
       lock.unlock();
-      // Honour the job's thread budget: once helper_limit pool threads have
-      // joined, later wakers leave it alone (the submitter is not counted).
-      if (job->helpers.fetch_add(1) < job->helper_limit) {
-        work_on(*job);
-      }
+      work_on(*job);
+      job.reset();
       lock.lock();
-      if (current_ == job && job->next.load() >= job->total) {
-        current_ = nullptr;  // fully claimed: stop waking for it
-      }
     }
   }
 
@@ -133,18 +140,18 @@ class Pool {
         // predicate and go to sleep between our increment and the notify
         // (the classic lost-wakeup interleaving).
         { std::lock_guard<std::mutex> lock(mu_); }
-        done_cv_.notify_all();
+        job.finished.notify_one();
       }
     }
     t_in_parallel = was_in_parallel;
   }
 
-  std::mutex submit_mu_;  // serializes whole jobs
-  std::mutex mu_;         // guards current_/stop_/workers_
+  std::mutex mu_;  // guards jobs_/stop_/workers_ and every Job::helpers
   std::condition_variable cv_;
-  std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
-  std::shared_ptr<Job> current_;
+  /// Admitted jobs in submission order; each leaves when its submitter has
+  /// drained it. At most one entry per thread that is submitting.
+  std::vector<std::shared_ptr<Job>> jobs_;
   bool stop_ = false;
 };
 

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "frote/core/engine.hpp"
@@ -96,6 +99,117 @@ TEST(ParallelFor, NestedRegionsRunInlineWithoutDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 8u * 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent submitters: independent threads (served sessions, plan runs)
+// submit jobs to the one shared pool at the same time.
+
+TEST(ParallelPool, ConcurrentSubmittersGetSerialBitsAndRunEachChunkOnce) {
+  const std::size_t n = 3001;
+  const std::size_t grain = 16;
+  const std::size_t chunks = chunk_count(n, grain);
+  const double serial = reduce_sum(n, grain, 1);
+  constexpr int kJobs = 200;
+  testing::run_with_deadline(std::chrono::seconds(120), [&] {
+    const auto submitter = [&](int threads, std::vector<double>& results,
+                               std::vector<int>& bad_counts) {
+      for (int job = 0; job < kJobs; ++job) {
+        std::vector<std::atomic<int>> runs(chunks);
+        const double sum = parallel_reduce(
+            n, grain, threads, 0.0,
+            [&](std::size_t begin, std::size_t end) {
+              runs[begin / grain].fetch_add(1);
+              double acc = 0.0;
+              for (std::size_t i = begin; i < end; ++i) acc += noisy_term(i);
+              return acc;
+            },
+            [](double& acc, double&& part) { acc += part; });
+        results.push_back(sum);
+        int bad = 0;
+        for (const auto& count : runs) bad += count.load() != 1;
+        bad_counts.push_back(bad);
+      }
+    };
+    std::vector<double> results_a, results_b;
+    std::vector<int> bad_a, bad_b;
+    std::thread other([&] { submitter(2, results_b, bad_b); });
+    submitter(4, results_a, bad_a);
+    other.join();
+    ASSERT_EQ(results_a.size(), static_cast<std::size_t>(kJobs));
+    ASSERT_EQ(results_b.size(), static_cast<std::size_t>(kJobs));
+    for (int job = 0; job < kJobs; ++job) {
+      EXPECT_EQ(results_a[job], serial) << "job " << job;
+      EXPECT_EQ(results_b[job], serial) << "job " << job;
+      EXPECT_EQ(bad_a[job], 0) << "chunks not run exactly once, job " << job;
+      EXPECT_EQ(bad_b[job], 0) << "chunks not run exactly once, job " << job;
+    }
+  });
+}
+
+TEST(ParallelPool, ChunkBodyMayBlockOnALockAnotherSubmitterHolds) {
+  // The holder takes a lock, then submits a region of its own before it
+  // releases the lock; the waiter's chunk bodies block on that lock. With
+  // one job at a time on the pool, the holder's submission would wait for
+  // the waiter's job, whose chunks wait for the holder: a deadlock. With
+  // per-job admission the holder drains its own job and lets go.
+  for (int threads : {2, 4}) {
+    std::mutex lock;
+    std::atomic<bool> held{false};
+    std::atomic<bool> waiter_blocking{false};
+    std::atomic<std::size_t> holder_items{0};
+    std::atomic<std::size_t> waiter_chunks{0};
+    testing::run_with_deadline(std::chrono::seconds(60), [&] {
+      std::thread holder([&] {
+        std::unique_lock<std::mutex> guard(lock);
+        held.store(true);
+        while (!waiter_blocking.load()) std::this_thread::yield();
+        // Give the waiter's chunk time to actually block on the lock.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        parallel_for(64, 4, threads, [&](std::size_t begin, std::size_t end) {
+          holder_items += end - begin;
+        });
+      });
+      while (!held.load()) std::this_thread::yield();
+      parallel_for(8, 1, threads, [&](std::size_t, std::size_t) {
+        waiter_blocking.store(true);
+        std::lock_guard<std::mutex> guard(lock);
+        ++waiter_chunks;
+      });
+      holder.join();
+    });
+    EXPECT_EQ(holder_items.load(), 64u) << "threads=" << threads;
+    EXPECT_EQ(waiter_chunks.load(), 8u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelPool, NestedRegionsInsideConcurrentJobs) {
+  const std::size_t inner_n = 997;
+  const double inner_serial = reduce_sum(inner_n, 32, 1);
+  testing::run_with_deadline(std::chrono::seconds(120), [&] {
+    const auto submitter = [&](std::vector<double>& sums) {
+      for (int job = 0; job < 20; ++job) {
+        std::vector<double> per_chunk(12);
+        parallel_for(12, 1, 4, [&](std::size_t begin, std::size_t) {
+          // Runs inline on whichever thread holds this chunk.
+          EXPECT_TRUE(in_parallel_region());
+          per_chunk[begin] = reduce_sum(inner_n, 32, 4);
+        });
+        sums.insert(sums.end(), per_chunk.begin(), per_chunk.end());
+      }
+    };
+    std::vector<double> sums_a, sums_b;
+    std::thread other([&] { submitter(sums_b); });
+    submitter(sums_a);
+    other.join();
+    ASSERT_EQ(sums_a.size(), 240u);
+    ASSERT_EQ(sums_b.size(), 240u);
+    for (std::size_t i = 0; i < sums_a.size(); ++i) {
+      EXPECT_EQ(sums_a[i], inner_serial) << "entry " << i;
+      EXPECT_EQ(sums_b[i], inner_serial) << "entry " << i;
+    }
+  });
+  EXPECT_FALSE(in_parallel_region());
 }
 
 TEST(ParallelConfig, ResolutionOrderIsRequestThenDefault) {

@@ -24,6 +24,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -34,8 +35,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <future>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -54,6 +53,7 @@ using frote::JsonValue;
 using frote::testing::create_line;
 using frote::testing::parse_response;
 using frote::testing::rpc_line;
+using frote::testing::run_with_deadline;
 using frote::testing::serve_spec;
 using frote::testing::ServeProcess;
 using frote::testing::session_line;
@@ -89,6 +89,20 @@ const JsonValue& result_of(const JsonValue& response) {
   EXPECT_NE(result, nullptr) << frote::json_dump(response, 0);
   static const JsonValue null_value;
   return result == nullptr ? null_value : *result;
+}
+
+/// The port an --http daemon wrote to --port-file; 0 when it never did.
+std::uint16_t published_port(const fs::path& port_file) {
+  std::string port_text;
+  for (int i = 0; i < 100 && port_text.empty(); ++i) {
+    std::ifstream in(port_file);
+    std::getline(in, port_text);
+    if (port_text.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  return port_text.empty() ? 0
+                           : static_cast<std::uint16_t>(std::stoi(port_text));
 }
 
 TEST(ServeContract, Lifecycle) {
@@ -392,23 +406,6 @@ std::vector<std::string> step_each(SessionPool& pool, const std::string& id,
     outcomes.push_back(outcome ? describe(*outcome) : outcome.error().message);
   }
   return outcomes;
-}
-
-/// Runs `body` on its own thread. A deadlocked thread can be neither
-/// joined nor cancelled, so missing the deadline fails the whole binary.
-void run_with_deadline(std::chrono::seconds limit,
-                       const std::function<void()>& body) {
-  std::packaged_task<void()> task(body);
-  std::future<void> done = task.get_future();
-  std::thread worker(std::move(task));
-  if (done.wait_for(limit) != std::future_status::ready) {
-    std::fprintf(stderr, "deadlock: the body did not finish within %llds\n",
-                 static_cast<long long>(limit.count()));
-    std::fflush(stderr);
-    std::_Exit(1);
-  }
-  worker.join();
-  done.get();
 }
 
 TEST(SessionPoolThreads, StatsWhileTwoThreadsStepDifferentSessions) {
@@ -793,16 +790,8 @@ TEST(ServeContract, HttpTransportCarriesIdenticalBytes) {
   ServeProcess::Options options;
   options.args = {"--http", "--port-file", port_file.string()};
   ServeProcess daemon(options);
-  std::string port_text;
-  for (int i = 0; i < 100 && port_text.empty(); ++i) {
-    std::ifstream in(port_file);
-    std::getline(in, port_text);
-    if (port_text.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  ASSERT_FALSE(port_text.empty()) << "daemon never published its port";
-  const auto port = static_cast<std::uint16_t>(std::stoi(port_text));
+  const std::uint16_t port = published_port(port_file);
+  ASSERT_NE(port, 0) << "daemon never published its port";
 
   for (std::size_t i = 0; i < script.size(); ++i) {
     auto response = frote::net::http_post(port, "/rpc", script[i] + "\n");
@@ -815,6 +804,115 @@ TEST(ServeContract, HttpTransportCarriesIdenticalBytes) {
   // SIGTERM stops the listener between requests; clean exit.
   daemon.terminate();
   EXPECT_EQ(daemon.wait(), 0);
+}
+
+/// `text` with every occurrence of `from` replaced by `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size())) {
+    text.replace(pos, from.size(), to);
+  }
+  return text;
+}
+
+TEST(ServeContract, ConcurrentHttpClientsMatchStdioRuns) {
+  // Two clients drive one session each over HTTP at the same time; the
+  // daemon serves both connections at once (--threads sizes the
+  // connection workers) with one live slot, so each client's requests
+  // also evict and hydrate while the other's run. Which tenant is created
+  // first is a race, so session ids are masked; every other response
+  // byte, the dataset digests included, must equal a stdio run of the
+  // same per-session script.
+  const fs::path dir = scratch_dir("http_concurrent");
+  const std::vector<frote::EngineSpec> specs = {scenario_spec(dir, "random"),
+                                                scenario_spec(dir, "ip")};
+  constexpr int kSteps = 6;
+  const auto script_for = [&](std::size_t tenant, const std::string& sid) {
+    const std::string tag = "t" + std::to_string(tenant) + "-";
+    std::vector<std::string> script = {create_line(tag + "create",
+                                                   specs[tenant])};
+    for (int i = 0; i < kSteps; ++i) {
+      script.push_back(step_line(tag + "step" + std::to_string(i), sid));
+      script.push_back(session_line(tag + "result" + std::to_string(i),
+                                    "session.result", sid));
+    }
+    script.push_back(session_line(tag + "close", "session.close", sid));
+    return script;
+  };
+  const auto masked = [](const std::string& response, const std::string& sid) {
+    return replace_all(response, "\"" + sid + "\"", "\"SID\"");
+  };
+
+  std::vector<std::vector<std::string>> reference(specs.size());
+  for (std::size_t tenant = 0; tenant < specs.size(); ++tenant) {
+    ServeProcess daemon;
+    for (const std::string& line : script_for(tenant, "s-000001")) {
+      reference[tenant].push_back(masked(daemon.request(line), "s-000001"));
+    }
+    EXPECT_EQ(daemon.close_and_wait(), 0);
+  }
+
+  for (const std::string threads : {"2", "4"}) {
+    const fs::path port_file = dir / ("port-" + threads + ".txt");
+    ServeProcess::Options options;
+    options.args = {"--http",
+                    "--port-file",
+                    port_file.string(),
+                    "--threads",
+                    threads,
+                    "--spool",
+                    (dir / ("spool-" + threads)).string(),
+                    "--max-live-sessions",
+                    "1"};
+    ServeProcess daemon(options);
+    const std::uint16_t port = published_port(port_file);
+    ASSERT_NE(port, 0) << "daemon never published its port";
+
+    std::vector<std::vector<std::string>> served(specs.size());
+    const auto client = [&](std::size_t tenant) {
+      std::string sid;
+      for (std::string line : script_for(tenant, "SID")) {
+        if (!sid.empty()) {
+          line = replace_all(line, "\"SID\"", "\"" + sid + "\"");
+        }
+        auto response = frote::net::http_post(port, "/rpc", line + "\n");
+        if (!response || response->status != 200) {
+          served[tenant].push_back("transport failure");
+          return;
+        }
+        std::string body = response->body;
+        if (!body.empty() && body.back() == '\n') body.pop_back();
+        if (sid.empty()) {
+          const JsonValue envelope = parse_response(body);
+          const JsonValue* result = envelope.find("result");
+          if (result == nullptr) {
+            served[tenant].push_back(body);
+            return;
+          }
+          sid = result->find("session")->as_string();
+        }
+        served[tenant].push_back(masked(body, sid));
+      }
+    };
+    run_with_deadline(std::chrono::seconds(120), [&] {
+      std::thread other(client, 1);
+      client(0);
+      other.join();
+    });
+    for (std::size_t tenant = 0; tenant < specs.size(); ++tenant) {
+      ASSERT_EQ(served[tenant].size(), reference[tenant].size())
+          << "threads=" << threads << " tenant " << tenant << ": "
+          << served[tenant].back();
+      for (std::size_t i = 0; i < reference[tenant].size(); ++i) {
+        EXPECT_EQ(served[tenant][i], reference[tenant][i])
+            << "threads=" << threads << " tenant " << tenant
+            << " response " << i;
+      }
+    }
+    daemon.terminate();
+    EXPECT_EQ(daemon.wait(), 0);
+  }
 }
 
 /// Spool a session, corrupt its checkpoint on disk a few different ways,
@@ -999,16 +1097,8 @@ TEST(ServeRobustness, SlowClientGetsRequestTimeout) {
   options.args = {"--http", "--port-file", port_file.string(),
                   "--read-timeout-ms", "200"};
   ServeProcess daemon(options);
-  std::string port_text;
-  for (int i = 0; i < 100 && port_text.empty(); ++i) {
-    std::ifstream in(port_file);
-    std::getline(in, port_text);
-    if (port_text.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  ASSERT_FALSE(port_text.empty()) << "daemon never published its port";
-  const auto port = static_cast<std::uint16_t>(std::stoi(port_text));
+  const std::uint16_t port = published_port(port_file);
+  ASSERT_NE(port, 0) << "daemon never published its port";
 
   // Raw slow client: half a request line, then silence.
   const int sock = socket(AF_INET, SOCK_STREAM, 0);
@@ -1038,6 +1128,45 @@ TEST(ServeRobustness, SlowClientGetsRequestTimeout) {
       frote::net::http_post(port, "/rpc", create_line("c", spec) + "\n");
   ASSERT_TRUE(ok.has_value()) << ok.error().message;
   EXPECT_EQ(ok->status, 200);
+
+  daemon.terminate();
+  EXPECT_EQ(daemon.wait(), 0);
+}
+
+/// With two connection workers, a client that stalls mid-request holds
+/// only its own worker: another tenant's request is answered while the
+/// stalled connection is still waiting out its read deadline.
+TEST(ServeRobustness, SlowClientDoesNotBlockOthers) {
+  const fs::path dir = scratch_dir("slowloris_concurrent");
+  const auto spec = scenario_spec(dir);
+  const fs::path port_file = dir / "port.txt";
+  ServeProcess::Options options;
+  options.args = {"--http", "--port-file", port_file.string(), "--threads",
+                  "2", "--read-timeout-ms", "10000"};
+  ServeProcess daemon(options);
+  const std::uint16_t port = published_port(port_file);
+  ASSERT_NE(port, 0) << "daemon never published its port";
+
+  const int sock = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(sock, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const char partial[] = "POST /rpc HT";
+  ASSERT_EQ(write(sock, partial, sizeof partial - 1),
+            static_cast<ssize_t>(sizeof partial - 1));
+
+  const auto ok =
+      frote::net::http_post(port, "/rpc", create_line("c", spec) + "\n");
+  ASSERT_TRUE(ok.has_value()) << ok.error().message;
+  EXPECT_EQ(ok->status, 200);
+  pollfd stalled{sock, POLLIN, 0};
+  EXPECT_EQ(poll(&stalled, 1, 0), 0)
+      << "the stalled connection was answered before the other tenant";
+  close(sock);
 
   daemon.terminate();
   EXPECT_EQ(daemon.wait(), 0);

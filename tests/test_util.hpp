@@ -2,7 +2,13 @@
 // geometry so rule/FROTE behaviour can be asserted exactly.
 #pragma once
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
+#include <thread>
 
 #include "frote/data/dataset.hpp"
 #include "frote/rules/rule.hpp"
@@ -61,6 +67,23 @@ inline Dataset blobs_dataset(std::size_t n_per_class = 100,
 inline FeedbackRule x_gt_rule(double lo, int target = 1) {
   Clause clause({Predicate{0, Op::kGt, lo}});
   return FeedbackRule::deterministic(clause, target, 2);
+}
+
+/// Runs `body` on its own thread. A deadlocked thread can be neither
+/// joined nor cancelled, so missing the deadline fails the whole binary.
+inline void run_with_deadline(std::chrono::seconds limit,
+                              const std::function<void()>& body) {
+  std::packaged_task<void()> task(body);
+  std::future<void> done = task.get_future();
+  std::thread worker(std::move(task));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "deadlock: the body did not finish within %llds\n",
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  worker.join();
+  done.get();
 }
 
 }  // namespace frote::testing

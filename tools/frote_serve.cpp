@@ -3,7 +3,9 @@
 // Speaks line-delimited JSON-RPC 2.0 (docs/DESIGN.md §7) over one of two
 // transports per invocation: stdio (default; one request per line, one
 // response per line, lockstep) or the vendored HTTP/1.1 listener (--http;
-// one request per POST body). Both carry the same envelope, so a request
+// one request per POST body, up to --threads connections served at once;
+// requests to one session still run one at a time, on its entry mutex in
+// the pool). Both carry the same envelope, so a request
 // gets byte-identical response bytes whichever way it arrives — ci.sh
 // diffs a stdio run against an HTTP-driven run to lock that.
 //
@@ -38,6 +40,9 @@
 
 #include <poll.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <chrono>
 #include <thread>
@@ -50,6 +55,7 @@
 #include "frote/net/jsonrpc.hpp"
 #include "frote/util/faultsim.hpp"
 #include "frote/util/fsio.hpp"
+#include "frote/util/parallel.hpp"
 #include "cli_common.hpp"
 
 namespace {
@@ -101,7 +107,9 @@ void print_usage(std::ostream& os) {
         "  --evict-every-request  spool the session after every request\n"
         "                         (eviction-transparency verification mode)\n"
         "  --threads N            engine threads override (default: the\n"
-        "                         spec / FROTE_NUM_THREADS)\n"
+        "                         spec / FROTE_NUM_THREADS); with --http\n"
+        "                         also the number of connections served\n"
+        "                         at once (default FROTE_NUM_THREADS, 1)\n"
         "  --max-request-bytes N  reject longer request lines/bodies\n"
         "                         (default 1048576)\n"
         "  --max-sessions N       refuse session.create beyond N open\n"
@@ -540,6 +548,7 @@ int serve_http(SessionPool& pool, const Options& options) {
     }
   }
   g_http_server = &*server;
+  const int workers = frote::resolve_threads(options.threads);
   server->serve(
       [&](const frote::net::HttpRequest& request) {
         frote::net::HttpResponse response;
@@ -550,13 +559,21 @@ int serve_http(SessionPool& pool, const Options& options) {
         }
         response.body = handle_line(pool, line, options.max_request_bytes) +
                         "\n";
+#ifdef __GLIBC__
+        // Give the request's freed scratch back to the kernel. With several
+        // connections in flight glibc spreads them over more arenas, and
+        // their free lists, not live data, would grow the daemon's RSS. One
+        // accept loop has no such slack, so the serial daemon skips it.
+        if (workers > 1) malloc_trim(0);
+#endif
         return response;
       },
       frote::net::HttpLimits{
           /*max_body_bytes=*/options.max_request_bytes,
           /*max_header_bytes=*/std::size_t{64} << 10,
           /*read_timeout_ms=*/options.read_timeout_ms,
-      });
+      },
+      workers);
   g_http_server = nullptr;
   return 0;
 }
