@@ -1,7 +1,6 @@
-// Microbenchmarks (google-benchmark) for the library's hot paths, plus the
-// ablations docs/DESIGN.md calls out: ball-tree vs brute-force kNN, rule coverage
-// evaluation, SMOTE-NC generation, model training, the base-instance IP,
-// and the per-iteration FROTE objective evaluation.
+// Microbenchmarks (google-benchmark) for the library's hot paths: kNN scans,
+// rule coverage evaluation, SMOTE-NC generation, model training, the
+// base-instance IP, and the per-iteration FROTE objective evaluation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -85,28 +84,6 @@ void BM_KnnBrute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KnnBrute)->Arg(1000)->Arg(4000);
-
-void BM_KnnBallTree(benchmark::State& state) {
-  const auto& data = adult(static_cast<std::size_t>(state.range(0)));
-  const BallTreeKnn knn(data, MixedDistance::fit(data));
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(knn.query(data.row(q++ % data.size()), 5));
-  }
-}
-BENCHMARK(BM_KnnBallTree)->Arg(1000)->Arg(4000);
-
-void BM_BallTreeBuild(benchmark::State& state) {
-  const auto& data = adult(static_cast<std::size_t>(state.range(0)));
-  const auto distance = MixedDistance::fit(data);
-  for (auto _ : state) {
-    BallTreeKnn knn(data, distance);
-    benchmark::DoNotOptimize(knn.size());
-  }
-}
-// 1000 = below the brute/ball-tree crossover, 4000 = at it (the build cost
-// make_knn_index's crossover heuristic weighs against the per-query win).
-BENCHMARK(BM_BallTreeBuild)->Arg(1000)->Arg(4000);
 
 void BM_SmoteNcGenerate(benchmark::State& state) {
   // Cold: every timed generate() computes its base slot's neighbour list
@@ -279,10 +256,10 @@ BENCHMARK(BM_IpSelection);
 
 void BM_IpSelectionSized(benchmark::State& state) {
   // Cold selection cost across dataset sizes (every iteration refits the
-  // distance, rebuilds the index and re-predicts — the pre-workspace
-  // per-step cost; 8000 crosses into the ball-tree engine). The scale
-  // points run the scale tier for real: columnar chunked storage
-  // (docs/DESIGN.md §8) and, past shard_min_rows, the sharded kNN index.
+  // distance, repacks the rows, runs the blocked batch scan for every
+  // base-population row and re-predicts — the per-step cost without a
+  // workspace). The scale points run on columnar chunked storage
+  // (docs/DESIGN.md §8).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Dataset data = adult(n);
   if (n >= 100000) data.set_storage({/*chunk_rows=*/8192, /*mmap=*/false});
@@ -297,8 +274,8 @@ void BM_IpSelectionSized(benchmark::State& state) {
   }
 }
 
-/// Scale args for BM_IpSelection: 100k always (chunked storage + sharded
-/// kNN), 1M only when FROTE_BENCH_SLOW=1 — the million-row point takes
+/// Scale args for BM_IpSelection: 100k always (chunked storage), 1M only
+/// when FROTE_BENCH_SLOW=1 — the million-row point takes
 /// minutes and is for dedicated perf runs, not the CI trend table.
 void AddIpSelectionScaleArgs(benchmark::internal::Benchmark* bench) {
   bench->Arg(100000);
@@ -397,8 +374,8 @@ void BM_NeighborhoodFill(benchmark::State& state) {
 BENCHMARK(BM_NeighborhoodFill)->Arg(4000)->Arg(8000)->Arg(100000);
 
 void BM_NeighborhoodFillNumeric(benchmark::State& state) {
-  // All-numeric counterpart (wine quality: 11 numeric features) — the
-  // regime where a ball tree prunes best.
+  // All-numeric counterpart (wine quality: 11 numeric features): no
+  // categorical penalties, so exact_replays stays 0.
   RunNeighborhoodFill(state,
                       cached_dataset(UciDataset::kWineQuality,
                                      static_cast<std::size_t>(state.range(0))));

@@ -37,12 +37,13 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # test_incremental_learners locks update() ≡ train() and the certified
 # neighborhood cache under the pool;
 # test_serve drives the daemon end-to-end (its own suites re-check 1 vs 4);
-# test_knn/test_smote cover the chunk-parallel brute scans, and the
-# neighbourhood fill and generator prefetch fan out inside test_workspace;
+# test_knn/test_smote cover the chunk-parallel flat scan and the blocked
+# batch scan, and the neighbourhood fill and generator prefetch fan out
+# inside test_workspace;
 # test_ml pins the tree learners' outputs (the coded-column table build
 # fans features out) under flat and chunked storage.
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_sharded_knn|test_incremental_learners|test_knn|test_smote|test_ml'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_incremental_learners|test_knn|test_smote|test_ml'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run
@@ -151,15 +152,16 @@ echo "chaos leg: injected spool failure absorbed; responses byte-identical"
 
 # Sanitizer leg: rebuild with AddressSanitizer + UBSan (-DFROTE_SANITIZE=ON,
 # separate build dir) and rerun the unit + chaos labels. The chunked data
-# plane and the sharded index move row storage behind raw pointers and
-# shared mmap'd chunks — exactly the kind of code ASan catches regressions
-# in that functional tests cannot — and the chaos sweep's SIGKILL/recover
-# cycles run the spool validation and quarantine paths under the sanitizer
-# too. Benches and examples are skipped in this build; tools stay on
-# because test_serve / test_chaos_serve drive the real daemon. The
-# FROTE_FAULTS smoke at the end runs the ASan daemon through an injected
-# spool failure: the error-unwinding path (throw through evict, TmpGuard
-# cleanup) is where leaks and use-after-frees hide.
+# plane moves row storage behind raw pointers and shared mmap'd chunks, and
+# the kNN scans read packed rows through raw pointers — exactly the kind of
+# code ASan catches regressions in that functional tests cannot — and the
+# chaos sweep's SIGKILL/recover cycles run the spool validation and
+# quarantine paths under the sanitizer too. Benches and examples are
+# skipped in this build; tools stay on because test_serve /
+# test_chaos_serve drive the real daemon. The FROTE_FAULTS smoke at the
+# end runs the ASan daemon through an injected spool failure: the
+# error-unwinding path (throw through evict, TmpGuard cleanup) is where
+# leaks and use-after-frees hide.
 if [[ "${FROTE_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
   echo "=== sanitizer leg: ASan+UBSan ctest -L unit|chaos ==="
   SAN_DIR="$BUILD_DIR-asan"

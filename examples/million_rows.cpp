@@ -3,10 +3,9 @@
 // Everything the other examples do on hundreds of rows, at 1,000,000: a
 // synthetic adult-style dataset is generated, moved onto chunked columnar
 // storage (docs/DESIGN.md §8) with mmap-backed sealed chunks, and edited
-// end-to-end through Engine/Session. At this size make_knn_index crosses
-// the sharding threshold, so base-instance selection runs on the sharded
-// kNN index — bit-identical to a single index, but built and queried
-// across cores.
+// end-to-end through Engine/Session. Base instances come from the default
+// random selector, so no neighbourhood fill runs; generation scans each
+// rule's base population with the flat kNN scan (BruteKnn).
 //
 // The program reports the chunk geometry (sealed/mapped chunk counts) and
 // the process peak RSS so the storage claim is observable: sealed chunks

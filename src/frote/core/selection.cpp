@@ -1,7 +1,6 @@
 #include "frote/core/selection.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "frote/core/workspace.hpp"
 #include "frote/knn/knn.hpp"
@@ -41,39 +40,39 @@ namespace {
 
 /// Borderline weights for a subset of rows (supplement A): weight 3 when the
 /// k-NN predicted-label split is near-even, 1 for safe/noisy instances.
-/// The per-candidate scoring loop is the IP selector's hot path: the k-NN
-/// engine is auto-selected by size, candidates fan out over fixed chunks
-/// (every weight depends only on its own row, so any thread count produces
-/// identical weights), and predictions come either from one batched
-/// dataset-wide pass or per candidate, whichever regime needs fewer model
-/// evaluations — each candidate consults its own label plus k neighbours',
-/// so a dense base population amortises the batch while a sparse one in a
-/// large dataset must not pay for every row.
+/// The per-candidate scoring loop is the IP selector's hot path: every
+/// candidate's neighbourhood is ready before it starts, candidates fan out
+/// over fixed chunks (every weight depends only on its own row, so any
+/// thread count produces identical weights), and predictions come either
+/// from one batched dataset-wide pass or per candidate, whichever regime
+/// needs fewer model evaluations — each candidate consults its own label
+/// plus k neighbours', so a dense base population amortises the batch
+/// while a sparse one in a large dataset must not pay for every row.
 std::vector<double> subset_weights(const Dataset& data, const Model& model,
                                    const std::vector<std::size_t>& rows,
                                    const IpSelectorConfig& config,
                                    SessionWorkspace* ws) {
-  // Workspace path: the (k+1)-neighbourhoods come from the session's
-  // incremental cache — bit-identical to querying a fresh index, but an
-  // accepted batch only rescores candidates against (kept list ∪ appended
-  // rows) for rows whose certificate holds (SessionWorkspace::
-  // neighborhoods). Standalone callers fit and query locally; that path is
-  // the from-scratch reference the equivalence tests compare against.
-  std::optional<MixedDistance> local_distance;
-  std::unique_ptr<KnnIndex> local_knn;
   const std::size_t k = std::min(config.borderline_k, data.size() - 1);
   std::vector<double> weights(rows.size(), config.other_weight);
   if (k == 0) return weights;
-  KnnIndex* knn = nullptr;
-  std::vector<const RowNeighborhood*> hoods;
+  // Every candidate's (k+1)-neighbourhood, ascending (squared distance,
+  // dataset row). Workspace path: the session's incremental cache —
+  // bit-identical to a fresh scan, but an accepted batch only rescores
+  // candidates against (kept list ∪ appended rows) for rows whose
+  // certificate holds (SessionWorkspace::neighborhoods). Standalone
+  // callers fit the distance and run one blocked batch scan; that path is
+  // the from-scratch reference the equivalence tests compare against.
+  std::vector<const std::vector<Neighbor>*> neighbors(rows.size());
+  std::vector<std::vector<Neighbor>> scanned;
   if (ws != nullptr) {
-    hoods = ws->neighborhoods(rows, k);
+    const auto hoods = ws->neighborhoods(rows, k);
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      neighbors[s] = &hoods[s]->list;
+    }
   } else {
-    local_distance = MixedDistance::fit(data);
-    KnnIndexConfig index_config;
-    index_config.threads = config.threads;
-    local_knn = make_knn_index(data, *local_distance, {}, index_config);
-    knn = local_knn.get();
+    scanned = nearest_rows(data, MixedDistance::fit(data), rows, k + 1,
+                           config.threads);
+    for (std::size_t s = 0; s < rows.size(); ++s) neighbors[s] = &scanned[s];
   }
   // Prediction source, cheapest first: the session's prediction cache (the
   // Ĵ evaluation of the current model already predicted every row), else
@@ -111,24 +110,11 @@ std::vector<double> subset_weights(const Dataset& data, const Model& model,
           model.predict_proba_into(data.row(j), proba);
           return argmax_class(proba);
         };
-        std::vector<Neighbor> local_neighbors;
         for (std::size_t s = begin; s < end; ++s) {
           const std::size_t i = rows[s];
           const int own = predict_row(i);
-          // Both sources are the same (squared distance, dataset row)
-          // ascending order, so the counting loop sees identical rows.
-          const std::vector<Neighbor>* neighbors;
-          if (ws != nullptr) {
-            neighbors = &hoods[s]->list;
-          } else {
-            local_neighbors = knn->query(data.row(i), k + 1);
-            for (auto& nb : local_neighbors) {
-              nb.index = knn->dataset_index(nb.index);
-            }
-            neighbors = &local_neighbors;
-          }
           std::size_t same = 0, diff = 0;
-          for (const auto& nb : *neighbors) {
+          for (const auto& nb : *neighbors[s]) {
             const std::size_t j = nb.index;
             if (j == i) continue;
             if (same + diff == k) break;

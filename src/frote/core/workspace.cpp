@@ -53,11 +53,6 @@ constexpr double kBoundSafety = 1.0 - 1e-9;
 /// internal candidate set.
 constexpr std::size_t kNbrPad = 8;
 
-/// Pass-3 blocking: queries per parallel_for chunk, and rows per tile
-/// (about 230 KiB of adult's 14-slot packed rows, well inside L2).
-constexpr std::size_t kFillQueries = 8;
-constexpr std::size_t kFillRowTile = 2048;
-
 template <typename T>
 bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
@@ -286,44 +281,28 @@ std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(
   }
 
   // Pass 3: exact (stored+1)-nearest rows of every new or uncertified row,
-  // scanned from the packed mirror in blocks: a block of kFillQueries
-  // queries walks the rows tile by tile (kFillRowTile rows stay cached
-  // while every query of the block scans them), and blocks fan out on
-  // parallel_for. Each query still visits rows in ascending order into its
-  // own bounded heap, so the result — the first stored entries are the
-  // list, the next distance (if any) the exact outside bound the next
-  // accept certifies against — is bit-identical to an index query and
-  // independent of blocking and thread count.
+  // by one blocked batch scan of the packed mirror (detail::scan_batch):
+  // bit-identical to an index query and independent of blocking and thread
+  // count. The first stored entries are the list, the next distance (if
+  // any) the exact outside bound the next accept certifies against.
   if (!fresh.empty()) {
     nbr_queries_ += fresh.size();
-    std::vector<KnnScanStats> block_stats(
-        chunk_count(fresh.size(), kFillQueries));
-    parallel_for(
-        fresh.size(), kFillQueries, threads_,
-        [&](std::size_t begin, std::size_t end) {
-          KnnScanStats& stats = block_stats[begin / kFillQueries];
-          std::vector<std::vector<Neighbor>> heaps(end - begin);
-          for (std::size_t tile = 0; tile < n; tile += kFillRowTile) {
-            const std::size_t tile_end = std::min(n, tile + kFillRowTile);
-            for (std::size_t w = begin; w < end; ++w) {
-              mirror.scan(mirror.row(fresh[w].first), tile, tile_end,
-                          stored + 1, heaps[w - begin], identity, stats);
-            }
-          }
-          for (std::size_t w = begin; w < end; ++w) {
-            std::vector<Neighbor>& best = heaps[w - begin];
-            std::sort_heap(best.begin(), best.end(), detail::NeighborCmp{});
-            RowNeighborhood& hood = fresh[w].second->hood;
-            hood.list.assign(
-                best.begin(),
-                best.begin() + static_cast<std::ptrdiff_t>(
-                                   std::min(stored, best.size())));
-            hood.outside_bound = best.size() > stored
-                                     ? best[stored].distance
-                                     : std::numeric_limits<double>::infinity();
-          }
+    std::vector<const double*> queries(fresh.size());
+    for (std::size_t w = 0; w < fresh.size(); ++w) {
+      queries[w] = mirror.row(fresh[w].first);
+    }
+    detail::scan_batch(
+        mirror, queries, stored + 1, threads_, nbr_scan_,
+        [&](std::size_t w, const std::vector<Neighbor>& best) {
+          RowNeighborhood& hood = fresh[w].second->hood;
+          hood.list.assign(
+              best.begin(),
+              best.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(stored, best.size())));
+          hood.outside_bound = best.size() > stored
+                                   ? best[stored].distance
+                                   : std::numeric_limits<double>::infinity();
         });
-    for (const KnnScanStats& stats : block_stats) nbr_scan_ += stats;
   }
 
   // Entries that were not requested this refresh would silently go stale

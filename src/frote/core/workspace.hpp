@@ -40,7 +40,7 @@ namespace frote {
 
 /// One row's cached neighbourhood (docs/DESIGN.md §10): the first
 /// min(k+1, n) entries of `list` are bit-identical to
-/// make_knn_index(data, distance)->query_squared(row, k+1) — ascending
+/// BruteKnn(data, distance).query_squared(row, k+1) — ascending
 /// (squared distance, dataset row index) — and every dataset row NOT in
 /// the list is provably at least `outside_bound` away (squared). The bound
 /// is what lets an accepted batch update the list by scoring only (list ∪
@@ -133,14 +133,14 @@ class SessionWorkspace {
 
   /// Exact (k+1)-nearest neighbourhoods of each `rows[i]` over the bound
   /// dataset — the first min(k+1, n) entries of out[i]->list are
-  /// bit-identical to a fresh make_knn_index(data(), distance())'s
+  /// bit-identical to a fresh BruteKnn(data(), distance())'s
   /// query_squared(data().row(rows[i]), k+1); the list may carry extra
   /// candidate entries (see RowNeighborhood). Maintained incrementally:
   /// after an accepted batch, a row whose certified bound still separates
   /// its kept list from the rest of the dataset is updated by scoring only
   /// list ∪ appended rows; rows whose certificate fails (or that are new to
-  /// the cache) are filled by one blocked exact scan of the packed mirror,
-  /// fanned out on parallel_for. Both passes use the bounded scan kernel
+  /// the cache) are filled by one blocked batch scan of the packed mirror
+  /// (detail::scan_batch). Both passes use the bounded scan kernel
   /// (detail::PackedRows::squared_bounded). Returned pointers stay valid
   /// until the next neighborhoods()/bind() call. `rows` may contain
   /// duplicates.
@@ -203,9 +203,9 @@ class SessionWorkspace {
   /// refresh generation last touched an entry, so one pass can tell
   /// duplicates, already-current entries, and stale entries apart without a
   /// per-call set. The private PackedRows mirrors the bound dataset under
-  /// nbr_distance_ — packing and the scan kernel are byte-for-byte the
-  /// engines' own, which is what makes every cached distance bit-identical
-  /// to an index query.
+  /// nbr_distance_ — packing and the scan kernel are byte-for-byte
+  /// BruteKnn's own, which is what makes every cached distance
+  /// bit-identical to an index query.
   struct NbrSlot {
     RowNeighborhood hood;
     std::uint64_t stamp = 0;

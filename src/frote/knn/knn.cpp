@@ -6,22 +6,22 @@
 #include <cstdint>
 #include <limits>
 
-#include "frote/knn/sharded.hpp"
 #include "frote/util/parallel.hpp"
 
 namespace frote {
 
 namespace {
 
-/// Rows per chunk of a brute-force scan. Large enough that the common small
-/// indexes (rule base populations, n ≤ a few thousand) stay single-chunk.
-constexpr std::size_t kScanGrain = 1024;
-
 std::vector<std::size_t> all_indices(const Dataset& data) {
   std::vector<std::size_t> idx(data.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   return idx;
 }
+
+/// Batch-scan blocking: queries per parallel_for chunk, and rows per tile
+/// (about 230 KiB of adult's 14-slot packed rows, well inside L2).
+constexpr std::size_t kBatchQueries = 8;
+constexpr std::size_t kBatchRowTile = 2048;
 
 }  // namespace
 
@@ -32,7 +32,7 @@ namespace detail {
 // the scan's numeric term is a plain squared difference — followed by the
 // categorical codes folded into words plus their fold flag (knn.hpp,
 // squared_bounded), and last the raw codes, whose mismatches add a
-// constant squared penalty. All engines pack identically, so they agree on
+// constant squared penalty. Every scan packs identically, so they agree on
 // every distance bit.
 
 namespace {
@@ -144,15 +144,6 @@ bool PackedRows::scales_match(const MixedDistance& distance) const {
   return slot == numeric_count_;
 }
 
-void PackedRows::permute(const std::vector<std::size_t>& order) {
-  std::vector<double> next(data_.size());
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    std::copy_n(row(order[pos]), stride_,
-                next.begin() + static_cast<std::ptrdiff_t>(pos * stride_));
-  }
-  data_ = std::move(next);
-}
-
 double PackedRows::squared(const double* a, const double* b) const {
   double acc = 0.0;
   std::size_t f = 0;
@@ -171,6 +162,40 @@ double PackedRows::squared(const double* a, const double* b) const {
   }
   for (int m = 0; m < mismatches; ++m) acc += penalty_sq_;
   return acc;
+}
+
+void scan_batch(
+    const PackedRows& rows, std::span<const double* const> queries,
+    std::size_t k, int threads, KnnScanStats& stats,
+    const std::function<void(std::size_t, const std::vector<Neighbor>&)>&
+        sink) {
+  const std::size_t n = rows.rows();
+  const auto identity = [](std::size_t pos) { return pos; };
+  std::vector<KnnScanStats> block_stats(
+      chunk_count(queries.size(), kBatchQueries));
+  // A block of queries walks the rows tile by tile (a tile stays cached
+  // while every query of the block scans it). Each query still visits the
+  // rows in ascending order into its own bounded heap, so its list does
+  // not depend on the blocking or on the thread count.
+  parallel_for(
+      queries.size(), kBatchQueries, threads,
+      [&](std::size_t begin, std::size_t end) {
+        KnnScanStats& block = block_stats[begin / kBatchQueries];
+        std::vector<std::vector<Neighbor>> heaps(end - begin);
+        for (std::size_t tile = 0; tile < n; tile += kBatchRowTile) {
+          const std::size_t tile_end = std::min(n, tile + kBatchRowTile);
+          for (std::size_t w = begin; w < end; ++w) {
+            rows.scan(queries[w], tile, tile_end, k, heaps[w - begin],
+                      identity, block);
+          }
+        }
+        for (std::size_t w = begin; w < end; ++w) {
+          std::vector<Neighbor>& best = heaps[w - begin];
+          std::sort_heap(best.begin(), best.end(), NeighborCmp{});
+          sink(w, best);
+        }
+      });
+  for (const KnnScanStats& block : block_stats) stats += block;
 }
 
 }  // namespace detail
@@ -214,187 +239,24 @@ void BruteKnn::query_squared(std::span<const double> query, std::size_t k,
   out = detail::heap_sorted(std::move(heap));
 }
 
-// ---------------------------------------------------------------------------
-// BallTreeKnn
-
-BallTreeKnn::BallTreeKnn(const Dataset& data, MixedDistance distance,
-                         std::vector<std::size_t> indices,
-                         std::size_t leaf_size)
-    : row_ids_(indices.empty() ? all_indices(data) : std::move(indices)),
-      packed_(data, distance, row_ids_),
-      leaf_size_(std::max<std::size_t>(1, leaf_size)) {
-  // packed_ holds every row in row-set order until the permute below.
-  order_.resize(row_ids_.size());
-  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  if (row_ids_.empty()) return;
-  keyed_.reserve(row_ids_.size());
-  build(0, row_ids_.size());
-  keyed_ = {};  // build-only scratch
-  // Reorder storage so every leaf (and every subtree) is one contiguous
-  // block: leaf scans walk linear memory. nodes_[].center holds storage
-  // *positions* from here on; order_ maps positions back to row-set indices.
-  packed_.permute(order_);
-  std::vector<std::size_t> pos_of(order_.size());
-  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
-    pos_of[order_[pos]] = pos;
+std::vector<std::vector<Neighbor>> nearest_rows(
+    const Dataset& data, const MixedDistance& distance,
+    const std::vector<std::size_t>& rows, std::size_t k, int threads) {
+  // Position p of the packing is dataset row p, so positions are row
+  // indices, and each query is the packed row itself: pack_query of
+  // data.row(i) produces the same bytes.
+  const detail::PackedRows packed(data, distance, all_indices(data));
+  std::vector<const double*> queries(rows.size());
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    queries[s] = packed.row(rows[s]);
   }
-  for (auto& node : nodes_) node.center = pos_of[node.center];
-}
-
-int BallTreeKnn::build(std::size_t begin, std::size_t end) {
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back({});
-  Node node;
-  node.begin = begin;
-  node.end = end;
-  // Pivot: first point of the range (the parent swaps its split pole here,
-  // so the ball is centred on a pole, which keeps radii tight). One pass
-  // computes the covering radius and the furthest point — the left pole of
-  // this node's own split — together.
-  node.center = order_[begin];
-  node.radius = 0.0;
-  std::size_t left_pole_at = begin;
-  const double* center_row = packed_.row(node.center);
-  for (std::size_t i = begin; i < end; ++i) {
-    const double d =
-        std::sqrt(packed_.squared(center_row, packed_.row(order_[i])));
-    if (d > node.radius) {
-      node.radius = d;
-      left_pole_at = i;
-    }
-  }
-  if (end - begin > leaf_size_) {
-    // Furthest-point split: the left pole is the point furthest from the
-    // pivot; the right pole is the point furthest from the left pole. The
-    // left-pole distances double as the first half of the partition key.
-    const std::size_t left_pole = order_[left_pole_at];
-    const double* left_row = packed_.row(left_pole);
-    keyed_.clear();
-    std::size_t right_pole = left_pole;
-    double best = -1.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const double dl =
-          std::sqrt(packed_.squared(left_row, packed_.row(order_[i])));
-      if (dl > best) {
-        best = dl;
-        right_pole = order_[i];
-      }
-      keyed_.emplace_back(dl, order_[i]);
-    }
-    const double* right_row = packed_.row(right_pole);
-    // Partition by nearer pole (key = d_left − d_right, ties by row index)
-    // around the median.
-    for (std::size_t i = begin; i < end; ++i) {
-      keyed_[i - begin].first -=
-          std::sqrt(packed_.squared(right_row, packed_.row(order_[i])));
-    }
-    const std::size_t mid = begin + (end - begin) / 2;
-    std::nth_element(keyed_.begin(),
-                     keyed_.begin() + static_cast<std::ptrdiff_t>(mid - begin),
-                     keyed_.end());
-    for (std::size_t i = 0; i < keyed_.size(); ++i) {
-      order_[begin + i] = keyed_[i].second;
-    }
-    // Centre each child ball on its pole: the left pole has the most
-    // negative key (its own d_left is 0), so it already sits in the left
-    // half; the right pole symmetrically in the right half. Swapping them to
-    // the front of their ranges makes them the children's pivots.
-    const auto swap_to_front = [&](std::size_t lo, std::size_t hi,
-                                   std::size_t pole) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (order_[i] == pole) {
-          std::swap(order_[lo], order_[i]);
-          return;
-        }
-      }
-    };
-    swap_to_front(begin, mid, left_pole);
-    swap_to_front(mid, end, right_pole);
-    if (mid > begin && mid < end) {
-      node.left = build(begin, mid);
-      node.right = build(mid, end);
-    }
-  }
-  nodes_[static_cast<std::size_t>(node_id)] = node;
-  return node_id;
-}
-
-void BallTreeKnn::search(int node_id, const double* query, std::size_t k,
-                         std::vector<Neighbor>& heap, double center_sq) const {
-  const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  // Prune: nothing in this ball can beat the current worst. Comparing the
-  // squared gap against the squared worst distance avoids a sqrt of the
-  // heap front on every visit.
-  if (heap.size() == k) {
-    const double gap = std::sqrt(center_sq) - node.radius;
-    if (gap > 0.0 && gap * gap > heap.front().distance) return;
-  }
-  if (node.left < 0) {
-    KnnScanStats stats;
-    packed_.scan(query, node.begin, node.end, k, heap,
-                 [this](std::size_t pos) { return order_[pos]; }, stats);
-    return;
-  }
-  // Visit the child whose pivot is nearer first for better pruning; the
-  // children's center distances are computed here once and handed down.
-  const Node& l = nodes_[static_cast<std::size_t>(node.left)];
-  const Node& r = nodes_[static_cast<std::size_t>(node.right)];
-  const double dl = packed_.squared(packed_.row(l.center), query);
-  const double dr = packed_.squared(packed_.row(r.center), query);
-  if (dl <= dr) {
-    search(node.left, query, k, heap, dl);
-    search(node.right, query, k, heap, dr);
-  } else {
-    search(node.right, query, k, heap, dr);
-    search(node.left, query, k, heap, dl);
-  }
-}
-
-void BallTreeKnn::query_squared(std::span<const double> query, std::size_t k,
-                                std::vector<Neighbor>& out) const {
-  out.clear();
-  if (k == 0 || row_ids_.empty()) return;
-  static thread_local std::vector<double> packed_query;
-  packed_.pack_query(query, packed_query);
-  const double* q = packed_query.data();
-  std::vector<Neighbor> heap;
-  heap.reserve(k + 1);
-  search(0, q, k, heap, packed_.squared(packed_.row(nodes_[0].center), q));
-  out = detail::heap_sorted(std::move(heap));
-}
-
-// ---------------------------------------------------------------------------
-// Engine selection
-
-std::unique_ptr<KnnIndex> make_single_knn_index(const Dataset& data,
-                                                MixedDistance distance,
-                                                std::vector<std::size_t> indices,
-                                                const KnnIndexConfig& config) {
-  const std::size_t n = indices.empty() ? data.size() : indices.size();
-  if (n < config.brute_crossover) {
-    return std::make_unique<BruteKnn>(data, std::move(distance),
-                                      std::move(indices), config.threads);
-  }
-  return std::make_unique<BallTreeKnn>(data, std::move(distance),
-                                       std::move(indices), config.leaf_size);
-}
-
-std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
-                                         MixedDistance distance,
-                                         std::vector<std::size_t> indices,
-                                         const KnnIndexConfig& config) {
-  const std::size_t n = indices.empty() ? data.size() : indices.size();
-  // The sharding decision is a pure function of (n, config) — never the
-  // thread count — so the engine (and therefore every distance computation)
-  // is stable across FROTE_NUM_THREADS.
-  const bool shard = config.shards >= 2 ||
-                     (config.shards == 0 && n >= config.shard_min_rows);
-  if (shard) {
-    return std::make_unique<ShardedKnnIndex>(data, std::move(distance),
-                                             std::move(indices), config);
-  }
-  return make_single_knn_index(data, std::move(distance), std::move(indices),
-                               config);
+  std::vector<std::vector<Neighbor>> out(rows.size());
+  KnnScanStats stats;
+  detail::scan_batch(packed, queries, k, threads, stats,
+                     [&out](std::size_t s, const std::vector<Neighbor>& list) {
+                       out[s] = list;
+                     });
+  return out;
 }
 
 }  // namespace frote

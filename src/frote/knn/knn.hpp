@@ -1,34 +1,34 @@
 // k-nearest-neighbour search over a fixed set of rows with the SMOTE-NC
-// mixed distance. Three engines with identical results:
-//  - BruteKnn: flat scan over contiguous row storage, O(n) per query,
-//    chunk-parallel for large row sets;
-//  - BallTreeKnn: metric ball tree (the paper uses sklearn's ball_tree);
-//  - ShardedKnnIndex (knn/sharded.hpp): contiguous shards of the row set,
-//    each backed by one of the two engines above, with a deterministic
-//    merged top-k.
-// All engines compare squared distances internally and break distance ties
-// by row index, so they agree exactly. The virtual surface is
-// query_squared() — the k best by *squared* distance — and the public
-// query() applies the square root once on top; composing engines
-// (ShardedKnnIndex's merge) work on the squared values so no intermediate
-// rounding can reorder a tie. make_knn_index() picks the engine by row
-// count: below the measured crossover the flat scan wins, above it the
-// ball tree, and past the sharding threshold the row set is partitioned
-// so builds and queries fan out on util/parallel.hpp.
+// mixed distance: exact flat scans of one packed row store
+// (detail::PackedRows), in two shapes with identical results:
+//  - BruteKnn: one query at a time, chunk-parallel over the rows of a
+//    large row set. Generation, classic SMOTE and the kNN classifier query
+//    it, and it is the per-query reference the batch scan is tested
+//    against;
+//  - the blocked batch scan (detail::scan_batch, and nearest_rows() over a
+//    dataset's own rows): a block of queries walks the rows tile by tile,
+//    so a tile stays cached while every query of the block scans it, and
+//    blocks fan out on util/parallel.hpp. The workspace's neighbourhood
+//    fill, IP selection without a workspace and borderline categorisation
+//    use it.
+// Both rank by squared distance and break ties by row index, so they agree
+// exactly at every thread count; query() applies the square root once, on
+// top. The cost model is time ≈ pairs × c_pair, where KnnScanStats counts
+// the pairs.
 //
 // One exact kernel (detail::PackedRows): every scan — BruteKnn's chunks,
-// BallTreeKnn's leaves, and the SessionWorkspace's neighbourhood
-// passes (core/workspace.hpp) — scores rows with
+// the batch scan's tiles, and the SessionWorkspace's certified
+// neighbourhood updates (core/workspace.hpp) — scores rows with
 // PackedRows::squared_bounded through PackedRows::scan. The kernel counts
 // categorical mismatches with XOR and a popcount over codes folded 8 bits
 // per column into 64-bit words, and skips the m-fold penalty replay when
 // an estimate proves the pair is outside the caller's current top-k (the
 // error-bound argument is at squared_bounded). Any distance that can enter
 // a top-k is bit-identical to the scalar reference PackedRows::squared, so
-// engine agreement, the (squared distance, row index) order and every
-// golden are unchanged. The build must not enable FP contraction or
-// reassociation (-mfma, -march=..., -ffast-math): a fused or reordered
-// numeric sum changes distance bits, and with them tie order and goldens.
+// the (squared distance, row index) order and every golden are unchanged.
+// The build must not enable FP contraction or reassociation (-mfma,
+// -march=..., -ffast-math): a fused or reordered numeric sum changes
+// distance bits, and with them tie order and goldens.
 //
 // Indexes are immutable: a grown or rescaled dataset gets a fresh build.
 // The session's incremental neighbourhoods live in the SessionWorkspace,
@@ -40,7 +40,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -99,8 +99,6 @@ class PackedRows {
               const std::vector<std::size_t>& row_ids);
   /// True when `distance` scales every column exactly as this packing did.
   bool scales_match(const MixedDistance& distance) const;
-  /// Reorder storage so position p holds the row previously at order[p].
-  void permute(const std::vector<std::size_t>& order);
 
   /// The scalar reference kernel: numeric squared differences in column
   /// order, then one penalty add per categorical mismatch.
@@ -223,9 +221,9 @@ class PackedRows {
   std::vector<double> scale_;         // feature -> 1/σ (1 for categorical)
 };
 
-/// Total order every engine ranks by: distance, then row index — the
-/// deterministic tie-break that makes brute/tree/sharded agree exactly.
-/// Works identically on squared distances (sqrt is monotone).
+/// Total order every scan ranks by: distance, then row index — the
+/// deterministic tie-break that makes every scan agree exactly. Works
+/// identically on squared distances (sqrt is monotone).
 struct NeighborCmp {
   bool operator()(const Neighbor& a, const Neighbor& b) const {
     if (a.distance != b.distance) return a.distance < b.distance;
@@ -316,16 +314,42 @@ void PackedRows::scan(const double* q, std::size_t begin, std::size_t end,
   }
 }
 
+/// The blocked batch scan: for each packed query `queries[w]` (stride()
+/// doubles, e.g. a row of `rows` itself), the k nearest storage positions
+/// of `rows`, ascending by (squared distance, position). Each list is the
+/// one a single bounded heap fed every position in ascending order would
+/// hold, so it equals BruteKnn::query_squared over the same rows. Blocks of
+/// queries walk the rows in cache-sized tiles and fan out on parallel_for;
+/// neither the blocking nor `threads` (0 ⇒ FROTE_NUM_THREADS) changes a
+/// result. Each list goes to `sink(w, list)` as soon as its block is done,
+/// from the thread that scanned it (calls for different queries may run
+/// concurrently; `list` is scratch the call must copy from), so only the
+/// running blocks' lists are alive at once. The scan's work is added to
+/// `stats`.
+void scan_batch(
+    const PackedRows& rows, std::span<const double* const> queries,
+    std::size_t k, int threads, KnnScanStats& stats,
+    const std::function<void(std::size_t, const std::vector<Neighbor>&)>&
+        sink);
+
 }  // namespace detail
 
-/// Common interface for kNN engines.
-class KnnIndex {
+/// Exhaustive scan over contiguous rows, one query at a time.
+class BruteKnn {
  public:
-  virtual ~KnnIndex() = default;
-  /// The k nearest indexed rows to `query`, ascending by distance. Ties are
-  /// broken by row index so every engine agrees exactly. Implemented on
-  /// query_squared(): the square root is applied exactly once per reported
-  /// neighbour, after all merging, so composed engines cannot re-round.
+  /// Rows per chunk of a scan: chunks are merged in ascending order, so
+  /// large row sets scan in parallel with thread-independent results.
+  static constexpr std::size_t kScanGrain = 1024;
+
+  /// Index the rows of `data` at `indices` (or all rows when empty).
+  /// `threads` chunks the distance scan of large row sets;
+  /// 0 ⇒ FROTE_NUM_THREADS. Results are identical for every thread count.
+  BruteKnn(const Dataset& data, MixedDistance distance,
+           std::vector<std::size_t> indices = {}, int threads = 0);
+
+  /// The k nearest indexed rows to `query`, ascending by distance, ties
+  /// broken by row index: query_squared() with the square root applied
+  /// once per reported neighbour.
   std::vector<Neighbor> query(std::span<const double> query,
                               std::size_t k) const {
     std::vector<Neighbor> out;
@@ -336,31 +360,12 @@ class KnnIndex {
     return out;
   }
   /// The k nearest indexed rows with *squared* distances, ascending by
-  /// (squared distance, index). The composition primitive: a merge of
-  /// per-shard results under this order is bit-identical to a single
-  /// index over the union.
-  virtual void query_squared(std::span<const double> query, std::size_t k,
-                             std::vector<Neighbor>& out) const = 0;
-  virtual std::size_t size() const = 0;
-  /// Row-set index -> original dataset row index.
-  virtual std::size_t dataset_index(std::size_t i) const = 0;
-};
-
-/// Exhaustive scan over contiguous rows.
-class BruteKnn : public KnnIndex {
- public:
-  /// Index the rows of `data` at `indices` (or all rows when empty).
-  /// `threads` chunks the distance scan of large row sets;
-  /// 0 ⇒ FROTE_NUM_THREADS. Results are identical for every thread count.
-  BruteKnn(const Dataset& data, MixedDistance distance,
-           std::vector<std::size_t> indices = {}, int threads = 0);
-
+  /// (squared distance, index).
   void query_squared(std::span<const double> query, std::size_t k,
-                     std::vector<Neighbor>& out) const override;
-  std::size_t size() const override { return row_ids_.size(); }
-  std::size_t dataset_index(std::size_t i) const override {
-    return row_ids_[i];
-  }
+                     std::vector<Neighbor>& out) const;
+  std::size_t size() const { return row_ids_.size(); }
+  /// Row-set index -> original dataset row index.
+  std::size_t dataset_index(std::size_t i) const { return row_ids_[i]; }
 
  private:
   std::vector<std::size_t> row_ids_;
@@ -368,84 +373,13 @@ class BruteKnn : public KnnIndex {
   int threads_ = 0;
 };
 
-/// Metric ball tree (furthest-point split).
-class BallTreeKnn : public KnnIndex {
- public:
-  /// Leaf size balances per-node pruning against the (cheap, contiguous)
-  /// leaf scans; the default is tuned on bench_micro's BM_KnnBallTree.
-  static constexpr std::size_t kDefaultLeafSize = 32;
-
-  BallTreeKnn(const Dataset& data, MixedDistance distance,
-              std::vector<std::size_t> indices = {},
-              std::size_t leaf_size = kDefaultLeafSize);
-
-  void query_squared(std::span<const double> query, std::size_t k,
-                     std::vector<Neighbor>& out) const override;
-  std::size_t size() const override { return row_ids_.size(); }
-  std::size_t dataset_index(std::size_t i) const override {
-    return row_ids_[i];
-  }
-
- private:
-  struct Node {
-    std::size_t begin = 0, end = 0;  // range into order_ (= storage range)
-    /// Row-set index of the pivot during build; remapped to its storage
-    /// position once the leaf-contiguous permutation is applied.
-    std::size_t center = 0;
-    double radius = 0.0;
-    int left = -1, right = -1;       // children node ids; -1 for leaf
-  };
-
-  int build(std::size_t begin, std::size_t end);
-  /// `center_sq` is the squared distance from the packed query to this
-  /// node's pivot, computed by the parent so no node measures its own
-  /// center twice.
-  void search(int node, const double* query, std::size_t k,
-              std::vector<Neighbor>& heap, double center_sq) const;
-
-  std::vector<std::size_t> row_ids_;
-  detail::PackedRows packed_;
-  std::vector<std::size_t> order_;  // storage position -> row-set index
-  std::vector<Node> nodes_;
-  std::size_t leaf_size_;
-  // Build-time scratch (partition keys); reused across nodes, dead after
-  // construction.
-  std::vector<std::pair<double, std::size_t>> keyed_;
-};
-
-/// Engine-selection knobs for make_knn_index.
-struct KnnIndexConfig {
-  std::size_t leaf_size = BallTreeKnn::kDefaultLeafSize;
-  /// Below this many indexed rows the flat scan beats the ball tree per
-  /// query *and* skips the build cost entirely. Measured crossover on
-  /// bench_micro's adult workload: the tree's query first wins at n = 4000
-  /// (BM_KnnBallTree/4000 vs BM_KnnBrute/4000) and still loses at n = 1000
-  /// (see BENCH_micro.json, including BM_BallTreeBuild for the build cost).
-  std::size_t brute_crossover = 4000;
-  int threads = 0;  // for chunked scans / shard fan-out; 0 ⇒ FROTE_NUM_THREADS
-  /// Row sets at or above this size are sharded (ShardedKnnIndex): the set
-  /// splits into contiguous ranges of ~shard_target_rows rows, each backed
-  /// by its own single engine, built and queried on util/parallel.hpp.
-  /// The policy is a pure function of (n, config) — never the thread
-  /// count — so engine choice is stable across FROTE_NUM_THREADS.
-  std::size_t shard_min_rows = 32768;
-  std::size_t shard_target_rows = 16384;
-  /// Explicit shard count: 0 = auto (the policy above), 1 = never shard,
-  /// >= 2 = force exactly this many shards.
-  std::size_t shards = 0;
-};
-
-/// The library's default index: brute force below the measured crossover,
-/// ball tree above it, sharded past shard_min_rows. All engines return
-/// identical neighbours.
-std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
-                                         MixedDistance distance,
-                                         std::vector<std::size_t> indices = {},
-                                         const KnnIndexConfig& config = {});
-
-/// make_knn_index without the sharding tier — the per-shard building block.
-std::unique_ptr<KnnIndex> make_single_knn_index(
-    const Dataset& data, MixedDistance distance,
-    std::vector<std::size_t> indices = {}, const KnnIndexConfig& config = {});
+/// The k nearest rows of `data` to each of its rows `rows[s]`, over all of
+/// `data` under `distance`, by one blocked batch scan (detail::scan_batch).
+/// Entry s lists dataset row indices with *squared* distances, ascending
+/// by (squared distance, row) — exactly what BruteKnn(data, distance)
+/// .query_squared(data.row(rows[s]), k) returns.
+std::vector<std::vector<Neighbor>> nearest_rows(
+    const Dataset& data, const MixedDistance& distance,
+    const std::vector<std::size_t>& rows, std::size_t k, int threads = 0);
 
 }  // namespace frote

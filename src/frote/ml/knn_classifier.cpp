@@ -5,7 +5,7 @@ namespace frote {
 KnnClassifierModel::KnnClassifierModel(const Dataset& data,
                                        KnnClassifierConfig config)
     : Model(data.num_classes()), config_(config),
-      index_(make_knn_index(data, MixedDistance::fit(data))) {
+      index_(data, MixedDistance::fit(data)) {
   FROTE_CHECK(!data.empty());
   labels_.reserve(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -16,11 +16,11 @@ KnnClassifierModel::KnnClassifierModel(const Dataset& data,
 std::vector<double> KnnClassifierModel::predict_proba(
     std::span<const double> row) const {
   const std::size_t k = std::min(config_.k, labels_.size());
-  const auto neighbors = index_->query(row, k);
+  const auto neighbors = index_.query(row, k);
   std::vector<double> votes(num_classes(), 0.0);
   for (const auto& nb : neighbors) {
     const auto label = static_cast<std::size_t>(
-        labels_[index_->dataset_index(nb.index)]);
+        labels_[index_.dataset_index(nb.index)]);
     votes[label] += config_.distance_weighted
                         ? 1.0 / (nb.distance + 1e-9)
                         : 1.0;

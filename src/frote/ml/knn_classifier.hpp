@@ -1,9 +1,9 @@
 // k-nearest-neighbour classifier over the SMOTE-NC mixed-type metric,
-// reusing the library's auto-selected kNN engine (make_knn_index: flat scan
-// below the measured crossover, ball tree above). Another black-box learner
-// for exercising FROTE's model-agnosticism; interesting because its decision
-// boundary is *exactly* the data — editing the dataset edits the model
-// one-for-one.
+// querying the library's flat scan (BruteKnn) once per predicted row.
+// Another black-box learner for exercising FROTE's model-agnosticism;
+// interesting because its decision boundary is *exactly* the data — editing
+// the dataset edits the model one-for-one. No workload runs it past a few
+// thousand training rows; see docs/DESIGN.md §8 for its cost at scale.
 #pragma once
 
 #include "frote/knn/knn.hpp"
@@ -26,7 +26,7 @@ class KnnClassifierModel : public Model {
  private:
   KnnClassifierConfig config_;
   std::vector<int> labels_;
-  std::unique_ptr<KnnIndex> index_;
+  BruteKnn index_;
 };
 
 class KnnClassifierLearner : public Learner {

@@ -20,7 +20,7 @@ struct BorderlineConfig {
   std::size_t k = 10;            // supplement: k = 10 nearest neighbours
   double borderline_weight = 3.0;
   double other_weight = 1.0;
-  /// Threads for the per-instance categorisation sweep;
+  /// Threads for the batch predictions and the neighbourhood scan;
   /// 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.
   int threads = 0;
 };

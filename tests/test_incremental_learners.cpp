@@ -266,15 +266,15 @@ TEST(WorkspaceNeighborhoods, RefreshMatchesFreshIndexQueriesBitwise) {
     // The contract covers the first min(k+1, n) entries; the list may hold
     // extra candidate entries past that (certification headroom).
     const MixedDistance distance = MixedDistance::fit(data);
-    const auto knn = make_knn_index(data, distance, {}, {});
+    const BruteKnn knn(data, distance);
     const std::size_t cap = std::min(k + 1, data.size());
     std::vector<Neighbor> expected;
     for (std::size_t s = 0; s < rows.size(); ++s) {
-      knn->query_squared(data.row(rows[s]), cap, expected);
+      knn.query_squared(data.row(rows[s]), cap, expected);
       const auto& list = hoods[s]->list;
       ASSERT_GE(list.size(), expected.size()) << "row " << rows[s];
       for (std::size_t e = 0; e < expected.size(); ++e) {
-        EXPECT_EQ(list[e].index, knn->dataset_index(expected[e].index))
+        EXPECT_EQ(list[e].index, knn.dataset_index(expected[e].index))
             << "row " << rows[s] << " rank " << e;
         EXPECT_EQ(list[e].distance, expected[e].distance)
             << "row " << rows[s] << " rank " << e;

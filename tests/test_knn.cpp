@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -76,61 +77,25 @@ TEST(BruteKnn, ResultsSortedByDistance) {
 
 TEST(BruteKnn, SubsetIndexingMapsBack) {
   auto data = testing::threshold_dataset(60);
-  std::vector<std::size_t> subset = {5, 10, 15, 20, 25};
-  const BruteKnn knn(data, MixedDistance::fit(data), subset);
-  EXPECT_EQ(knn.size(), 5u);
-  const auto nb = knn.query(data.row(10), 1);
-  EXPECT_EQ(knn.dataset_index(nb[0].index), 10u);
+  const struct {
+    std::vector<std::size_t> subset;
+    std::size_t query;
+  } cases[] = {{{5, 10, 15, 20, 25}, 10}, {{2, 4, 6, 8, 10, 12, 14}, 8}};
+  for (const auto& c : cases) {
+    const BruteKnn knn(data, MixedDistance::fit(data), c.subset);
+    EXPECT_EQ(knn.size(), c.subset.size());
+    const auto nb = knn.query(data.row(c.query), 1);
+    ASSERT_EQ(nb.size(), 1u);
+    EXPECT_EQ(knn.dataset_index(nb[0].index), c.query);
+  }
 }
 
 TEST(BruteKnn, KLargerThanSetReturnsAll) {
   auto data = testing::threshold_dataset(5);
   const BruteKnn knn(data, MixedDistance::fit(data));
   EXPECT_EQ(knn.query(data.row(0), 50).size(), 5u);
-}
-
-/// Property: ball tree and brute force agree exactly on every query, for a
-/// sweep of dataset sizes and k values.
-class BallTreeAgreement
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(BallTreeAgreement, MatchesBruteForce) {
-  const auto [n, k] = GetParam();
-  auto data = testing::threshold_dataset(n, 5.0, /*seed=*/n * 31 + k);
-  const auto distance = MixedDistance::fit(data);
-  const BruteKnn brute(data, distance);
-  const BallTreeKnn tree(data, distance, {}, /*leaf_size=*/4);
-  for (std::size_t q = 0; q < std::min<std::size_t>(n, 25); ++q) {
-    const auto expected = brute.query(data.row(q), k);
-    const auto actual = tree.query(data.row(q), k);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(tree.dataset_index(actual[i].index),
-                brute.dataset_index(expected[i].index))
-          << "n=" << n << " k=" << k << " query=" << q << " rank=" << i;
-      EXPECT_DOUBLE_EQ(actual[i].distance, expected[i].distance);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BallTreeAgreement,
-    ::testing::Combine(::testing::Values<std::size_t>(3, 10, 50, 200, 500),
-                       ::testing::Values<std::size_t>(1, 3, 5, 11)));
-
-TEST(BallTreeKnn, EmptyQueryOnZeroK) {
-  auto data = testing::threshold_dataset(20);
-  const BallTreeKnn tree(data, MixedDistance::fit(data));
-  EXPECT_TRUE(tree.query(data.row(0), 0).empty());
-}
-
-TEST(BallTreeKnn, SubsetIndexing) {
-  auto data = testing::threshold_dataset(60);
-  std::vector<std::size_t> subset = {2, 4, 6, 8, 10, 12, 14};
-  const BallTreeKnn tree(data, MixedDistance::fit(data), subset);
-  EXPECT_EQ(tree.size(), 7u);
-  const auto nb = tree.query(data.row(8), 1);
-  EXPECT_EQ(tree.dataset_index(nb[0].index), 8u);
+  // k = 0 asks for nothing.
+  EXPECT_TRUE(knn.query(data.row(0), 0).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +299,89 @@ TEST(PackedRowsKernel, ScanBuildsTheReferenceTopK) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// BruteKnn's chunk merge and the blocked batch scan against reference
+// orders.
+
+TEST(BruteKnn, ChunkMergeMatchesReferenceSortAtEveryThreadCount) {
+  // Every row twice: row i and row i + 1,600 are identical, so every
+  // distance ties at least once and each tie pairs rows from different
+  // kScanGrain chunks (3,200 rows span four). The merged top-k must order
+  // the ties by row index exactly as a reference sort of every row by
+  // (PackedRows::squared, index) does, whatever the thread count.
+  const Dataset base = testing::threshold_dataset(1600);
+  Dataset data = base;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    data.add_row(base.row(i), base.label(i));
+  }
+  ASSERT_GE(data.size(), 3 * BruteKnn::kScanGrain);
+  const MixedDistance distance = MixedDistance::fit(data);
+  std::vector<std::size_t> ids(data.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  const detail::PackedRows packed(data, distance, ids);
+  std::vector<double> query;
+  for (const int threads : {1, 2, 4}) {
+    const BruteKnn knn(data, distance, {}, threads);
+    for (std::size_t row = 0; row < data.size(); row += 97) {
+      packed.pack_query(data.row(row), query);
+      std::vector<Neighbor> reference(data.size());
+      for (std::size_t p = 0; p < data.size(); ++p) {
+        reference[p] = {p, packed.squared(query.data(), packed.row(p))};
+      }
+      std::sort(reference.begin(), reference.end(), detail::NeighborCmp{});
+      for (const std::size_t k : {1u, 6u, 15u}) {
+        std::vector<Neighbor> got;
+        knn.query_squared(data.row(row), k, got);
+        ASSERT_EQ(got.size(), k);
+        for (std::size_t r = 0; r < k; ++r) {
+          EXPECT_EQ(got[r].index, reference[r].index)
+              << "threads=" << threads << " row=" << row << " k=" << k
+              << " rank=" << r;
+          EXPECT_EQ(bits(got[r].distance), bits(reference[r].distance));
+        }
+      }
+    }
+  }
+}
+
+/// Property: the blocked batch scan (nearest_rows) returns exactly the
+/// per-query scan's lists, for a sweep of dataset sizes (2,300 crosses a
+/// row tile) and k values, at 1 and 4 threads.
+class BatchScanAgreement
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(BatchScanAgreement, MatchesPerQueryScan) {
+  const auto [n, k] = GetParam();
+  auto data = testing::threshold_dataset(n, 5.0, /*seed=*/n * 31 + k);
+  const auto distance = MixedDistance::fit(data);
+  const BruteKnn brute(data, distance);
+  std::vector<std::size_t> rows;
+  for (std::size_t q = 0; q < n; q += std::max<std::size_t>(1, n / 25)) {
+    rows.push_back(q);
+  }
+  std::vector<Neighbor> expected;
+  for (const int threads : {1, 4}) {
+    const auto lists = nearest_rows(data, distance, rows, k, threads);
+    ASSERT_EQ(lists.size(), rows.size());
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      brute.query_squared(data.row(rows[s]), k, expected);
+      ASSERT_EQ(lists[s].size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(lists[s][i].index, brute.dataset_index(expected[i].index))
+            << "n=" << n << " k=" << k << " row=" << rows[s]
+            << " rank=" << i << " threads=" << threads;
+        EXPECT_EQ(bits(lists[s][i].distance), bits(expected[i].distance));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BatchScanAgreement,
+    ::testing::Combine(::testing::Values<std::size_t>(3, 10, 50, 200, 500,
+                                                      2300),
+                       ::testing::Values<std::size_t>(1, 3, 5, 11)));
 
 }  // namespace
 }  // namespace frote

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "frote/data/generators.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "frote/smote/borderline.hpp"
+#include "frote/util/hash.hpp"
 #include "test_util.hpp"
 
 namespace frote {
@@ -143,6 +145,26 @@ TEST(Borderline, WeightsMatchCategories) {
     EXPECT_DOUBLE_EQ(weights[i], kinds[i] == InstanceKind::kBorderline
                                      ? 7.0
                                      : 2.0);
+  }
+}
+
+TEST(Borderline, CategoriesArePinnedOnAdultDraw) {
+  // 3,000 mixed-type rows cross a 2,048-row tile of the blocked batch scan.
+  // The digest of every row's category was recorded when each row queried
+  // a kNN index on its own; the batch scan must reproduce those
+  // neighbourhoods exactly, at every thread count.
+  const Dataset data = make_dataset(UciDataset::kAdult, 3000, 42);
+  const auto model = DecisionTreeLearner().train(data);
+  for (const int threads : {1, 4}) {
+    BorderlineConfig config;
+    config.threads = threads;
+    const auto kinds = categorize_instances(data, *model, config);
+    ASSERT_EQ(kinds.size(), data.size());
+    Fnv1a64 h;
+    for (const InstanceKind kind : kinds) {
+      h.update_u64(static_cast<std::uint64_t>(kind));
+    }
+    EXPECT_EQ(h.digest(), 2286202852973381670ull) << "threads " << threads;
   }
 }
 

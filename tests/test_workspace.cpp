@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "frote/core/workspace.hpp"
 #include "frote/exp/learners.hpp"
 #include "frote/ml/decision_tree.hpp"
+#include "frote/util/hash.hpp"
 #include "test_util.hpp"
 
 namespace frote {
@@ -102,16 +104,16 @@ TEST(SessionWorkspace, DistanceTracksCommittedAppends) {
 void expect_fill_matches_fresh_index(
     const Dataset& data, const std::vector<std::size_t>& rows, std::size_t k,
     const std::vector<const RowNeighborhood*>& hoods) {
-  const auto fresh = make_knn_index(data, MixedDistance::fit(data));
+  const BruteKnn fresh(data, MixedDistance::fit(data));
   const std::size_t cap = std::min(k + 1, data.size());
   std::vector<Neighbor> expected;
   ASSERT_EQ(hoods.size(), rows.size());
   for (std::size_t s = 0; s < rows.size(); ++s) {
-    fresh->query_squared(data.row(rows[s]), cap, expected);
+    fresh.query_squared(data.row(rows[s]), cap, expected);
     const auto& list = hoods[s]->list;
     ASSERT_GE(list.size(), expected.size()) << "row " << rows[s];
     for (std::size_t e = 0; e < expected.size(); ++e) {
-      EXPECT_EQ(list[e].index, fresh->dataset_index(expected[e].index))
+      EXPECT_EQ(list[e].index, fresh.dataset_index(expected[e].index))
           << "row " << rows[s] << " rank " << e << " k " << k;
       EXPECT_EQ(list[e].distance, expected[e].distance)
           << "row " << rows[s] << " rank " << e << " k " << k;
@@ -251,29 +253,46 @@ TEST(BasePopulation, IncrementalUpdateMatchesFullRescan) {
 // Workspace-backed IP selection
 
 TEST(IpSelectorWorkspace, SelectionsMatchStandaloneAndShareRngStream) {
-  auto data = testing::threshold_dataset(160, 5.0, 31);
-  FeedbackRuleSet frs(std::vector<FeedbackRule>{testing::x_gt_rule(6.0)});
-  const auto bp = preselect_base_population(data, frs, 5);
-  DecisionTreeLearner learner;
-  const auto model = learner.train(data);
+  // 2,300 rows cross a 2,048-row tile of the blocked neighbourhood scan on
+  // both paths. The digests of the selections and RNG draws were recorded
+  // when the standalone path still queried a kNN index row by row.
+  struct Case {
+    std::size_t n;
+    std::uint64_t digest;
+  };
+  for (const Case c : {Case{160, 12221147796085093110ull},
+                       Case{2300, 17435497228692424939ull}}) {
+    auto data = testing::threshold_dataset(c.n, 5.0, 31);
+    FeedbackRuleSet frs(std::vector<FeedbackRule>{testing::x_gt_rule(6.0)});
+    const auto bp = preselect_base_population(data, frs, 5);
+    DecisionTreeLearner learner;
+    const auto model = learner.train(data);
 
-  IpSelector selector;
-  SessionWorkspace ws(/*threads=*/1);
-  ws.bind(data);
-  ws.set_model_stamp(1);
+    IpSelector selector;
+    SessionWorkspace ws(/*threads=*/1);
+    ws.bind(data);
+    ws.set_model_stamp(1);
 
-  Rng plain_rng(77);
-  Rng ws_rng(77);
-  for (int round = 0; round < 3; ++round) {
-    const auto plain = selector.select(data, bp, *model, 12, plain_rng);
-    const auto cached = selector.select(data, bp, *model, 12, ws_rng, &ws);
-    ASSERT_EQ(plain.size(), cached.size()) << "round " << round;
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(plain[i].rule_index, cached[i].rule_index);
-      EXPECT_EQ(plain[i].bp_slot, cached[i].bp_slot);
+    Rng plain_rng(77);
+    Rng ws_rng(77);
+    Fnv1a64 h;
+    for (int round = 0; round < 3; ++round) {
+      const auto plain = selector.select(data, bp, *model, 12, plain_rng);
+      const auto cached = selector.select(data, bp, *model, 12, ws_rng, &ws);
+      ASSERT_EQ(plain.size(), cached.size())
+          << "n " << c.n << " round " << round;
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(plain[i].rule_index, cached[i].rule_index);
+        EXPECT_EQ(plain[i].bp_slot, cached[i].bp_slot);
+        h.update_u64(plain[i].rule_index);
+        h.update_u64(plain[i].bp_slot);
+      }
+      // The cached path must consume the RNG identically.
+      const std::uint64_t next = plain_rng.next_u64();
+      EXPECT_EQ(next, ws_rng.next_u64()) << "n " << c.n << " round " << round;
+      h.update_u64(next);
     }
-    // The cached path must consume the RNG identically.
-    EXPECT_EQ(plain_rng.next_u64(), ws_rng.next_u64()) << "round " << round;
+    EXPECT_EQ(h.digest(), c.digest) << "n " << c.n;
   }
 }
 
