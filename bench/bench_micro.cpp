@@ -30,7 +30,6 @@
 #include "frote/ml/coded_columns.hpp"
 #include "frote/opt/ip.hpp"
 #include "frote/opt/lp.hpp"
-#include "frote/smote/smote.hpp"
 #include "frote/util/parallel.hpp"
 #include "ip5_instances.hpp"  // tests/; gtest-free by design
 
@@ -155,11 +154,9 @@ BENCHMARK(BM_TrainModel)
 void BM_ModelUpdate(benchmark::State& state) {
   // Learner::update() on a dataset grown by one accepted batch (η = 20 rows):
   // the accept-path retrain cost the session pays per committed edit, vs the
-  // from-scratch cost BM_TrainModel measures. "rf" update is train.
-  // lr_warm / gbdt_additive are the opt-in approximate warm starts
-  // (docs/DESIGN.md §10).
-  static constexpr const char* kNames[] = {"rf", "lr_warm", "gbdt_additive"};
-  const char* name = kNames[state.range(0)];
+  // from-scratch cost BM_TrainModel measures. No library learner overrides
+  // update(), so "rf" update is train; the /0 arg keeps the row's name.
+  const char* name = "rf";
   const auto& base = adult(1000);
   LearnerSpec spec;
   spec.seed = 42;
@@ -176,7 +173,7 @@ void BM_ModelUpdate(benchmark::State& state) {
   }
   state.SetLabel(name);
 }
-BENCHMARK(BM_ModelUpdate)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ModelUpdate)->Arg(0);
 
 void RunTreeFit(benchmark::State& state, const Dataset& data,
                 LearnerKind kind) {
@@ -418,16 +415,6 @@ void BM_RandomSelection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomSelection);
-
-void BM_ClassicSmote(benchmark::State& state) {
-  const auto& data = adult(2000);
-  SmoteConfig config;
-  config.amount_percent = 100;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smote_oversample(data, 1, config).size());
-  }
-}
-BENCHMARK(BM_ClassicSmote);
 
 void BM_FroteIteration(benchmark::State& state) {
   // One full FROTE edit at τ = 2 — open, run and finalize a session — the

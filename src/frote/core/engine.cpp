@@ -47,9 +47,6 @@ Engine::Builder::Builder() = default;
 
 Engine::Builder& Engine::Builder::rules(FeedbackRuleSet frs) {
   frs_ = std::move(frs);
-  // The provenance spec's rule text no longer describes frs_; to_spec()
-  // must re-serialise from the live rule set (schema overload).
-  if (spec_ != nullptr) rules_overridden_ = true;
   return *this;
 }
 
@@ -106,21 +103,18 @@ Engine::Builder& Engine::Builder::selector(std::string name) {
 Engine::Builder& Engine::Builder::generator(
     std::shared_ptr<const InstanceGenerator> generator) {
   generator_ = std::move(generator);
-  if (spec_gap_.empty()) spec_gap_ = "custom generator instance";
   return *this;
 }
 
 Engine::Builder& Engine::Builder::acceptance(
     std::shared_ptr<const AcceptancePolicy> policy) {
   acceptance_ = std::move(policy);
-  if (spec_gap_.empty()) spec_gap_ = "custom acceptance policy instance";
   return *this;
 }
 
 Engine::Builder& Engine::Builder::stopping(
     std::shared_ptr<const StoppingCriterion> criterion) {
   stopping_ = std::move(criterion);
-  if (spec_gap_.empty()) spec_gap_ = "custom stopping criterion instance";
   return *this;
 }
 
@@ -180,45 +174,13 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   } else {
     impl->acceptance = std::make_shared<const JHatImprovementPolicy>();
   }
-  if (stopping_) {
-    impl->stopping = stopping_;
-  } else if (spec_ != nullptr) {
-    auto stopping = make_spec_stopping(spec_->stopping);
-    if (!stopping) return stopping.error();
-    impl->stopping = std::move(*stopping);
-  } else {
-    impl->stopping = std::make_shared<const BudgetStoppingCriterion>();
-  }
+  impl->stopping = stopping_
+                       ? stopping_
+                       : std::make_shared<const BudgetStoppingCriterion>();
   impl->observers = observers_;
   impl->generate_config.k = config_.k;
   impl->generate_config.rule_confidence = config_.rule_confidence;
   impl->generate_config.threads = config_.threads;
-
-  // Synthesize the to_spec() provenance: start from the originating spec
-  // when there is one (it carries the learner / dataset reference), re-sync
-  // every scalar the builder may have changed since, and record what — if
-  // anything — cannot be represented declaratively. Observers are runtime
-  // attachments, deliberately outside the spec.
-  EngineSpec spec = spec_ != nullptr ? *spec_ : EngineSpec{};
-  spec.tau = config_.tau;
-  spec.q = config_.q;
-  spec.k = config_.k;
-  spec.eta = config_.eta;
-  spec.seed = config_.seed;
-  spec.threads = config_.threads;
-  spec.mod_strategy = mod_strategy_name(config_.mod_strategy);
-  spec.rule_confidence = config_.rule_confidence;
-  spec.accept_always = config_.accept_always;
-  spec.selector = selector_name_;
-  if (spec_ != nullptr && !rules_overridden_) {
-    impl->spec_rules_valid = true;  // provenance text still matches frs
-  } else {
-    spec.rules.clear();
-    impl->spec_rules_valid = frs_.empty();
-  }
-  impl->spec = std::move(spec);
-  impl->spec_representable = spec_gap_.empty();
-  impl->spec_gap = spec_gap_;
   return Engine(std::move(impl));
 }
 

@@ -54,20 +54,6 @@ class Engine {
   /// The feedback rule set F this engine edits towards.
   const FeedbackRuleSet& rules() const;
 
-  /// Serialise back to the declarative spec (core/spec.hpp). Lossless for
-  /// engines built via Builder::from_spec (the stored provenance — learner
-  /// and dataset reference included — is returned with the scalar knobs
-  /// re-synced). Engines assembled imperatively are representable as long
-  /// as they install no generator, acceptance or stopping instance; those
-  /// yield kInvalidArgument. The no-argument form needs rule text from the
-  /// spec provenance — rules installed as in-process objects require the
-  /// schema-taking overload to re-serialise them. Caveat for synthesized
-  /// specs (no from_spec provenance): the learner and dataset fields are
-  /// open()-time arguments an Engine never sees, so they hold the spec
-  /// defaults — fill them in before persisting the document as a run.
-  Expected<EngineSpec, FroteError> to_spec() const;
-  Expected<EngineSpec, FroteError> to_spec(const Schema& schema) const;
-
  private:
   struct Impl;
   explicit Engine(std::shared_ptr<const Impl> impl) : impl_(std::move(impl)) {}
@@ -84,10 +70,10 @@ class Engine::Builder {
   Builder();
 
   /// Seed the builder from a declarative spec (core/spec.hpp): scalar
-  /// knobs, the selector and stopping criterion by registry name, and the
-  /// rule text parsed against `schema`. Fails with a typed error on
-  /// malformed rule text; unknown component names surface from build().
-  /// The spec is kept as provenance so Engine::to_spec() is lossless.
+  /// knobs, the selector by registry name, the stopping criterion the spec
+  /// describes, and the rule text parsed against `schema`. Fails with a
+  /// typed error on malformed rule text or an unknown mod strategy or
+  /// stopping kind; an unknown selector name surfaces from build().
   static Expected<Builder, FroteError> from_spec(const EngineSpec& spec,
                                                  const Schema& schema);
 
@@ -136,12 +122,6 @@ class Engine::Builder {
   std::shared_ptr<const AcceptancePolicy> acceptance_;
   std::shared_ptr<const StoppingCriterion> stopping_;
   std::vector<std::shared_ptr<ProgressObserver>> observers_;
-  /// Provenance for Engine::to_spec(): the spec this builder was seeded
-  /// from, if any, and whether its rule text still matches frs_.
-  std::shared_ptr<const EngineSpec> spec_;
-  bool rules_overridden_ = false;
-  /// First component override that has no spec representation ("" = none).
-  std::string spec_gap_;
 };
 
 /// Optional warm-start inputs for Session::restore(). The pool stashes an

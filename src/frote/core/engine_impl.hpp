@@ -1,5 +1,5 @@
 // Engine's private implementation record, shared by the translation units
-// that assemble or re-open engines (engine.cpp, spec.cpp, checkpoint.cpp).
+// that assemble or re-open engines (engine.cpp, checkpoint.cpp).
 // Not part of the public API — include "frote/core/engine.hpp" instead.
 #pragma once
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "frote/core/engine.hpp"
-#include "frote/core/spec.hpp"
 #include "frote/core/stages.hpp"
 
 namespace frote {
@@ -22,15 +21,6 @@ struct Engine::Impl {
   std::shared_ptr<const StoppingCriterion> stopping;
   std::vector<std::shared_ptr<ProgressObserver>> observers;
   GenerateConfig generate_config;
-
-  /// Declarative provenance for Engine::to_spec(): the synthesized spec
-  /// (exact when the builder came from_spec), whether the engine is
-  /// spec-representable at all, and whether `spec.rules` still matches
-  /// `frs`. `spec_gap` names the first non-representable component.
-  EngineSpec spec;
-  bool spec_representable = false;
-  bool spec_rules_valid = false;
-  std::string spec_gap;
 };
 
 }  // namespace frote

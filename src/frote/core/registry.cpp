@@ -57,27 +57,6 @@ struct Registry {
       return std::make_unique<GbdtLearner>(config);
     };
     learners["lgbm"] = learners["gbdt"];  // the paper's name for it
-    // Opt-in approximate warm-start variants (docs/DESIGN.md §10): same
-    // cold training as their exact counterparts, but Learner::update()
-    // re-fits from the previous model instead of from scratch. Sessions
-    // select these names explicitly — the default names stay bit-exact.
-    learners["lr_warm"] =
-        [](const LearnerSpec& spec) -> std::unique_ptr<Learner> {
-      LogisticRegressionConfig config;
-      config.max_iter = spec.fast ? 120 : 500;
-      config.warm_max_iter = spec.fast ? 15 : 25;
-      config.threads = spec.threads;
-      return std::make_unique<LogisticRegressionWarmLearner>(config);
-    };
-    learners["gbdt_additive"] =
-        [](const LearnerSpec& spec) -> std::unique_ptr<Learner> {
-      GbdtConfig config;
-      config.num_rounds = spec.fast ? 15 : 60;
-      config.update_rounds = spec.fast ? 3 : 5;
-      config.seed = spec.seed;
-      config.threads = spec.threads;
-      return std::make_unique<GbdtAdditiveLearner>(config);
-    };
     learners["nb"] = [](const LearnerSpec&) -> std::unique_ptr<Learner> {
       return std::make_unique<NaiveBayesLearner>();
     };

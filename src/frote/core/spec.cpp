@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "frote/core/engine_impl.hpp"
+#include "frote/core/engine.hpp"
 #include "frote/core/registry.hpp"
 #include "frote/core/scenario.hpp"
 #include "frote/data/csv.hpp"
@@ -303,7 +303,7 @@ Expected<std::unique_ptr<Learner>> make_spec_learner(const EngineSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine::Builder::from_spec / Engine::to_spec
+// Engine::Builder::from_spec
 
 Expected<Engine::Builder, FroteError> Engine::Builder::from_spec(
     const EngineSpec& spec, const Schema& schema) {
@@ -331,34 +331,10 @@ Expected<Engine::Builder, FroteError> Engine::Builder::from_spec(
     }
   }
   builder.frs_ = FeedbackRuleSet(std::move(rules));
-  builder.spec_ = std::make_shared<EngineSpec>(spec);
+  auto stopping = make_spec_stopping(spec.stopping);
+  if (!stopping) return stopping.error();
+  builder.stopping_ = std::move(*stopping);
   return builder;
-}
-
-Expected<EngineSpec, FroteError> Engine::to_spec() const {
-  if (!impl_->spec_representable) {
-    return FroteError::invalid_argument(
-        "engine is not representable as an EngineSpec: " + impl_->spec_gap);
-  }
-  if (!impl_->spec_rules_valid) {
-    return FroteError::invalid_argument(
-        "engine rules were installed as in-process objects; serialising "
-        "them needs the dataset schema — call to_spec(schema)");
-  }
-  return impl_->spec;
-}
-
-Expected<EngineSpec, FroteError> Engine::to_spec(const Schema& schema) const {
-  if (!impl_->spec_representable) {
-    return FroteError::invalid_argument(
-        "engine is not representable as an EngineSpec: " + impl_->spec_gap);
-  }
-  EngineSpec out = impl_->spec;
-  out.rules.clear();
-  for (const auto& rule : impl_->frs.rules()) {
-    out.rules.push_back(rule.to_string(schema));
-  }
-  return out;
 }
 
 }  // namespace frote

@@ -27,8 +27,8 @@
 //   auto engine  = Engine::Builder::from_spec(spec, data.schema())
 //                      .value().build().value();
 //
-// Engine::to_spec() inverts from_spec losslessly (tests/test_spec.cpp locks
-// JSON → Engine → to_spec() → JSON equality for every registry combination).
+// The spec is the run's one description: frote_run writes the expanded
+// spec it ran, and the session pool spools the spec it was handed.
 //
 // Versioning / forward compatibility (docs/DESIGN.md §6): readers ignore
 // unknown keys, missing keys take the documented defaults, and a "version"

@@ -6,7 +6,7 @@
 //
 // Entry points: the loop runs through Engine::Builder → Engine::open →
 // Session (core/engine.hpp); EngineSpec (core/spec.hpp) describes the same
-// run as a JSON document (Builder::from_spec / Engine::to_spec). Learners,
+// run as a JSON document (Builder::from_spec). Learners,
 // selectors and scenarios are named through the registry
 // (core/registry.hpp); register_selector adds a name Builder::selector
 // accepts. CHANGES.md records how the surface evolved.

@@ -3,7 +3,7 @@
 // differences after standardization; each categorical mismatch contributes
 // the square of the *median of the numeric features' standard deviations*.
 // This is a proper metric (it embeds categories as orthogonal simplex
-// corners), so a ball tree over it is valid.
+// corners).
 #pragma once
 
 #include <cstddef>

@@ -2,15 +2,13 @@
 // mixed distance: exact flat scans of one packed row store
 // (detail::PackedRows), in two shapes with identical results:
 //  - BruteKnn: one query at a time, chunk-parallel over the rows of a
-//    large row set. Generation, classic SMOTE and the kNN classifier query
-//    it, and it is the per-query reference the batch scan is tested
-//    against;
+//    large row set. Generation and the kNN classifier query it, and it is
+//    the per-query reference the batch scan is tested against;
 //  - the blocked batch scan (detail::scan_batch, and nearest_rows() over a
 //    dataset's own rows): a block of queries walks the rows tile by tile,
 //    so a tile stays cached while every query of the block scans it, and
 //    blocks fan out on util/parallel.hpp. The workspace's neighbourhood
-//    fill, IP selection without a workspace and borderline categorisation
-//    use it.
+//    fill and IP selection without a workspace use it.
 // Both rank by squared distance and break ties by row index, so they agree
 // exactly at every thread count; query() applies the square root once, on
 // top. The cost model is time ≈ pairs × c_pair, where KnnScanStats counts

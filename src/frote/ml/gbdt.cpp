@@ -34,9 +34,8 @@ double GbdtTree::predict(std::span<const double> row) const {
 }
 
 GbdtModel::GbdtModel(std::vector<GbdtTree> trees, std::size_t num_classes,
-                     std::size_t score_dims, double base_score)
-    : Model(num_classes), trees_(std::move(trees)), score_dims_(score_dims),
-      base_score_(base_score) {
+                     std::size_t score_dims)
+    : Model(num_classes), trees_(std::move(trees)), score_dims_(score_dims) {
   FROTE_CHECK(score_dims_ >= 1);
   FROTE_CHECK(trees_.size() % score_dims_ == 0);
 }
@@ -52,7 +51,7 @@ void GbdtModel::predict_proba_into(std::span<const double> row,
                                    std::vector<double>& out) const {
   const std::size_t rounds = trees_.size() / score_dims_;
   if (score_dims_ == 1) {
-    double score = base_score_;
+    double score = 0.0;
     for (std::size_t r = 0; r < rounds; ++r) score += trees_[r].predict(row);
     const double p1 = 1.0 / (1.0 + std::exp(-score));
     out.assign(2, 0.0);
@@ -60,7 +59,7 @@ void GbdtModel::predict_proba_into(std::span<const double> row,
     out[1] = p1;
     return;
   }
-  out.assign(score_dims_, base_score_);
+  out.assign(score_dims_, 0.0);
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t k = 0; k < score_dims_; ++k) {
       out[k] += trees_[r * score_dims_ + k].predict(row);
@@ -404,16 +403,16 @@ class TreeGrower {
   std::vector<std::vector<double>> cuts_;  // per feature
 };
 
-/// The boosting loop shared by GbdtLearner::train and
-/// GbdtAdditiveLearner::update: grow `rounds` further rounds of trees
-/// against the current `scores` (row-major n x dims), appending to `trees`
-/// and keeping `scores` in sync. Starting from zeroed scores and an empty
-/// ensemble this IS the full training loop.
-void boost_rounds(const Dataset& data, const GbdtConfig& config,
-                  std::size_t dims, std::size_t rounds,
-                  std::vector<double>& scores, std::vector<GbdtTree>& trees) {
+/// The boosting loop: `config.num_rounds` rounds of `dims` trees each,
+/// grown against the running scores (row-major n x dims, starting at zero).
+std::vector<GbdtTree> boost_rounds(const Dataset& data,
+                                   const GbdtConfig& config,
+                                   std::size_t dims) {
   const std::size_t n = data.size();
-  trees.reserve(trees.size() + rounds * dims);
+  const std::size_t rounds = config.num_rounds;
+  std::vector<double> scores(n * dims, 0.0);
+  std::vector<GbdtTree> trees;
+  trees.reserve(rounds * dims);
   // One coded-column table and one presort serve every round's and score
   // dim's trees.
   const CodedColumns columns(data, CodedColumns::ZeroSign::kFolded,
@@ -455,63 +454,17 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
       trees.push_back(grower.grow(scores, dims, k));
     }
   }
-}
-
-std::unique_ptr<Model> gbdt_full_train(const Dataset& data,
-                                       const GbdtConfig& config) {
-  FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
-  const std::size_t classes = data.num_classes();
-  const std::size_t dims = classes == 2 ? 1 : classes;
-  std::vector<double> scores(data.size() * dims, 0.0);
-  std::vector<GbdtTree> trees;
-  boost_rounds(data, config, dims, config.num_rounds, scores, trees);
-  return std::make_unique<GbdtModel>(std::move(trees), classes, dims, 0.0);
+  return trees;
 }
 
 }  // namespace
 
 std::unique_ptr<Model> GbdtLearner::train(const Dataset& data) const {
-  return gbdt_full_train(data, config_);
-}
-
-std::unique_ptr<Model> GbdtAdditiveLearner::train(const Dataset& data) const {
-  return gbdt_full_train(data, config_);
-}
-
-std::unique_ptr<Model> GbdtAdditiveLearner::update(
-    const Model& previous, const Dataset& data,
-    std::size_t trained_rows) const {
-  (void)trained_rows;
   FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
-  const std::size_t n = data.size();
   const std::size_t classes = data.num_classes();
   const std::size_t dims = classes == 2 ? 1 : classes;
-  const auto* prev = dynamic_cast<const GbdtModel*>(&previous);
-  if (prev == nullptr || prev->num_classes() != classes ||
-      prev->score_dims() != dims || prev->base_score() != 0.0) {
-    return gbdt_full_train(data, config_);
-  }
-
-  // Replay the previous ensemble's scores over the grown dataset (one
-  // predict sweep — far cheaper than the rounds it stands in for), then
-  // boost a few corrective rounds against the residuals.
-  std::vector<GbdtTree> trees = prev->trees();
-  std::vector<double> scores(n * dims, 0.0);
-  const std::size_t rounds = trees.size() / dims;
-  parallel_for(n, kRowGrain, config_.threads,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   const auto row = data.row(i);
-                   for (std::size_t r = 0; r < rounds; ++r) {
-                     for (std::size_t k = 0; k < dims; ++k) {
-                       scores[i * dims + k] +=
-                           trees[r * dims + k].predict(row);
-                     }
-                   }
-                 }
-               });
-  boost_rounds(data, config_, dims, config_.update_rounds, scores, trees);
-  return std::make_unique<GbdtModel>(std::move(trees), classes, dims, 0.0);
+  return std::make_unique<GbdtModel>(boost_rounds(data, config_, dims),
+                                     classes, dims);
 }
 
 }  // namespace frote

@@ -25,9 +25,6 @@ struct GbdtConfig {
   /// Threads for the gradient sweep and per-round split search;
   /// 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.
   int threads = 0;
-  /// Boosting rounds GbdtAdditiveLearner::update() appends on top of the
-  /// previous ensemble (ignored by the exact learner).
-  std::size_t update_rounds = 5;
 };
 
 /// A single regression tree of the ensemble.
@@ -48,7 +45,7 @@ class GbdtModel : public Model {
  public:
   /// trees[round * score_dims + k] is the round's tree for score k.
   GbdtModel(std::vector<GbdtTree> trees, std::size_t num_classes,
-            std::size_t score_dims, double base_score);
+            std::size_t score_dims);
 
   std::vector<double> predict_proba(std::span<const double> row) const override;
   void predict_proba_into(std::span<const double> row,
@@ -56,13 +53,10 @@ class GbdtModel : public Model {
 
   std::size_t num_trees() const { return trees_.size(); }
   const std::vector<GbdtTree>& trees() const { return trees_; }
-  std::size_t score_dims() const { return score_dims_; }
-  double base_score() const { return base_score_; }
 
  private:
   std::vector<GbdtTree> trees_;
   std::size_t score_dims_;  // 1 for binary, num_classes for multiclass
-  double base_score_;
 };
 
 class GbdtLearner : public Learner {
@@ -71,26 +65,6 @@ class GbdtLearner : public Learner {
 
   std::unique_ptr<Model> train(const Dataset& data) const override;
   std::string name() const override { return "LGBM"; }
-
- private:
-  GbdtConfig config_;
-};
-
-/// Opt-in approximate variant ("gbdt_additive" in the registry): train() is
-/// the plain full boost, but update() keeps the previous ensemble's trees,
-/// replays their scores over the grown dataset (one cheap predict sweep),
-/// and boosts `update_rounds` additional rounds against the residuals — so
-/// an accept costs a few rounds instead of num_rounds. The ensemble keeps
-/// growing across updates and is NOT bit-identical to a cold retrain
-/// (docs/DESIGN.md §10).
-class GbdtAdditiveLearner : public Learner {
- public:
-  explicit GbdtAdditiveLearner(GbdtConfig config = {}) : config_(config) {}
-
-  std::unique_ptr<Model> train(const Dataset& data) const override;
-  std::unique_ptr<Model> update(const Model& previous, const Dataset& data,
-                                std::size_t trained_rows) const override;
-  std::string name() const override { return "LGBM-additive"; }
 
  private:
   GbdtConfig config_;

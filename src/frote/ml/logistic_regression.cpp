@@ -201,14 +201,12 @@ struct Objective {
   }
 };
 
-/// The full fit loop, shared by the cold and warm learners: encode, start
-/// from `init` (zeros when null), run at most `max_iter` descent steps with
-/// backtracking line search. A warm start only changes the starting point
-/// and budget — the per-iteration arithmetic is identical.
-std::unique_ptr<Model> fit_logistic(const Dataset& data,
-                                    const LogisticRegressionConfig& config,
-                                    const std::vector<double>* init,
-                                    std::size_t max_iter) {
+}  // namespace
+
+/// The fit: encode, start from zero weights, run at most `max_iter` descent
+/// steps with backtracking line search.
+std::unique_ptr<Model> LogisticRegressionLearner::train(
+    const Dataset& data) const {
   FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
   Encoder encoder = Encoder::fit(data);
   const std::size_t width = encoder.encoded_width();
@@ -219,22 +217,19 @@ std::unique_ptr<Model> fit_logistic(const Dataset& data,
   std::vector<int> y(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = data.label(i);
 
-  Objective objective{x,       y,        n, width, classes, 1.0 / config.c,
-                      config.threads};
+  Objective objective{x,       y,        n, width, classes, 1.0 / config_.c,
+                      config_.threads};
   const std::size_t dim = classes * (width + 1);
   std::vector<double> w(dim, 0.0), grad(dim, 0.0), trial(dim, 0.0),
       trial_grad(dim, 0.0);
-  if (init != nullptr) {
-    FROTE_CHECK(init->size() == dim);
-    w = *init;
-  }
   double value = objective.value_and_grad(w, grad);
 
   double step = 1.0 / static_cast<double>(std::max<std::size_t>(n, 1));
-  for (std::size_t iter = 0; iter < max_iter; ++iter) {
+  for (std::size_t iter = 0; iter < config_.max_iter; ++iter) {
     double grad_norm2 = 0.0;
     for (double g : grad) grad_norm2 += g * g;
-    if (std::sqrt(grad_norm2) < config.tolerance * static_cast<double>(n)) {
+    if (std::sqrt(grad_norm2) <
+        config_.tolerance * static_cast<double>(n)) {
       break;
     }
     // Backtracking line search on the descent direction -grad.
@@ -258,36 +253,6 @@ std::unique_ptr<Model> fit_logistic(const Dataset& data,
   return std::make_unique<LogisticRegressionModel>(std::move(encoder),
                                                    std::move(w), classes,
                                                    width);
-}
-
-}  // namespace
-
-std::unique_ptr<Model> LogisticRegressionLearner::train(
-    const Dataset& data) const {
-  return fit_logistic(data, config_, nullptr, config_.max_iter);
-}
-
-std::unique_ptr<Model> LogisticRegressionWarmLearner::train(
-    const Dataset& data) const {
-  return fit_logistic(data, config_, nullptr, config_.max_iter);
-}
-
-std::unique_ptr<Model> LogisticRegressionWarmLearner::update(
-    const Model& previous, const Dataset& data,
-    std::size_t trained_rows) const {
-  (void)trained_rows;
-  const auto* prev = dynamic_cast<const LogisticRegressionModel*>(&previous);
-  if (prev == nullptr || prev->num_classes() != data.num_classes()) {
-    return fit_logistic(data, config_, nullptr, config_.max_iter);
-  }
-  // One-hot width is a pure function of the schema, so the previous weight
-  // matrix keeps its shape as rows append; a changed width (different
-  // schema entirely) falls back to a cold fit.
-  Encoder probe = Encoder::fit(data);
-  if (prev->encoded_width() != probe.encoded_width()) {
-    return fit_logistic(data, config_, nullptr, config_.max_iter);
-  }
-  return fit_logistic(data, config_, &prev->weights(), config_.warm_max_iter);
 }
 
 }  // namespace frote

@@ -20,10 +20,6 @@ struct LogisticRegressionConfig {
   double tolerance = 1e-5;
   /// Threads for the objective/gradient sweep; 0 ⇒ FROTE_NUM_THREADS.
   int threads = 0;
-  /// Corrective-iteration cap for LogisticRegressionWarmLearner::update()
-  /// (ignored by the exact learner). A warm start from the previous weights
-  /// is already near the optimum, so a short budget suffices.
-  std::size_t warm_max_iter = 25;
 };
 
 class LogisticRegressionModel : public Model {
@@ -39,11 +35,6 @@ class LogisticRegressionModel : public Model {
   /// the intercept). Exposed for tests and for the online-learning proxy.
   double weight(std::size_t c, std::size_t j) const;
 
-  /// Full weight matrix / encoded width — what a warm restart initialises
-  /// from (LogisticRegressionWarmLearner::update).
-  const std::vector<double>& weights() const { return weights_; }
-  std::size_t encoded_width() const { return width_; }
-
  private:
   Encoder encoder_;
   std::vector<double> weights_;  // (num_classes) x (width + 1), row-major
@@ -57,27 +48,6 @@ class LogisticRegressionLearner : public Learner {
 
   std::unique_ptr<Model> train(const Dataset& data) const override;
   std::string name() const override { return "LR"; }
-
- private:
-  LogisticRegressionConfig config_;
-};
-
-/// Opt-in approximate variant ("lr_warm" in the registry): train() is the
-/// plain cold fit, but update() re-fits starting from the previous model's
-/// weights with at most `warm_max_iter` corrective iterations. One-hot
-/// widths are schema-determined (data/encoder.hpp), so the previous weight
-/// matrix stays dimension-compatible as rows append; the fit is NOT
-/// bit-identical to a cold retrain — sessions select this name to trade
-/// exactness for an O(few-sweeps) accept path (docs/DESIGN.md §10).
-class LogisticRegressionWarmLearner : public Learner {
- public:
-  explicit LogisticRegressionWarmLearner(LogisticRegressionConfig config = {})
-      : config_(config) {}
-
-  std::unique_ptr<Model> train(const Dataset& data) const override;
-  std::unique_ptr<Model> update(const Model& previous, const Dataset& data,
-                                std::size_t trained_rows) const override;
-  std::string name() const override { return "LR-warm"; }
 
  private:
   LogisticRegressionConfig config_;

@@ -73,10 +73,9 @@ class Learner {
   /// (byte-identical prefix — the FROTE accept path stages batches at the
   /// tail and never mutates committed rows). The default is a full
   /// from-scratch train, so every learner is update-correct by construction.
-  /// Exact learners override this only where they can prove the result is
-  /// bit-identical to train(data) (docs/DESIGN.md §10); approximate warm
-  /// starts live in opt-in registry variants ("lr_warm", "gbdt_additive")
-  /// and never behind a default learner name.
+  /// A learner may override this only where it can prove the result is
+  /// bit-identical to train(data) (docs/DESIGN.md §10); no library learner
+  /// does today, but Session::step calls through this hook so one can.
   virtual std::unique_ptr<Model> update(const Model& previous,
                                         const Dataset& data,
                                         std::size_t trained_rows) const {

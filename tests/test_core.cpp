@@ -219,6 +219,66 @@ TEST(Generate, ProbabilisticConfidenceMixesLabels) {
   EXPECT_LT(zeros, 4 * total / 5);
 }
 
+// Features the rule does not mention follow plain SMOTE-NC: a numeric value
+// interpolates on the base–neighbour segment, a categorical value takes the
+// neighbourhood's majority, the base's own value voting too. Every row below
+// satisfies the rule x > 5, so the base population is the whole dataset.
+
+TEST(Generate, UnmentionedNumericLiesOnBaseNeighborSegment) {
+  // Two rows: each is the other's only neighbour.
+  Dataset data(testing::mixed_schema());
+  data.add_row({6.0, 1.0, 0.0}, 1);
+  data.add_row({8.0, 4.0, 1.0}, 1);
+  const auto rule = testing::x_gt_rule(5.0);
+  const auto bp = preselect_base_population(data, FeedbackRuleSet({rule}), 1);
+  ASSERT_EQ(bp.per_rule[0].indices.size(), 2u);
+  const auto distance = MixedDistance::fit(data);
+  GenerateConfig config;
+  config.k = 1;
+  RuleConstrainedGenerator gen(data, rule, bp.per_rule[0], distance, config);
+  Rng rng(5);
+  std::vector<double> row;
+  int label = 0;
+  std::size_t interior = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    ASSERT_TRUE(gen.generate(trial % 2, rng, row, label));
+    EXPECT_GE(row[1], 1.0);
+    EXPECT_LE(row[1], 4.0);
+    interior += row[1] > 1.0 && row[1] < 4.0 ? 1 : 0;
+  }
+  EXPECT_GT(interior, 0u);  // interpolated, not copied from an endpoint
+}
+
+TEST(Generate, UnmentionedCategoricalTakesNeighborhoodMajority) {
+  // Base row 0 plus three neighbours (k = 3 covers them all); `colors[0]`
+  // is the base's colour.
+  const auto generated_color = [](const std::vector<double>& colors) {
+    Dataset data(testing::mixed_schema());
+    for (std::size_t i = 0; i < colors.size(); ++i) {
+      data.add_row({6.0 + static_cast<double>(i), 2.0, colors[i]}, 1);
+    }
+    const auto rule = testing::x_gt_rule(5.0);
+    const auto bp =
+        preselect_base_population(data, FeedbackRuleSet({rule}), 3);
+    EXPECT_EQ(bp.per_rule[0].indices[0], 0u);
+    const auto distance = MixedDistance::fit(data);
+    GenerateConfig config;
+    config.k = 3;
+    RuleConstrainedGenerator gen(data, rule, bp.per_rule[0], distance,
+                                 config);
+    Rng rng(6);
+    std::vector<double> row;
+    int label = 0;
+    EXPECT_TRUE(gen.generate(0, rng, row, label));
+    return row[2];
+  };
+  // red base, three green neighbours: green (3 votes to 1).
+  EXPECT_EQ(generated_color({0.0, 1.0, 1.0, 1.0}), 1.0);
+  // blue base, neighbours blue/green/red: blue (2 votes with the base's;
+  // without it the three-way tie would go to red, the lowest code).
+  EXPECT_EQ(generated_color({2.0, 2.0, 1.0, 0.0}), 2.0);
+}
+
 TEST(ModStrategy, RelabelAlignsCoveredLabels) {
   auto data = testing::threshold_dataset(200);
   // Rule asserts the OPPOSITE of the ground truth in x > 5.

@@ -16,11 +16,8 @@
 
 #include "frote/core/checkpoint.hpp"
 #include "frote/core/engine.hpp"
-#include "frote/core/registry.hpp"
 #include "frote/core/workspace.hpp"
 #include "frote/knn/knn.hpp"
-#include "frote/ml/gbdt.hpp"
-#include "frote/ml/logistic_regression.hpp"
 #include "frote/ml/random_forest.hpp"
 #include "frote/util/parallel.hpp"
 #include "test_util.hpp"
@@ -105,29 +102,6 @@ TEST(LearnerUpdate, RandomForestUpdateBitIdenticalToTrain) {
   ASSERT_EQ(p_inc.size(), p_scr.size());
   for (std::size_t i = 0; i < p_inc.size(); ++i) {
     EXPECT_EQ(p_inc[i], p_scr[i]) << "probability " << i;
-  }
-}
-
-TEST(LearnerUpdate, WarmVariantsAreOptInRegistryNames) {
-  // The approximate warm starts never hide behind the exact names: they are
-  // separate registry entries that resolve, train, and update usably.
-  for (const char* name : {"lr_warm", "gbdt_additive"}) {
-    auto data = testing::threshold_dataset(120, 5.0, 7);
-    LearnerSpec spec;
-    spec.fast = true;
-    auto learner = make_named_learner(name, spec);
-    ASSERT_TRUE(learner.has_value()) << name;
-    const auto cold = (*learner)->train(data);
-    ASSERT_EQ(cold->num_classes(), data.num_classes()) << name;
-    const std::size_t trained_rows = data.size();
-    Dataset batch(data.schema_ptr());
-    batch.add_row({6.0, 4.0, 0.0}, 1);
-    batch.add_row({3.0, 2.0, 1.0}, 0);
-    data.append(batch);
-    const auto warm = (*learner)->update(*cold, data, trained_rows);
-    ASSERT_EQ(warm->num_classes(), data.num_classes()) << name;
-    const auto predicted = warm->predict_all(data);
-    EXPECT_EQ(predicted.size(), data.size()) << name;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "frote/data/generators.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "frote/ml/gbdt.hpp"
 #include "frote/ml/logistic_regression.hpp"
@@ -453,14 +454,6 @@ TEST(ModelPins, GbdtMulticlass) {
   });
 }
 
-TEST(ModelPins, GbdtAdditiveUpdate) {
-  expect_pinned(3, 0x01b52b5e9c728cbaull, [](const Dataset& data, int threads) {
-    const GbdtAdditiveLearner gbdt(pin_gbdt(threads));
-    const auto previous = gbdt.train(prefix_of(data));
-    return gbdt.update(*previous, data, kPinTrained);
-  });
-}
-
 // The pins below cover the presorted split search's edge paths: children
 // at the depth limit (no per-feature lists), a min_samples_leaf large
 // enough that many leaves never split (each keeps all its rows for the
@@ -495,12 +488,23 @@ TEST(ModelPins, GbdtAllCategorical) {
                    });
 }
 
-TEST(ModelPins, GbdtAdditiveUpdateWideLeaves) {
-  expect_pinned(3, 0x06f3c5e274cf7e5full, [](const Dataset& data, int threads) {
-    const GbdtAdditiveLearner gbdt(pin_gbdt_wide_leaves(threads));
-    const auto previous = gbdt.train(prefix_of(data));
-    return gbdt.update(*previous, data, kPinTrained);
-  });
+// The exact LR fit: predict_proba_all of the `lr` learner trained on a
+// binary (adult) and a multiclass (contraceptive) draw, over the training
+// rows and a second draw as probes, under flat and chunked storage at 1 and
+// 4 threads.
+TEST(ModelPins, LogisticRegression) {
+  const auto fit = [](const Dataset& data, int threads) {
+    LogisticRegressionConfig config;
+    config.threads = threads;
+    return LogisticRegressionLearner(config).train(data);
+  };
+  expect_pinned_on([] { return make_dataset(UciDataset::kAdult, 400, 5); },
+                   make_dataset(UciDataset::kAdult, 100, 6),
+                   0xbc80af951b523251ull, fit);
+  expect_pinned_on(
+      [] { return make_dataset(UciDataset::kContraceptive, 400, 5); },
+      make_dataset(UciDataset::kContraceptive, 100, 6),
+      0x97b21a2e65187d51ull, fit);
 }
 
 TEST(LogisticRegression, RecoverLinearBoundaryDirection) {

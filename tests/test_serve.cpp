@@ -479,7 +479,7 @@ TEST(SessionPoolThreads, CheckpointAllWhileAnotherThreadSteps) {
   for (int i = 0; i < 3; ++i) pool.create(spec).value();
 
   std::atomic<bool> stepping{true};
-  std::size_t steps = 0;
+  std::atomic<std::size_t> steps{0};
   std::size_t sweeps = 0;
   run_with_deadline(std::chrono::seconds(60), [&] {
     std::thread stepper([&] {
@@ -488,11 +488,14 @@ TEST(SessionPoolThreads, CheckpointAllWhileAnotherThreadSteps) {
         ++steps;
       }
     });
-    for (; sweeps < 200; ++sweeps) pool.checkpoint_all();
+    // Keep sweeping until the stepper has finished a step: on a loaded
+    // host the thread can start after 200 sweeps, and then nothing ran
+    // concurrently.
+    for (; sweeps < 200 || steps.load() == 0; ++sweeps) pool.checkpoint_all();
     stepping.store(false);
     stepper.join();
   });
-  EXPECT_GT(steps, 0u);
+  EXPECT_GT(steps.load(), 0u);
   // Nothing is left live after a final sweep with no request in flight.
   pool.checkpoint_all();
   EXPECT_EQ(pool.stats().find("sessions_live")->as_uint64(), 0u);
@@ -666,6 +669,9 @@ TEST(ServeContract, MalformedRequestsGetTypedErrorsAndNeverKillTheDaemon) {
        -32602},
       {"step fractional steps",
        R"({"jsonrpc":"2.0","id":1,"method":"session.step","params":{"session":"s-999999","steps":1.5}})",
+       -32602},
+      {"step steps beyond int64",
+       R"({"jsonrpc":"2.0","id":1,"method":"session.step","params":{"session":"s-999999","steps":18446744073709551615}})",
        -32602},
       {"create without spec",
        R"({"jsonrpc":"2.0","id":1,"method":"session.create"})", -32602},

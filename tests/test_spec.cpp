@@ -1,6 +1,7 @@
-// core/spec: declarative EngineSpec round-trips — JSON → Engine → to_spec()
-// must be lossless for every registry learner/selector combination — plus
-// RunPlan expansion and the concurrent driver's determinism.
+// core/spec: declarative EngineSpec round-trips — JSON → EngineSpec → JSON,
+// and JSON → Engine for every registry learner/selector combination with
+// the spec's scalars and stopping criterion installed — plus RunPlan
+// expansion and the concurrent driver's determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,6 +32,34 @@ EngineSpec small_spec() {
   return spec;
 }
 
+/// A selector that picks no base instance, registered as "test-null": the
+/// first step of a session that resolved it exhausts.
+void register_null_selector() {
+  struct NullSelector final : BaseInstanceSelector {
+    std::vector<SelectedInstance> select(const Dataset&,
+                                         const BasePopulation&, const Model&,
+                                         std::size_t, Rng&) const override {
+      return {};
+    }
+  };
+  register_selector(
+      "test-null",
+      [](const SelectorSpec&)
+          -> Expected<std::shared_ptr<const BaseInstanceSelector>> {
+        return std::shared_ptr<const BaseInstanceSelector>(
+            std::make_shared<NullSelector>());
+      });
+}
+
+/// Status of the first step of a session `engine` opens over the mixed
+/// schema.
+StepStatus first_step_status(const Engine& engine) {
+  const auto data = testing::threshold_dataset(60, 5.0, 3);
+  const auto learner = make_named_learner("nb").value();
+  auto session = engine.open(data, *learner).value();
+  return session.step().status;
+}
+
 TEST(EngineSpec, JsonRoundTripPreservesEveryField) {
   EngineSpec spec = small_spec();
   spec.threads = 2;
@@ -51,19 +80,23 @@ TEST(EngineSpec, JsonRoundTripPreservesEveryField) {
 }
 
 TEST(EngineSpec, RoundTripsThroughEngineForEveryRegistryCombination) {
-  // The acceptance contract: spec JSON -> from_spec -> build -> to_spec
-  // reproduces the document byte-for-byte, whichever registry learner and
-  // selector the spec names.
+  // The acceptance contract: spec JSON -> parse reproduces the document
+  // byte-for-byte, and from_spec -> build succeeds with the spec's scalars,
+  // whichever registry learner and selector the spec names.
   const auto schema = testing::mixed_schema();
   for (const auto& learner : registered_learner_names()) {
     for (const auto& selector : registered_selector_names()) {
       EngineSpec spec = small_spec();
+      spec.threads = 2;
+      spec.rule_confidence = 0.8;
+      spec.accept_always = true;
       spec.learner = learner;
       spec.selector = selector;
       const std::string text = spec.to_json_text();
 
       auto parsed = EngineSpec::parse(text);
       ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+      EXPECT_EQ(parsed->to_json_text(), text) << learner << "/" << selector;
       auto builder = Engine::Builder::from_spec(*parsed, *schema);
       ASSERT_TRUE(builder.has_value())
           << learner << "/" << selector << ": " << builder.error().message;
@@ -74,16 +107,21 @@ TEST(EngineSpec, RoundTripsThroughEngineForEveryRegistryCombination) {
       ASSERT_TRUE(learner_instance.has_value())
           << learner << ": " << learner_instance.error().message;
 
-      auto back = engine->to_spec();
-      ASSERT_TRUE(back.has_value())
-          << learner << "/" << selector << ": " << back.error().message;
-      EXPECT_EQ(back->to_json_text(), text) << learner << "/" << selector;
-      // The schema overload re-serialises the live rules and must agree
-      // with the provenance text (parse/print is a round-trip).
-      auto reserialised = engine->to_spec(*schema);
-      ASSERT_TRUE(reserialised.has_value());
-      EXPECT_EQ(reserialised->to_json_text(), text)
-          << learner << "/" << selector;
+      const FroteConfig& config = engine->config();
+      EXPECT_EQ(config.tau, spec.tau);
+      EXPECT_EQ(config.q, spec.q);
+      EXPECT_EQ(config.k, spec.k);
+      EXPECT_EQ(config.eta, spec.eta);
+      EXPECT_EQ(config.seed, spec.seed);
+      EXPECT_EQ(config.threads, spec.threads);
+      EXPECT_EQ(mod_strategy_name(config.mod_strategy), spec.mod_strategy);
+      EXPECT_EQ(config.rule_confidence, spec.rule_confidence);
+      EXPECT_EQ(config.accept_always, spec.accept_always);
+      // The rule text parses back to itself against the schema.
+      ASSERT_EQ(engine->rules().size(), spec.rules.size());
+      for (std::size_t r = 0; r < spec.rules.size(); ++r) {
+        EXPECT_EQ(engine->rules().rule(r).to_string(*schema), spec.rules[r]);
+      }
     }
   }
 }
@@ -128,21 +166,68 @@ TEST(EngineSpec, SpecDrivenEngineMatchesImperativeEngine) {
 
 TEST(EngineSpec, LastSelectorChoiceWins) {
   // selector(name) overrides the spec's selector, and later calls override
-  // earlier ones; to_spec() reflects the final name.
+  // earlier ones: the session runs the last name given.
+  register_null_selector();
   const auto schema = testing::mixed_schema();
-  auto engine = Engine::Builder::from_spec(small_spec(), *schema)  // random
-                    .value()
-                    .selector("ip")
-                    .build()
-                    .value();
-  EXPECT_EQ(engine.to_spec()->selector, "ip");
-  auto renamed = Engine::Builder::from_spec(small_spec(), *schema)
-                     .value()
-                     .selector("ip")
-                     .selector("online-proxy")
-                     .build()
-                     .value();
-  EXPECT_EQ(renamed.to_spec()->selector, "online-proxy");
+  const auto null_last = Engine::Builder::from_spec(small_spec(), *schema)
+                             .value()  // random
+                             .selector("ip")
+                             .selector("test-null")
+                             .build()
+                             .value();
+  EXPECT_EQ(first_step_status(null_last), StepStatus::kExhausted);
+  EngineSpec null_spec = small_spec();
+  null_spec.selector = "test-null";
+  const auto random_last = Engine::Builder::from_spec(null_spec, *schema)
+                               .value()
+                               .selector("ip")
+                               .selector("random")
+                               .build()
+                               .value();
+  EXPECT_NE(first_step_status(random_last), StepStatus::kExhausted);
+  const auto spec_null =
+      Engine::Builder::from_spec(null_spec, *schema).value().build().value();
+  EXPECT_EQ(first_step_status(spec_null), StepStatus::kExhausted);
+}
+
+TEST(EngineSpec, FromSpecInstallsTheStoppingCriterion) {
+  // With a generator that never produces rows every step is fruitless, so
+  // the spec's plateau criterion ends the run after `patience` steps, where
+  // the budget criterion runs all tau of them. A later stopping() call
+  // replaces the spec's criterion.
+  struct EmptyGenerator : InstanceGenerator {
+    Dataset generate(const GenerationContext& ctx,
+                     const std::vector<SelectedInstance>&,
+                     Rng&) const override {
+      return Dataset(ctx.active.schema_ptr());
+    }
+  };
+  const auto schema = testing::mixed_schema();
+  const auto data = testing::threshold_dataset(60, 5.0, 3);
+  const auto learner = make_named_learner("nb").value();
+  const auto steps_of = [&](const Engine::Builder& builder) {
+    auto session = builder.build().value().open(data, *learner).value();
+    return session.run();
+  };
+  const auto empty = std::make_shared<EmptyGenerator>();
+
+  EngineSpec spec = small_spec();  // tau = 4, budget stopping
+  EXPECT_EQ(steps_of(Engine::Builder::from_spec(spec, *schema)
+                         .value()
+                         .generator(empty)),
+            spec.tau);
+  spec.stopping.kind = "plateau";
+  spec.stopping.patience = 2;
+  EXPECT_EQ(steps_of(Engine::Builder::from_spec(spec, *schema)
+                         .value()
+                         .generator(empty)),
+            2u);
+  EXPECT_EQ(steps_of(Engine::Builder::from_spec(spec, *schema)
+                         .value()
+                         .generator(empty)
+                         .stopping(std::make_shared<PlateauStoppingCriterion>(
+                             1))),
+            1u);
 }
 
 TEST(EngineSpec, UnknownComponentNamesAreTypedErrors) {
@@ -164,6 +249,12 @@ TEST(EngineSpec, UnknownComponentNamesAreTypedErrors) {
   auto builder = Engine::Builder::from_spec(spec, *schema);
   ASSERT_FALSE(builder.has_value());
   EXPECT_EQ(builder.error().code, FroteErrorCode::kUnknownComponent);
+
+  spec = small_spec();
+  spec.stopping.kind = "forever";
+  auto stopping = Engine::Builder::from_spec(spec, *schema);
+  ASSERT_FALSE(stopping.has_value());
+  EXPECT_EQ(stopping.error().code, FroteErrorCode::kUnknownComponent);
 }
 
 TEST(EngineSpec, MalformedRuleTextIsAParseError) {
@@ -208,64 +299,14 @@ TEST(EngineSpec, ForwardCompatPolicy) {
   EXPECT_EQ(wrong_type.error().code, FroteErrorCode::kParseError);
 }
 
-TEST(EngineSpec, ImperativeEnginesSynthesizeSpecsWhenRepresentable) {
-  FeedbackRuleSet frs({testing::x_gt_rule(6.0, 1)});
-  const auto engine = Engine::Builder()
-                          .rules(frs)
-                          .tau(7)
-                          .selector("ip")
-                          .build()
-                          .value();
-  // Rule text needs a schema on this path.
-  auto without_schema = engine.to_spec();
-  ASSERT_FALSE(without_schema.has_value());
-  auto spec = engine.to_spec(*testing::mixed_schema());
-  ASSERT_TRUE(spec.has_value()) << spec.error().message;
-  EXPECT_EQ(spec->tau, 7u);
-  EXPECT_EQ(spec->selector, "ip");
-  ASSERT_EQ(spec->rules.size(), 1u);
-  EXPECT_EQ(spec->rules[0], "IF x > 6 THEN class = pos");
-
-  // A custom component instance has no declarative name: typed refusal.
-  const auto custom = Engine::Builder()
-                          .rules(frs)
-                          .acceptance(std::make_shared<AlwaysAcceptPolicy>())
-                          .build()
-                          .value();
-  auto unrepresentable = custom.to_spec(*testing::mixed_schema());
-  ASSERT_FALSE(unrepresentable.has_value());
-  EXPECT_EQ(unrepresentable.error().code, FroteErrorCode::kInvalidArgument);
-}
-
 TEST(EngineSpec, CustomSelectorsAreNamedThroughTheRegistry) {
-  struct NullSelector final : BaseInstanceSelector {
-    std::vector<SelectedInstance> select(const Dataset&,
-                                         const BasePopulation&, const Model&,
-                                         std::size_t, Rng&) const override {
-      return {};
-    }
-  };
-  register_selector(
-      "test-null",
-      [](const SelectorSpec&)
-          -> Expected<std::shared_ptr<const BaseInstanceSelector>> {
-        return std::shared_ptr<const BaseInstanceSelector>(
-            std::make_shared<NullSelector>());
-      });
+  register_null_selector();
   FeedbackRuleSet frs({testing::x_gt_rule(6.0, 1)});
   const auto engine =
       Engine::Builder().rules(frs).selector("test-null").build();
   ASSERT_TRUE(engine.has_value()) << engine.error().message;
-  auto data = testing::threshold_dataset(60, 5.0, 3);
-  auto learner = make_named_learner("nb").value();
-  auto session = engine->open(data, *learner);
-  ASSERT_TRUE(session.has_value()) << session.error().message;
   // The null selector picks nothing, so the first step exhausts.
-  EXPECT_EQ(session->step().status, StepStatus::kExhausted);
-
-  const auto spec = engine->to_spec(*testing::mixed_schema());
-  ASSERT_TRUE(spec.has_value()) << spec.error().message;
-  EXPECT_EQ(spec->selector, "test-null");
+  EXPECT_EQ(first_step_status(*engine), StepStatus::kExhausted);
 
   const auto unregistered =
       Engine::Builder().rules(frs).selector("test-unregistered").build();

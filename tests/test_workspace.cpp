@@ -4,9 +4,9 @@
 // MixedDistance::fit, update_base_population vs preselect_base_population,
 // the neighbourhood fill vs fresh indexes, workspace generation vs
 // standalone generation, and IpSelector with a workspace vs without (the
-// IP memo included). Plus the threads knob: an IP-selection session is
-// bit-identical at every thread count (ci.sh reruns this suite under
-// FROTE_NUM_THREADS=4).
+// IP memo included), each against a recount of the Han borderline rule.
+// Plus the threads knob: an IP-selection session is bit-identical at every
+// thread count (ci.sh reruns this suite under FROTE_NUM_THREADS=4).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -293,6 +293,84 @@ TEST(IpSelectorWorkspace, SelectionsMatchStandaloneAndShareRngStream) {
       h.update_u64(next);
     }
     EXPECT_EQ(h.digest(), c.digest) << "n " << c.n;
+  }
+}
+
+TEST(IpSelectorWorkspace, SelectsTheRowsTheHanRuleCallsBorderline) {
+  // Two blobs with one mixed region between them, plus one class-1 row in
+  // the class-0 blob's core. The rule covers every row, so the base
+  // population is the whole dataset. The test recounts the Han rule itself:
+  // a row is borderline when at least half, but not all, of its
+  // borderline_k nearest rows (ascending squared distance, then row) carry
+  // a different predicted label; when all of them do, it is noisy. With η
+  // equal to the borderline count, below the base population's size, the
+  // IP's unique optimum selects exactly those rows, with and without a
+  // workspace. The noisy row is row 0, the IP's first variable, so a
+  // selector that weighted it as borderline would pick it.
+  Dataset data(testing::numeric2d_schema());
+  data.add_row({0.05, 0.05}, 1);
+  Rng draw(21);
+  for (int i = 0; i < 80; ++i) {
+    data.add_row({draw.normal(0.0, 1.0), draw.normal(0.0, 1.0)}, 0);
+    data.add_row({draw.normal(12.0, 1.0), draw.normal(0.0, 1.0)}, 1);
+  }
+  for (int i = 0; i < 40; ++i) {
+    data.add_row({draw.normal(6.0, 0.8), draw.normal(0.0, 1.0)},
+                 static_cast<int>(draw.index(2)));
+  }
+  const auto model = DecisionTreeLearner().train(data);
+  const IpSelectorConfig config;
+
+  const auto predicted = model->predict_all(data, 1);
+  const auto distance = MixedDistance::fit(data);
+  const std::size_t k = config.borderline_k;
+  std::vector<std::size_t> borderline;
+  std::size_t noisy = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    std::vector<std::pair<double, std::size_t>> order;
+    for (std::size_t j = 0; j < data.size(); ++j) {
+      if (j == i) continue;
+      order.push_back({distance.squared(data.row(i), data.row(j)), j});
+    }
+    std::sort(order.begin(), order.end());
+    std::size_t diff = 0;
+    for (std::size_t r = 0; r < k; ++r) {
+      diff += predicted[order[r].second] != predicted[i] ? 1 : 0;
+    }
+    if (diff < k && 2 * diff >= k) borderline.push_back(i);
+    noisy += diff == k ? 1 : 0;
+  }
+  // The mixed region yields borderline rows; the blob cores are safe, and
+  // the planted row is noisy, not borderline.
+  ASSERT_GE(borderline.size(), config.k + 1);  // the IP's lower bound
+  EXPECT_GE(noisy, 1u);
+  for (const std::size_t row : borderline) {
+    EXPECT_GT(data.row(row)[0], 3.0) << "row " << row;
+    EXPECT_LT(data.row(row)[0], 9.0) << "row " << row;
+  }
+
+  const FeedbackRuleSet frs(std::vector<FeedbackRule>{
+      FeedbackRule::deterministic(Clause({Predicate{0, Op::kGt, -100.0}}), 1,
+                                  2)});
+  const auto bp = preselect_base_population(data, frs, config.k);
+  ASSERT_EQ(bp.per_rule[0].indices.size(), data.size());
+  ASSERT_LT(borderline.size(), data.size());
+
+  const IpSelector selector(config);
+  SessionWorkspace ws(/*threads=*/1);
+  ws.bind(data);
+  ws.set_model_stamp(1);
+  for (const bool use_workspace : {false, true}) {
+    Rng rng(3);
+    const auto picks =
+        selector.select(data, bp, *model, borderline.size(), rng,
+                        use_workspace ? &ws : nullptr);
+    std::vector<std::size_t> selected;
+    for (const auto& pick : picks) {
+      selected.push_back(bp.per_rule[0].indices[pick.bp_slot]);
+    }
+    std::sort(selected.begin(), selected.end());
+    EXPECT_EQ(selected, borderline) << "workspace " << use_workspace;
   }
 }
 

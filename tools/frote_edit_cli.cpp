@@ -170,7 +170,7 @@ int run(const Options& options) {
   // Assemble the declarative spec of this run and resolve engine + learner
   // through it — the same registry path frote_run and the harness use. The
   // (conflict-resolved) rules go in as text: the rule grammar round-trips
-  // bit-exactly, so the engine built here is exactly engine.to_spec().
+  // bit-exactly, so the engine edits towards exactly the resolved rules.
   EngineSpec spec;
   spec.tau = options.tau;
   spec.q = options.q;

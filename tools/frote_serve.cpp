@@ -30,9 +30,11 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -406,12 +408,19 @@ std::string dispatch(SessionPool& pool, const frote::net::RpcRequest& req) {
     }
     std::size_t steps = 1;
     if (const JsonValue* raw = req.params.find("steps")) {
-      if (!raw->is_number() || raw->type() == frote::JsonType::kDouble ||
-          raw->as_int64() < 1) {
-        return rpc_error_line(req.id, kInvalidParams,
-                              "params.steps must be a positive integer");
+      // An integer in [1, 2^63 - 1]. The kind is checked first: as_int64
+      // throws on a kUint beyond the int64 range.
+      const bool in_range =
+          (raw->type() == frote::JsonType::kInt && raw->as_int64() >= 1) ||
+          (raw->type() == frote::JsonType::kUint && raw->as_uint64() >= 1 &&
+           raw->as_uint64() <= static_cast<std::uint64_t>(
+                                   std::numeric_limits<std::int64_t>::max()));
+      if (!in_range) {
+        return rpc_error_line(
+            req.id, kInvalidParams,
+            "params.steps must be a positive integer below 2^63");
       }
-      steps = static_cast<std::size_t>(raw->as_int64());
+      steps = static_cast<std::size_t>(raw->as_uint64());
     }
     auto outcome = pool.step(*id, steps);
     if (!outcome) return pool_error_line(req.id, outcome.error());
