@@ -255,11 +255,9 @@ void BM_IpSelectionSized(benchmark::State& state) {
   // Cold selection cost across dataset sizes (every iteration refits the
   // distance, repacks the rows, runs the blocked batch scan for every
   // base-population row and re-predicts — the per-step cost without a
-  // workspace). The scale points run on columnar chunked storage
-  // (docs/DESIGN.md §8).
+  // workspace).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Dataset data = adult(n);
-  if (n >= 100000) data.set_storage({/*chunk_rows=*/8192, /*mmap=*/false});
+  const auto& data = adult(n);
   FeedbackRuleSet frs({adult_rule(data)});
   const auto bp = preselect_base_population(data, frs, 5);
   const auto learner = make_learner(LearnerKind::kRF, 42, true);
@@ -271,7 +269,7 @@ void BM_IpSelectionSized(benchmark::State& state) {
   }
 }
 
-/// Scale args for BM_IpSelection: 100k always (chunked storage), 1M only
+/// Scale args for BM_IpSelection: 100k always, 1M only
 /// when FROTE_BENCH_SLOW=1 — the million-row point takes
 /// minutes and is for dedicated perf runs, not the CI trend table.
 void AddIpSelectionScaleArgs(benchmark::internal::Benchmark* bench) {

@@ -41,9 +41,9 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # and the neighbourhood fill, the generator prefetch and the IP selector's
 # borderline scoring fan out inside test_workspace;
 # test_ml pins the tree learners' outputs (the coded-column table build
-# fans features out) under flat and chunked storage.
+# fans features out).
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_incremental_learners|test_knn|test_ml'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_incremental_learners|test_knn|test_ml'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run
@@ -151,10 +151,10 @@ diff "$SERVE_DIR/golden.jsonl" "$SERVE_DIR/faults.jsonl"
 echo "chaos leg: injected spool failure absorbed; responses byte-identical"
 
 # Sanitizer leg: rebuild with AddressSanitizer + UBSan (-DFROTE_SANITIZE=ON,
-# separate build dir) and rerun the unit + chaos labels. The chunked data
-# plane moves row storage behind raw pointers and shared mmap'd chunks, and
-# the kNN scans read packed rows through raw pointers — exactly the kind of
-# code ASan catches regressions in that functional tests cannot — and the
+# separate build dir) and rerun the unit + chaos labels. The dataset's
+# staged appends and rollbacks hand out raw row pointers, and the kNN scans
+# read packed rows through raw pointers — exactly the kind of code ASan
+# catches regressions in that functional tests cannot — and the
 # chaos sweep's SIGKILL/recover cycles run the spool validation and
 # quarantine paths under the sanitizer too. Benches and examples are
 # skipped in this build; tools stay on because test_serve /

@@ -1,17 +1,14 @@
-// Million rows: the FROTE loop at dataset scale on the columnar data plane.
+// Million rows: the FROTE loop at dataset scale.
 //
 // Everything the other examples do on hundreds of rows, at 1,000,000: a
-// synthetic adult-style dataset is generated, moved onto chunked columnar
-// storage (docs/DESIGN.md §8) with mmap-backed sealed chunks, and edited
-// end-to-end through Engine/Session. Base instances come from the default
-// random selector, so no neighbourhood fill runs; generation scans each
-// rule's base population with the flat kNN scan (BruteKnn).
+// synthetic adult-style dataset is generated on the flat feature table
+// (docs/DESIGN.md §8) and edited end-to-end through Engine/Session. Base
+// instances come from the default random selector, so no neighbourhood
+// fill runs; generation scans each rule's base population with the flat
+// kNN scan (BruteKnn).
 //
-// The program reports the chunk geometry (sealed/mapped chunk counts) and
-// the process peak RSS so the storage claim is observable: sealed chunks
-// are written once and mmap-backed, so the dataset's resident footprint is
-// reclaimable page cache instead of anonymous heap, and peak RSS stays
-// bounded as D̂ grows.
+// The program reports each stage's time and the process peak RSS, so the
+// cost of a session at this scale is observable.
 //
 // Build & run:  ./build/examples/example_million_rows
 //               ./build/examples/example_million_rows --rows 100000   # quicker
@@ -64,17 +61,12 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  // 1. A million-row synthetic dataset on chunked, mmap-backed storage.
-  //    8192 rows per sealed chunk ≈ 0.9 MiB of values per chunk for this
-  //    schema; the staged-append tail stays a plain vector, so the FROTE
-  //    loop's stage/rollback hot path is untouched by the geometry.
+  // 1. A million-row synthetic dataset.
   Dataset train = make_dataset(UciDataset::kAdult, rows, /*seed=*/11);
-  train.set_storage({/*chunk_rows=*/8192, /*mmap=*/true});
   std::cout << "dataset: " << train.size() << " rows x "
-            << train.num_features() << " features, "
-            << train.chunk_count() << " chunks (" << train.mapped_chunk_count()
-            << " mmap-backed), generated in " << seconds_since(t0)
-            << "s, peak RSS " << peak_rss_mib() << " MiB\n";
+            << train.num_features() << " features, generated in "
+            << seconds_since(t0) << "s, peak RSS " << peak_rss_mib()
+            << " MiB\n";
 
   // 2. One feedback rule over the age/education slice, as in the paper's
   //    adult experiments.
@@ -101,28 +93,23 @@ int main(int argc, char** argv) {
   std::cout << "session opened (initial train) in " << seconds_since(t1)
             << "s\n";
 
-  // 4. Step the loop to completion, watching D̂ grow across chunk
-  //    boundaries: staged rows live in the tail, accepted commits seal full
-  //    chunks, rejected iterations roll the tail back.
+  // 4. Step the loop to completion, watching D̂ grow: accepted steps commit
+  //    their staged rows, rejected ones roll them back.
   while (!session.finished()) {
     const auto ts = std::chrono::steady_clock::now();
     const StepReport report = session.step();
     const Dataset& d_hat = session.augmented();
     std::cout << "step " << session.progress().iterations_run << ": "
               << (report.accepted() ? "accepted" : "rejected") << ", rows "
-              << d_hat.size() << ", chunks " << d_hat.chunk_count() << " ("
-              << d_hat.mapped_chunk_count() << " mapped), "
-              << seconds_since(ts) << "s, peak RSS " << peak_rss_mib()
-              << " MiB\n";
+              << d_hat.size() << ", " << seconds_since(ts)
+              << "s, peak RSS " << peak_rss_mib() << " MiB\n";
   }
 
   auto result = std::move(session).result();
   std::cout << "done: " << result.instances_added
             << " synthetic instances over " << result.iterations_accepted
             << " accepted iterations; final dataset "
-            << result.augmented.size() << " rows in "
-            << result.augmented.chunk_count() << " chunks; total "
-            << seconds_since(t0) << "s, peak RSS " << peak_rss_mib()
-            << " MiB\n";
+            << result.augmented.size() << " rows; total " << seconds_since(t0)
+            << "s, peak RSS " << peak_rss_mib() << " MiB\n";
   return 0;
 }

@@ -194,8 +194,6 @@ JsonValue checkpoint_tree(const SessionCheckpoint& ckpt, bool with_rows) {
   dataset.set("next_row_id", ckpt.next_row_id);
   dataset.set("dataset_version", ckpt.dataset_version);
   dataset.set("append_epoch", ckpt.append_epoch);
-  dataset.set("chunk_rows", ckpt.chunk_rows);
-  dataset.set("mmap", ckpt.mmap);
   out.set("dataset", std::move(dataset));
 
   JsonValue rng_json = JsonValue::object();
@@ -288,10 +286,6 @@ Expected<SessionCheckpoint, FroteError> decode_checkpoint(
     dataset_reader.require("next_row_id", ckpt.next_row_id);
     dataset_reader.require("dataset_version", ckpt.dataset_version);
     dataset_reader.require("append_epoch", ckpt.append_epoch);
-    // Storage geometry is optional: pre-chunking checkpoints restore onto
-    // the flat default layout.
-    dataset_reader.read("chunk_rows", ckpt.chunk_rows);
-    dataset_reader.read("mmap", ckpt.mmap);
     if (!dataset_reader.ok()) return dataset_reader.take_error();
 
     auto rng_json = require(json, "rng");
@@ -433,18 +427,10 @@ SessionCheckpoint Session::snapshot() const {
                   "snapshot on a dataset with staged rows");
   SessionCheckpoint ckpt;
   ckpt.schema = active_.schema_ptr();
-  // Per-row copy: chunked storage has no whole-table span, and each row is
-  // contiguous under every geometry.
-  const std::size_t width = active_.num_features();
-  ckpt.values.reserve(active_.size() * width);
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    const double* row = active_.row_ptr(i);
-    ckpt.values.insert(ckpt.values.end(), row, row + width);
-  }
+  const auto values = active_.raw_values();
+  ckpt.values.assign(values.begin(), values.end());
   const auto labels = active_.raw_labels();
   ckpt.labels.assign(labels.begin(), labels.end());
-  ckpt.chunk_rows = active_.storage().chunk_rows;
-  ckpt.mmap = active_.storage().mmap;
   ckpt.row_ids.reserve(active_.size());
   for (std::size_t i = 0; i < active_.size(); ++i) {
     ckpt.row_ids.push_back(active_.row_id(i));
@@ -493,7 +479,7 @@ Expected<Session, FroteError> Session::restore(
 
   Session session(RestoreTag{}, engine.impl_, learner);
   try {
-    Dataset data(ckpt.schema, StorageOptions{ckpt.chunk_rows, ckpt.mmap});
+    Dataset data(ckpt.schema);
     // Same headroom policy as Engine::open: the loop may overshoot the
     // remaining quota by at most one η batch, so staged appends after the
     // restore never reallocate.

@@ -58,11 +58,6 @@ struct SessionCheckpoint {
   std::uint64_t next_row_id = 0;
   std::uint64_t dataset_version = 0;
   std::uint64_t append_epoch = 0;
-  /// Storage geometry of D̂ (docs/DESIGN.md §8). Recorded so restore
-  /// rebuilds the same chunk layout bit-identically; absent in pre-chunking
-  /// checkpoints, which read back as the flat default.
-  std::size_t chunk_rows = 0;
-  bool mmap = false;
 
   // -- RNG stream -------------------------------------------------------
   RngState rng;

@@ -1,8 +1,6 @@
 #include "frote/core/scenario.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <utility>
 
 #include "frote/core/checkpoint.hpp"
@@ -16,35 +14,6 @@
 #include "frote/util/rng.hpp"
 
 namespace frote {
-
-namespace {
-
-/// Same row walk and byte order as the session pool's digest
-/// (core/session_pool.cpp) — both witness the identical quantity, so a
-/// scenario report's digest is directly comparable with session.result's.
-std::uint64_t dataset_digest(const Dataset& data) {
-  Fnv1a64 h;
-  h.update_u64(data.size());
-  h.update_u64(data.num_features());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    h.update_u64(
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(data.label(i))));
-    h.update_u64(data.row_id(i));
-    for (const double value : data.row(i)) {
-      h.update_u64(std::bit_cast<std::uint64_t>(value));
-    }
-  }
-  return h.digest();
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // GeneratorSpec
@@ -701,7 +670,7 @@ Expected<ScenarioReport> run_scenario(const ScenarioSpec& spec,
     if (!groups) return groups.error();
     report.groups = std::move(*groups);
   }
-  report.dataset_digest = hex64(dataset_digest(active));
+  report.dataset_digest = hex64(active.digest());
   check_expected(resolved, report);
   return report;
 }

@@ -230,27 +230,34 @@ std::vector<SelectedInstance> IpSelector::select(
   if (ip.feasible) {
     for (std::size_t i = 0; i < p; ++i) selected_rows[i] = ip.x[i] > 0.5;
   } else {
-    // Greedy bound repair: satisfy lower bounds with the heaviest instances
-    // per rule, then fill toward the upper bounds by weight.
+    // Greedy bound repair: satisfy every rule's lower bound with its
+    // heaviest instances, then fill each rule toward its upper bound by
+    // weight. Ties go to the lower variable index.
+    std::vector<std::vector<std::size_t>> by_weight(m);
     for (std::size_t j = 0; j < m; ++j) {
-      std::vector<std::size_t> vars;
       for (std::size_t idx : bp.per_rule[j].indices) {
-        vars.push_back(var_of_row[idx]);
+        by_weight[j].push_back(var_of_row[idx]);
       }
-      std::sort(vars.begin(), vars.end(), [&](std::size_t a, std::size_t b) {
-        if (weights[a] != weights[b]) return weights[a] > weights[b];
-        return a < b;
-      });
-      std::size_t taken = 0;
-      for (std::size_t v : vars) {
-        if (taken >= static_cast<std::size_t>(upper_bound[j])) break;
-        if (!selected_rows[v] &&
-            taken < static_cast<std::size_t>(lower_bound[j])) {
-          selected_rows[v] = true;
-        }
-        if (selected_rows[v]) ++taken;
-      }
+      std::sort(by_weight[j].begin(), by_weight[j].end(),
+                [&](std::size_t a, std::size_t b) {
+                  if (weights[a] != weights[b]) return weights[a] > weights[b];
+                  return a < b;
+                });
     }
+    const auto fill_to = [&](std::size_t j, double bound) {
+      const auto limit = static_cast<std::size_t>(bound);
+      std::size_t taken = 0;
+      for (std::size_t v : by_weight[j]) taken += selected_rows[v] ? 1 : 0;
+      for (std::size_t v : by_weight[j]) {
+        if (taken >= limit) break;
+        if (!selected_rows[v]) {
+          selected_rows[v] = true;
+          ++taken;
+        }
+      }
+    };
+    for (std::size_t j = 0; j < m; ++j) fill_to(j, lower_bound[j]);
+    for (std::size_t j = 0; j < m; ++j) fill_to(j, upper_bound[j]);
   }
 
   // Map selected instances back to (rule, slot) pairs, balancing rules whose

@@ -1,7 +1,6 @@
 #include "frote/core/session_pool.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -21,34 +20,6 @@ namespace {
 
 constexpr const char* kSpecSuffix = ".spec.json";
 constexpr const char* kCheckpointSuffix = ".checkpoint.json";
-
-/// FNV-1a 64 over the augmented dataset's observable bytes (labels, row
-/// ids, feature values bit-patterns). The cheap byte-identity witness
-/// session.result exposes: two runs answering with the same digest hold
-/// bit-identical D̂ without shipping the rows over the wire. Mixing order
-/// (u64s, little-endian-first) matches the original inline implementation
-/// — these digests are wire-visible and must stay stable.
-std::uint64_t dataset_digest(const Dataset& data) {
-  Fnv1a64 h;
-  h.update_u64(data.size());
-  h.update_u64(data.num_features());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    h.update_u64(
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(data.label(i))));
-    h.update_u64(data.row_id(i));
-    for (const double value : data.row(i)) {
-      h.update_u64(std::bit_cast<std::uint64_t>(value));
-    }
-  }
-  return h.digest();
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 FroteError no_such_session(const std::string& id) {
   return FroteError::invalid_argument("no such session: " + id);
@@ -120,23 +91,20 @@ struct SessionPool::Entry {
   std::unique_ptr<Model> warm_model;
   std::uint64_t warm_model_version = 0;
 
-  /// Last-observed D̂ geometry and loop counters, refreshed whenever the
+  /// Last-observed D̂ row count and loop counters, refreshed whenever the
   /// session is live in a request. Kept outside the Session so server.stats
   /// can report every session — evicted ones included — without hydrating
   /// it (an hydration just to answer stats would make the stats call
   /// evict-order dependent).
   std::atomic<std::size_t> rows{0};
-  std::atomic<std::size_t> chunks{0};
   std::atomic<std::uint64_t> accepts{0};
   std::atomic<std::uint64_t> rejects{0};
   std::atomic<std::uint64_t> model_updates{0};
 
-  /// Refresh rows/chunks/counters from the live session. Caller holds `m`.
-  void note_geometry() {
+  /// Refresh rows/counters from the live session. Caller holds `m`.
+  void note_progress() {
     if (!live.has_value()) return;
-    const Dataset& data = live->augmented();
-    rows.store(data.size(), std::memory_order_relaxed);
-    chunks.store(data.chunk_count(), std::memory_order_relaxed);
+    rows.store(live->augmented().size(), std::memory_order_relaxed);
     const SessionProgress progress = live->progress();
     accepts.store(progress.iterations_accepted, std::memory_order_relaxed);
     rejects.store(progress.iterations_run - progress.iterations_accepted,
@@ -315,7 +283,7 @@ Expected<std::string, FroteError> SessionPool::create(const EngineSpec& spec) {
     entry = std::make_shared<Entry>(buffer, spec, std::move(*engine),
                                     std::move(*learner));
     entry->set_live(std::move(*session));
-    entry->note_geometry();
+    entry->note_progress();
     entry->last_used.store(request_counter_.load());
     entries_.emplace(entry->id, entry);
     ++sessions_created_;
@@ -396,7 +364,7 @@ std::optional<FroteError> SessionPool::hydrate(Entry& entry, bool make_room) {
                          "restore failed: " + restored.error().message);
   }
   entry.set_live(std::move(*restored));
-  entry.note_geometry();
+  entry.note_progress();
   restores_.fetch_add(1);
   return std::nullopt;
 }
@@ -407,7 +375,7 @@ void SessionPool::evict(Entry& entry) {
   std::string text = entry.live->snapshot().to_json_text();
   text.push_back('\n');
   write_file_durable(spool_path(entry.id, kCheckpointSuffix), text);
-  entry.note_geometry();
+  entry.note_progress();
   // Keep the trained model in memory across the eviction: rehydration
   // installs it instead of retraining when the checkpoint still matches
   // (see hydrate). Stashed only after the checkpoint write succeeded — a
@@ -534,7 +502,7 @@ Expected<SessionStepOutcome, FroteError> SessionPool::step(
     outcome.instances_added = progress.instances_added;
     outcome.rows = session.augmented().size();
     outcome.j_bar = session.best_j_hat_bar();
-    (*entry)->note_geometry();
+    (*entry)->note_progress();
   }
   enforce_capacity();
   return outcome;
@@ -568,8 +536,8 @@ JsonValue SessionPool::summary_json(Entry& entry) const {
   out.set("iterations_run", progress.iterations_run);
   out.set("iterations_accepted", progress.iterations_accepted);
   out.set("j_bar", session.best_j_hat_bar());
-  out.set("dataset_digest", hex64(dataset_digest(session.augmented())));
-  entry.note_geometry();
+  out.set("dataset_digest", hex64(session.augmented().digest()));
+  entry.note_progress();
   return out;
 }
 
@@ -631,7 +599,7 @@ JsonValue SessionPool::stats() const {
     if (entry->resident.load()) ++live;
   }
   // Per-session residency: id-ordered (entries_ is an ordered map), one row
-  // per open session with its last-observed D̂ geometry. Evicted sessions
+  // per open session with its last-observed D̂ row count. Evicted sessions
   // report without being hydrated — sessions recovered from a spool and
   // never touched yet report zeros until their first request.
   JsonValue sessions = JsonValue::array();
@@ -640,7 +608,6 @@ JsonValue SessionPool::stats() const {
     row.set("session", id);
     row.set("state", entry->resident.load() ? "live" : "evicted");
     row.set("rows", entry->rows.load(std::memory_order_relaxed));
-    row.set("chunks", entry->chunks.load(std::memory_order_relaxed));
     row.set("accepts", entry->accepts.load(std::memory_order_relaxed));
     row.set("rejects", entry->rejects.load(std::memory_order_relaxed));
     row.set("model_updates",

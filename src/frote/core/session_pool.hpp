@@ -128,8 +128,7 @@ class SessionPool {
   /// server.stats: pool counters (sessions, live/evicted, evictions,
   /// restores, requests, threads) plus a per-session "sessions" array
   /// (id-ordered) reporting each open session's residency state,
-  /// last-observed D̂ geometry — row count and columnar chunk count
-  /// (docs/DESIGN.md §8) — and loop counters (accepts, rejects,
+  /// last-observed D̂ row count and loop counters (accepts, rejects,
   /// model_updates) without hydrating evicted sessions.
   /// Deterministic for a given request sequence — and therefore the one
   /// method whose responses *differ* between an evicting and a

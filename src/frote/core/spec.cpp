@@ -25,10 +25,6 @@ JsonValue DatasetSpec::to_json() const {
     out.set("size", size);
     out.set("seed", seed);
   }
-  // Storage geometry is emitted only when it deviates from the flat default,
-  // so pre-chunking specs round-trip byte-identically.
-  if (chunk_rows != 0) out.set("chunk_rows", chunk_rows);
-  if (mmap) out.set("mmap", mmap);
   return out;
 }
 
@@ -41,8 +37,6 @@ Expected<DatasetSpec, FroteError> DatasetSpec::from_json(
   reader.read("name", spec.name);
   reader.read("size", spec.size);
   reader.read("seed", spec.seed);
-  reader.read("chunk_rows", spec.chunk_rows);
-  reader.read("mmap", spec.mmap);
   if (spec.kind != "csv" && spec.kind != "synthetic") {
     reader.add_problem("kind must be \"csv\" or \"synthetic\", got \"" +
                        spec.kind + "\"");
@@ -55,17 +49,9 @@ Expected<DatasetSpec, FroteError> DatasetSpec::from_json(
 }
 
 Expected<Dataset> load_spec_dataset(const DatasetSpec& spec) {
-  // Loaders build flat datasets; the spec's storage geometry is applied as
-  // one re-chunking pass afterwards. Row values/labels/ids are unchanged, so
-  // every downstream result is bit-identical across geometries.
-  const auto with_storage = [&](Dataset data) {
-    const StorageOptions storage{spec.chunk_rows, spec.mmap};
-    if (!(storage == StorageOptions{})) data.set_storage(storage);
-    return data;
-  };
   if (spec.kind == "csv") {
     try {
-      return with_storage(load_csv(spec.path));
+      return load_csv(spec.path);
     } catch (const std::exception& e) {
       return FroteError::io_error("cannot load dataset CSV '" + spec.path +
                                   "': " + e.what());
@@ -81,7 +67,7 @@ Expected<Dataset> load_spec_dataset(const DatasetSpec& spec) {
     generator.seed = spec.seed;
     auto data = generate_dataset(generator);
     if (!data) return data.error();
-    return with_storage(std::move(*data));
+    return std::move(*data);
   }
   return FroteError::invalid_config("unknown dataset kind '" + spec.kind +
                                     "'");

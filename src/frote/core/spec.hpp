@@ -60,13 +60,6 @@ struct DatasetSpec {
   std::size_t size = 0;            // synthetic; 0 = the paper's size
   std::uint64_t seed = 42;         // synthetic
 
-  /// Storage geometry (docs/DESIGN.md §8): rows per sealed columnar chunk
-  /// (0 = flat contiguous storage, today's default) and whether sealed
-  /// chunks are mmap-backed. Augmentation output is bit-identical across
-  /// every geometry; these knobs trade layout for peak RSS at scale.
-  std::size_t chunk_rows = 0;
-  bool mmap = false;
-
   JsonValue to_json() const;
   static Expected<DatasetSpec, FroteError> from_json(const JsonValue& json);
 };

@@ -1,8 +1,10 @@
 #include "frote/data/dataset.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "frote/util/hash.hpp"
 #include "frote/util/stats.hpp"
 
 namespace frote {
@@ -14,15 +16,15 @@ std::uint64_t Dataset::next_uid() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-Dataset::Dataset(std::shared_ptr<const Schema> schema,
-                 const StorageOptions& storage)
+Dataset::Dataset(std::shared_ptr<const Schema> schema)
     : schema_(std::move(schema)), uid_(next_uid()) {
   FROTE_CHECK(schema_ != nullptr);
-  values_.configure(schema_->num_features(), storage);
+  width_ = schema_->num_features();
 }
 
 Dataset::Dataset(const Dataset& other)
     : schema_(other.schema_),
+      width_(other.width_),
       values_(other.values_),
       labels_(other.labels_),
       row_ids_(other.row_ids_),
@@ -37,6 +39,7 @@ Dataset::Dataset(const Dataset& other)
 Dataset& Dataset::operator=(const Dataset& other) {
   if (this == &other) return *this;
   schema_ = other.schema_;
+  width_ = other.width_;
   values_ = other.values_;
   labels_ = other.labels_;
   row_ids_ = other.row_ids_;
@@ -58,7 +61,7 @@ void Dataset::set_label(std::size_t i, int label) {
 }
 
 void Dataset::push_row_unchecked(const double* features, int label) {
-  values_.push_row(features);
+  values_.insert(values_.end(), features, features + width_);
   labels_.push_back(label);
   row_ids_.push_back(next_row_id_++);
 }
@@ -69,7 +72,6 @@ void Dataset::add_row(const std::vector<double>& features, int label) {
                                     schema().num_classes(),
                   "label " << label);
   push_row_unchecked(features.data(), label);
-  maybe_seal();
   bump(/*rewrites_existing_rows=*/false);
 }
 
@@ -79,48 +81,31 @@ void Dataset::add_row(std::span<const double> features, int label) {
 
 void Dataset::append(const Dataset& other) {
   FROTE_CHECK_MSG(schema() == other.schema(), "schema mismatch in append");
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  labels_.insert(labels_.end(), other.labels_.begin(), other.labels_.end());
   for (std::size_t i = 0; i < other.size(); ++i) {
-    values_.push_row(other.values_.row(i));
-    labels_.push_back(other.labels_[i]);
     row_ids_.push_back(next_row_id_++);
   }
-  maybe_seal();
   bump(/*rewrites_existing_rows=*/false);
 }
 
 void Dataset::reserve_rows(std::size_t rows) {
-  values_.reserve_rows(rows);
+  values_.reserve(rows * width_);
   labels_.reserve(rows);
   row_ids_.reserve(rows);
-}
-
-void Dataset::set_storage(const StorageOptions& storage) {
-  FROTE_CHECK_MSG(!has_staged(), "set_storage on a dataset with staged rows");
-  if (storage == values_.options()) return;
-  ChunkStore next;
-  next.configure(schema().num_features(), storage);
-  next.reserve_rows(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    next.push_row(values_.row(i));
-    next.seal();
-  }
-  values_ = std::move(next);
-  // Rows moved to new addresses: pointer-holding consumers must refit.
-  bump(/*rewrites_existing_rows=*/true);
 }
 
 std::size_t Dataset::stage_rows(const Dataset& other) {
   FROTE_CHECK_MSG(!has_staged(), "nested stage_rows without commit/rollback");
   const std::size_t first = size();
   staged_from_ = first;
-  append(other);  // bumps version; sealing is deferred while staged
+  append(other);  // bumps version
   return first;
 }
 
 void Dataset::commit() {
   FROTE_CHECK_MSG(has_staged(), "commit without staged rows");
   staged_from_ = kNoStage;
-  maybe_seal();
   bump(/*rewrites_existing_rows=*/false);
 }
 
@@ -128,7 +113,7 @@ void Dataset::rollback() {
   FROTE_CHECK_MSG(has_staged(), "rollback without staged rows");
   const std::size_t base = staged_from_;
   staged_from_ = kNoStage;
-  values_.truncate(base);
+  values_.resize(base * width_);
   labels_.resize(base);
   row_ids_.resize(base);
   // Truncation leaves the surviving prefix byte-identical, so incremental
@@ -155,13 +140,12 @@ void Dataset::restore_tracking(std::vector<std::uint64_t> row_ids,
 }
 
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
-  Dataset out(schema_, values_.options());
+  Dataset out(schema_);
   out.reserve_rows(indices.size());
   for (std::size_t idx : indices) {
     FROTE_CHECK_MSG(idx < size(), "subset index " << idx);
-    out.push_row_unchecked(values_.row(idx), labels_[idx]);
+    out.push_row_unchecked(row_ptr(idx), labels_[idx]);
   }
-  out.maybe_seal();
   out.bump(/*rewrites_existing_rows=*/false);
   return out;
 }
@@ -171,11 +155,10 @@ void Dataset::remove_rows(std::vector<std::size_t> indices) {
   std::sort(indices.begin(), indices.end());
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
   FROTE_CHECK(indices.back() < size());
-  ChunkStore new_values;
-  new_values.configure(schema().num_features(), values_.options());
+  std::vector<double> new_values;
   std::vector<int> new_labels;
   std::vector<std::uint64_t> new_row_ids;
-  new_values.reserve_rows(size() - indices.size());
+  new_values.reserve((size() - indices.size()) * width_);
   new_labels.reserve(labels_.size());
   new_row_ids.reserve(row_ids_.size());
   std::size_t next_removed = 0;
@@ -184,8 +167,7 @@ void Dataset::remove_rows(std::vector<std::size_t> indices) {
       ++next_removed;
       continue;
     }
-    new_values.push_row(values_.row(i));
-    new_values.seal();
+    new_values.insert(new_values.end(), row_ptr(i), row_ptr(i) + width_);
     new_labels.push_back(labels_[i]);
     new_row_ids.push_back(row_ids_[i]);
   }
@@ -193,6 +175,21 @@ void Dataset::remove_rows(std::vector<std::size_t> indices) {
   labels_ = std::move(new_labels);
   row_ids_ = std::move(new_row_ids);
   bump(/*rewrites_existing_rows=*/true);
+}
+
+std::uint64_t Dataset::digest() const {
+  Fnv1a64 h;
+  h.update_u64(size());
+  h.update_u64(num_features());
+  for (std::size_t i = 0; i < size(); ++i) {
+    h.update_u64(
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(labels_[i])));
+    h.update_u64(row_ids_[i]);
+    for (const double value : row(i)) {
+      h.update_u64(std::bit_cast<std::uint64_t>(value));
+    }
+  }
+  return h.digest();
 }
 
 std::vector<std::size_t> Dataset::class_counts() const {

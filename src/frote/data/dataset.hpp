@@ -2,14 +2,10 @@
 // and integer class labels. All FROTE operations (coverage, relabel/drop,
 // augmentation) work on this type.
 //
-// Storage (docs/DESIGN.md §8): the feature values live in a ChunkStore —
-// by default one contiguous in-memory table (the historical layout), or,
-// with StorageOptions{chunk_rows > 0}, fixed-size immutable chunks
-// (optionally mmap-backed) plus a mutable tail. Rows are row-major within
-// a chunk, so row(i) always returns one contiguous span either way (there
-// is no whole-table span; values_contiguous() reports whether a chunk has
-// sealed). Labels and row ids stay flat columns — the table is
-// struct-of-arrays, and only the wide column is chunked.
+// Storage (docs/DESIGN.md §8): one flat struct-of-arrays table — the
+// feature values as a single row-major vector (size() × num_features()),
+// plus flat label and row-id columns. row(i) is a span into it, and
+// raw_values() is the whole table as one span.
 //
 // Staged appends (the session workspace's data plane, docs/DESIGN.md §5):
 // `stage_rows()` appends a batch that is immediately visible to every reader
@@ -17,8 +13,6 @@
 // can either `commit()` — keep the rows, O(1) — or `rollback()` — truncate
 // back, O(1) amortised. This is what lets the FROTE loop train and evaluate
 // a candidate D′ = D̂ ∪ S without materialising a second dataset copy.
-// Chunks seal only at commit points (never mid-stage), so rollback stays a
-// pure tail truncation under every storage geometry.
 //
 // Change tracking for incremental consumers (kNN indexes, fitted distances,
 // prediction caches):
@@ -26,11 +20,9 @@
 //                copy, preserved across moves.
 //   - version(): bumped by every mutation (including stage/rollback).
 //   - append_epoch(): bumped only by mutations that edit or remove existing
-//                rows (set_label, remove_rows, set_storage — the last
-//                because re-chunking moves rows to new addresses). While it
-//                is stable, any prefix of the dataset a consumer already
-//                absorbed is still byte-identical, so caches may extend
-//                instead of refit.
+//                rows (set_label, remove_rows). While it is stable, any
+//                prefix of the dataset a consumer already absorbed is still
+//                byte-identical, so caches may extend instead of refit.
 //   - row_id(i): stable per-row identity; assigned on append, kept across
 //                remove_rows/commit, never reused within a dataset.
 #pragma once
@@ -42,23 +34,19 @@
 #include <span>
 #include <vector>
 
-#include "frote/data/chunks.hpp"
 #include "frote/data/schema.hpp"
 
 namespace frote {
 
-/// Immutable-schema, mutable-rows dataset. Rows are stored contiguously
-/// within chunks; see StorageOptions for the geometry knobs.
+/// Immutable-schema, mutable-rows dataset over one row-major value table.
 class Dataset {
  public:
   Dataset() : uid_(next_uid()) {}
-  explicit Dataset(std::shared_ptr<const Schema> schema,
-                   const StorageOptions& storage = {});
+  explicit Dataset(std::shared_ptr<const Schema> schema);
 
   /// Copies get a fresh uid (they are a new logical dataset) and count
   /// toward copy_count() — tests/test_engine_perf.cpp uses the counter to
-  /// prove the session loop never clones D̂ per iteration. Sealed chunks
-  /// are immutable, so a copy shares them and deep-copies only the tail.
+  /// prove the session loop never clones D̂ per iteration.
   Dataset(const Dataset& other);
   Dataset& operator=(const Dataset& other);
   Dataset(Dataset&&) = default;
@@ -75,27 +63,28 @@ class Dataset {
   std::size_t num_features() const { return schema().num_features(); }
   std::size_t num_classes() const { return schema().num_classes(); }
 
-  /// Feature vector of row i as a span over contiguous storage (each row
-  /// is contiguous within its chunk under every geometry).
+  /// Feature vector of row i as a span over the value table.
   std::span<const double> row(std::size_t i) const {
     FROTE_CHECK_MSG(i < size(), "row " << i << " out of " << size());
-    return {values_.row(i), schema().num_features()};
+    return {row_ptr(i), width_};
   }
 
   /// Row i's values without the bounds check — for hot loops that already
-  /// hold a validated index and work under any storage geometry.
-  const double* row_ptr(std::size_t i) const { return values_.row(i); }
+  /// hold a validated index.
+  const double* row_ptr(std::size_t i) const {
+    return values_.data() + i * width_;
+  }
 
-  /// True while the whole table is one contiguous block (always the case
-  /// for chunk_rows == 0; for chunked storage, only before the first seal).
-  bool values_contiguous() const { return values_.contiguous(); }
+  /// The whole value table, row-major, size() × num_features().
+  std::span<const double> raw_values() const {
+    return {values_.data(), values_.size()};
+  }
 
   int label(std::size_t i) const {
     FROTE_CHECK_MSG(i < size(), "row " << i << " out of " << size());
     return labels_[i];
   }
-  /// Raw label storage, index-aligned with row indices (labels are a flat
-  /// column under every storage geometry).
+  /// Raw label storage, index-aligned with row indices.
   std::span<const int> raw_labels() const {
     return {labels_.data(), labels_.size()};
   }
@@ -111,24 +100,7 @@ class Dataset {
 
   /// Pre-size the row storage for `rows` total rows, so a session that
   /// grows toward a known budget q·|D| appends without reallocation.
-  /// Chunked stores cap the reservation at the tail's working set.
   void reserve_rows(std::size_t rows);
-
-  // -- Storage geometry ------------------------------------------------------
-
-  const StorageOptions& storage() const { return values_.options(); }
-  /// Chunks currently backing the values column (sealed + live tail).
-  std::size_t chunk_count() const { return values_.chunk_count(); }
-  /// Sealed chunks that are mmap-backed (stats/test hook).
-  std::size_t mapped_chunk_count() const {
-    return values_.mapped_chunk_count();
-  }
-  /// Re-chunk the values column under a new geometry (one O(n·d) pass).
-  /// Existing rows keep their ids and order; version/append_epoch bump
-  /// because rows move to new addresses, so pointer-holding consumers
-  /// (workspace generators, packed kNN rows) refit rather than dangle.
-  /// Not allowed while a staged batch is open.
-  void set_storage(const StorageOptions& storage);
 
   // -- Staged appends --------------------------------------------------------
 
@@ -136,8 +108,7 @@ class Dataset {
   /// revocable via rollback(). Returns the index of the first staged row.
   /// Nested staging is not supported (FROTE_CHECK).
   std::size_t stage_rows(const Dataset& other);
-  /// Keep the staged tail. O(1) + sealing of any completed chunks; bumps
-  /// version().
+  /// Keep the staged tail. O(1); bumps version().
   void commit();
   /// Discard the staged tail, truncating back to the pre-stage size.
   void rollback();
@@ -173,12 +144,19 @@ class Dataset {
     return copies_.load(std::memory_order_relaxed);
   }
 
-  /// New dataset containing the rows at `indices` (order preserved). The
-  /// subset inherits this dataset's storage geometry.
+  /// New dataset containing the rows at `indices` (order preserved).
   Dataset subset(const std::vector<std::size_t>& indices) const;
 
   /// Remove the rows at `indices` (need not be sorted; duplicates ignored).
   void remove_rows(std::vector<std::size_t> indices);
+
+  /// FNV-1a 64 over the observable bytes: the shape, then per row the
+  /// label, the row id and each feature value's bit pattern. The
+  /// byte-identity witness that session.result and scenario reports expose
+  /// as `dataset_digest` (hex64, util/hash.hpp): two runs with the same
+  /// digest hold bit-identical rows. Wire-visible, so the mixing order must
+  /// not change.
+  std::uint64_t digest() const;
 
   /// Per-class row counts.
   std::vector<std::size_t> class_counts() const;
@@ -202,14 +180,10 @@ class Dataset {
     if (rewrites_existing_rows) ++append_epoch_;
   }
   void push_row_unchecked(const double* features, int label);
-  /// Seal completed chunks — only outside a staged batch, so rollback
-  /// stays a pure tail truncation.
-  void maybe_seal() {
-    if (!has_staged()) values_.seal();
-  }
 
   std::shared_ptr<const Schema> schema_;
-  ChunkStore values_;  // row-major within chunks, size() * num_features()
+  std::size_t width_ = 0;       // schema_->num_features()
+  std::vector<double> values_;  // row-major, size() * width_
   std::vector<int> labels_;
   std::vector<std::uint64_t> row_ids_;
   std::uint64_t uid_ = 0;

@@ -23,10 +23,9 @@
 //
 // Cost: 4 B per row per feature for the codes, plus 8 B per distinct
 // numeric value. The build's sort scratch, 24 B per row, is allocated once
-// per worker chunk. The build reads rows through Dataset::row_ptr, so it
-// works under every storage geometry, and fans features out over
-// parallel_for (the table is a pure function of the data, so any thread
-// count builds the same bytes).
+// per worker chunk. The build reads rows through Dataset::row_ptr and
+// fans features out over parallel_for (the table is a pure function of the
+// data, so any thread count builds the same bytes).
 #pragma once
 
 #include <cstddef>

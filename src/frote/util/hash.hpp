@@ -1,7 +1,7 @@
 // FNV-1a 64 — the repo's one non-cryptographic byte hash.
 //
 // Three subsystems need a cheap, stable digest of a byte stream: the
-// session pool's dataset digest (the byte-identity witness session.result
+// dataset digest (Dataset::digest, the byte-identity witness session.result
 // exposes), the spool integrity footer (util/fsio.hpp), and the fault
 // simulator's per-point seed streams (util/faultsim.hpp). One shared
 // implementation so the constants — and therefore every persisted or
@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <string_view>
 
 namespace frote {
@@ -45,6 +47,14 @@ inline std::uint64_t fnv1a64(std::string_view bytes) {
   Fnv1a64 h;
   h.update(bytes);
   return h.digest();
+}
+
+/// A digest as 16 lowercase hex digits, the form results and reports print.
+inline std::string hex64(std::uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
 }
 
 }  // namespace frote

@@ -260,6 +260,70 @@ TEST(Checkpoint, PreservesDatasetChangeTracking) {
   EXPECT_NE(back.uid(), original.uid());
 }
 
+/// Older writers put the dataset's storage geometry ("chunk_rows", "mmap")
+/// into every checkpoint and into specs and plans that set it. Those keys
+/// are now unknown and ignored (docs/DESIGN.md §6). The geometry never
+/// changed a byte of D̂ and the v2 digest never covered it, so such a
+/// checkpoint verifies its digest and resumes bit-identically to an
+/// uninterrupted run, and so does one written without the keys.
+TEST(Checkpoint, DocumentsWithRetiredStorageKeysStillRestore) {
+  const std::string dataset_json =
+      R"({"kind": "synthetic", "name": "adult", "size": 300, "seed": 11,)"
+      R"( "chunk_rows": 8192, "mmap": true})";
+  const auto spec = EngineSpec::parse(
+      R"({"format": "frote.engine_spec", "tau": 6, "q": 0.4, "k": 5,)"
+      R"( "seed": 7, "mod_strategy": "none", "selector": "ip",)"
+      R"( "learner": {"name": "rf", "fast": true},)"
+      R"( "rules": ["IF age > 45 AND education_num > 11 THEN class = >50K"],)"
+      R"( "dataset": )" +
+      dataset_json + "}");
+  ASSERT_TRUE(spec.has_value()) << spec.error().message;
+  ASSERT_TRUE(spec->dataset.has_value());
+  EXPECT_EQ(spec->to_json().find("dataset")->find("chunk_rows"), nullptr);
+  const auto plan = RunPlan::parse(
+      R"({"format": "frote.run_plan", "base": )" + spec->to_json_text() +
+      R"(, "grid": {"seeds": [1, 2]}})");
+  ASSERT_TRUE(plan.has_value()) << plan.error().message;
+  ASSERT_EQ(plan->expand().size(), 2u);
+
+  const auto data = load_spec_dataset(*spec->dataset).value();
+  const auto engine =
+      Engine::Builder::from_spec(*spec, data.schema()).value().build().value();
+  const auto learner = make_spec_learner(*spec).value();
+  auto golden_session = engine.open(data, *learner).value();
+  golden_session.run();
+  const auto golden = std::move(golden_session).result();
+  ASSERT_GT(golden.instances_added, 0u) << "the run must actually augment";
+
+  auto session = engine.open(data, *learner).value();
+  session.step();
+  session.step();
+  const std::string written = session.snapshot().to_json_text();
+  ASSERT_EQ(written.find("chunk_rows"), std::string::npos);
+  // The older writer's document: the same members plus the geometry keys,
+  // appended after append_epoch as that writer emitted them.
+  JsonValue legacy = json_parse(written).value();
+  for (auto& [key, member] : legacy.members()) {
+    if (key != "dataset") continue;
+    member.set("chunk_rows", std::uint64_t{8192});
+    member.set("mmap", true);
+  }
+  const std::string legacy_text = json_dump(legacy, 2);
+  ASSERT_NE(legacy_text.find(R"("chunk_rows": 8192,)"), std::string::npos);
+  for (const std::string& text : {legacy_text, written}) {
+    const auto ckpt = SessionCheckpoint::parse(text);
+    ASSERT_TRUE(ckpt.has_value()) << ckpt.error().message;
+    EXPECT_EQ(ckpt->dataset_digest, ckpt->compute_digest(learner->name()));
+    auto restored = Session::restore(engine, *learner, *ckpt);
+    ASSERT_TRUE(restored.has_value()) << restored.error().message;
+    restored->run();
+    const auto result = std::move(*restored).result();
+    EXPECT_EQ(result.instances_added, golden.instances_added);
+    expect_bit_identical(result.augmented, golden.augmented);
+    EXPECT_EQ(result.augmented.digest(), golden.augmented.digest());
+  }
+}
+
 /// The durable on-disk tier under the run-plan driver: an interrupted
 /// run's checkpoint.json carries a validating integrity footer, and every
 /// flavour of on-disk corruption (truncation, bit flip, zero length) is

@@ -144,8 +144,8 @@ TEST(RandomForest, MoreTreesNoWorse) {
 // rows, mixed -0.0/+0.0 blocks (DT keeps the two zeros distinct, GBDT folds
 // them), a constant column, huge and subnormal magnitudes, and a
 // categorical with unused codes. Each digest covers predict_proba_all over
-// the training rows and a probe grid plus every node's fields, under flat
-// and chunked storage at 1 and 4 threads.
+// the training rows and a probe grid plus every node's fields, at 1 and 4
+// threads.
 
 std::shared_ptr<const Schema> adversarial_schema(std::size_t classes) {
   std::vector<std::string> names;
@@ -272,23 +272,17 @@ std::uint64_t model_digest(const Model& model, const Dataset& data,
 constexpr std::size_t kPinRows = 600;
 constexpr std::size_t kPinTrained = 480;
 
-/// Runs `fit(data, threads)` on `make_data()` under flat and chunked
-/// (`chunk`-row) storage at 1 and 4 threads and expects every digest (over
-/// the training rows and `probes`) to equal `pinned`.
+/// Runs `fit(data, threads)` on `make_data()` at 1 and 4 threads and
+/// expects every digest (over the training rows and `probes`) to equal
+/// `pinned`.
 template <typename MakeData, typename Fit>
 void expect_pinned_on(MakeData make_data, const Dataset& probes,
-                      std::uint64_t pinned, Fit fit, std::size_t chunk = 64) {
-  for (const std::size_t chunk_rows : {std::size_t{0}, chunk}) {
-    for (const int threads : {1, 4}) {
-      Dataset data = make_data();
-      if (chunk_rows != 0) {
-        data.set_storage(StorageOptions{chunk_rows, false});
-        ASSERT_FALSE(data.values_contiguous());
-      }
-      const auto model = fit(data, threads);
-      EXPECT_EQ(model_digest(*model, data, probes, threads), pinned)
-          << "chunk_rows " << chunk_rows << " threads " << threads;
-    }
+                      std::uint64_t pinned, Fit fit) {
+  for (const int threads : {1, 4}) {
+    const Dataset data = make_data();
+    const auto model = fit(data, threads);
+    EXPECT_EQ(model_digest(*model, data, probes, threads), pinned)
+        << "threads " << threads;
   }
 }
 
@@ -362,9 +356,9 @@ GbdtConfig pin_gbdt(int threads) {
   return config;
 }
 
-/// The first kPinTrained rows of `data`, in the same storage geometry.
+/// The first kPinTrained rows of `data`.
 Dataset prefix_of(const Dataset& data) {
-  Dataset prefix(data.schema_ptr(), data.storage());
+  Dataset prefix(data.schema_ptr());
   for (std::size_t i = 0; i < kPinTrained; ++i) {
     prefix.add_row(data.row(i), data.label(i));
   }
@@ -438,8 +432,7 @@ TEST(ModelPins, RandomForestSmallN) {
         RandomForestConfig config = pin_forest(threads);
         config.max_depth = 5;
         return RandomForestLearner(config).train(data);
-      },
-      /*chunk=*/8);
+      });
 }
 
 TEST(ModelPins, GbdtBinary) {
@@ -490,8 +483,7 @@ TEST(ModelPins, GbdtAllCategorical) {
 
 // The exact LR fit: predict_proba_all of the `lr` learner trained on a
 // binary (adult) and a multiclass (contraceptive) draw, over the training
-// rows and a second draw as probes, under flat and chunked storage at 1 and
-// 4 threads.
+// rows and a second draw as probes, at 1 and 4 threads.
 TEST(ModelPins, LogisticRegression) {
   const auto fit = [](const Dataset& data, int threads) {
     LogisticRegressionConfig config;

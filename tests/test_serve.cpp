@@ -291,8 +291,8 @@ TEST(ServeContract, EvictionIsByteTransparent) {
       parse_response(daemon.request(rpc_line(9000, "server.stats")));
   EXPECT_GE(result_of(stats).find("evictions")->as_uint64(), 1u);
   EXPECT_GE(result_of(stats).find("restores")->as_uint64(), 1u);
-  // Per-session dataset geometry rides along in the sessions array; the
-  // rows/chunks recorded at the last touch survive eviction.
+  // Per-session row counts ride along in the sessions array; the rows
+  // recorded at the last touch survive eviction.
   const JsonValue* sessions = result_of(stats).find("sessions");
   ASSERT_NE(sessions, nullptr);
   ASSERT_EQ(sessions->items().size(), 1u);
@@ -300,7 +300,6 @@ TEST(ServeContract, EvictionIsByteTransparent) {
   EXPECT_EQ(entry.find("session")->as_string(), "s-000001");
   EXPECT_EQ(entry.find("state")->as_string(), "evicted");
   EXPECT_GE(entry.find("rows")->as_uint64(), 1u);
-  EXPECT_GE(entry.find("chunks")->as_uint64(), 1u);
   // Loop counters ride along since PR 9 and survive eviction the same way:
   // one step request ran, so the accept/reject split accounts for every
   // iteration and each candidate retrain was counted as a model update.

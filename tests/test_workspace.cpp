@@ -374,6 +374,43 @@ TEST(IpSelectorWorkspace, SelectsTheRowsTheHanRuleCallsBorderline) {
   }
 }
 
+TEST(IpSelectorWorkspace, GreedyFallbackFillsTowardTheUpperBounds) {
+  // A node budget of 0 leaves IP (5) unsolved, so the selector takes its
+  // greedy bound repair. One rule over a 239-row base population with
+  // η = 60 has bounds k+1 = 6 ≤ Σ z ≤ 60: the repair must meet the lower
+  // bound and then fill up to the upper one, with and without a workspace.
+  const auto data = testing::threshold_dataset(300);
+  const FeedbackRuleSet frs(
+      std::vector<FeedbackRule>{testing::x_gt_rule(2.0)});
+  IpSelectorConfig config;
+  config.ip.max_nodes = 0;
+  const auto bp = preselect_base_population(data, frs, config.k);
+  ASSERT_GT(bp.per_rule[0].indices.size(), 60u);
+  const auto model = DecisionTreeLearner().train(data);
+
+  const IpSelector selector(config);
+  SessionWorkspace ws(/*threads=*/1);
+  ws.bind(data);
+  ws.set_model_stamp(1);
+  for (const bool use_workspace : {false, true}) {
+    Rng rng(5);
+    const auto picks = selector.select(data, bp, *model, /*eta=*/60, rng,
+                                       use_workspace ? &ws : nullptr);
+    EXPECT_EQ(picks.size(), 60u) << "workspace " << use_workspace;
+    std::vector<std::size_t> per_rule(bp.per_rule.size(), 0);
+    std::vector<std::size_t> rows;
+    for (const auto& pick : picks) {
+      ++per_rule[pick.rule_index];
+      rows.push_back(bp.per_rule[pick.rule_index].indices[pick.bp_slot]);
+    }
+    std::sort(rows.begin(), rows.end());
+    EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+    for (const std::size_t count : per_rule) {
+      EXPECT_GE(count, config.k + 1) << "workspace " << use_workspace;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Workspace-backed generation: memoised neighbour lists plus the parallel
 // prefetch against standalone generation.
