@@ -76,6 +76,11 @@ EOF
   --out "$SPEC_DIR/resumed" --checkpoint-every 1 --max-steps 3 > /dev/null
 "$BUILD_DIR/tools/frote_run" --plan "$SPEC_DIR/plan.json" \
   --out "$SPEC_DIR/resumed" --resume > /dev/null
+# Every completed engine run writes a non-empty audit.txt; checking the
+# golden side keeps the diff below from passing when both sides lack it.
+for run in "$SPEC_DIR"/golden/run-*/; do
+  test -s "${run}audit.txt"
+done
 diff -r "$SPEC_DIR/golden" "$SPEC_DIR/resumed"
 echo "spec leg: interrupted+resumed plan is byte-identical to golden"
 

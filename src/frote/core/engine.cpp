@@ -187,29 +187,40 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
 // ---------------------------------------------------------------------------
 // Session
 
+namespace {
+
+// Line 1's defaults: the budget q|D| and η ← q|D|/τ unless fixed, both from
+// the *input* size.
+std::size_t session_quota(const FroteConfig& config, std::size_t rows) {
+  return static_cast<std::size_t>(config.q * static_cast<double>(rows));
+}
+
+std::size_t session_eta(const FroteConfig& config, std::size_t rows) {
+  if (config.eta != 0) return config.eta;
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(config.q * static_cast<double>(rows) /
+                                  static_cast<double>(config.tau)));
+}
+
+}  // namespace
+
 Session::Session(std::shared_ptr<const Engine::Impl> engine,
                  const Dataset& data, const Learner& learner)
     : engine_(std::move(engine)),
       learner_(&learner),
       rng_(engine_->config.seed),
-      active_(data) {
+      // One copy of D, pre-sized for the full augmentation budget (the loop
+      // may overshoot the quota by at most one η batch), so staged appends
+      // never reallocate.
+      active_(data, data.size() + session_quota(engine_->config, data.size()) +
+                        session_eta(engine_->config, data.size())),
+      eta_(session_eta(engine_->config, data.size())),
+      quota_(session_quota(engine_->config, data.size())) {
   const FroteConfig& config = engine_->config;
   const FeedbackRuleSet& frs = engine_->frs;
 
-  // Input modification (relabel / drop / none), then line 1's defaults:
-  // η ← q|D|/τ unless fixed; the budget q|D| uses the *input* size.
+  // Input modification (relabel / drop / none).
   apply_mod_strategy(active_, frs, config.mod_strategy);
-  eta_ = config.eta != 0
-             ? config.eta
-             : std::max<std::size_t>(
-                   1, static_cast<std::size_t>(
-                          config.q * static_cast<double>(data.size()) /
-                          static_cast<double>(config.tau)));
-  quota_ =
-      static_cast<std::size_t>(config.q * static_cast<double>(data.size()));
-  // Pre-size for the full augmentation budget (the loop may overshoot the
-  // quota by at most one η batch), so staged appends never reallocate.
-  active_.reserve_rows(active_.size() + quota_ + eta_);
   ws_ = std::make_unique<SessionWorkspace>(config.threads);
 
   // Lines 2–3: train on D̂ and evaluate Ĵ. We track J̄ = 1 − J, so Algorithm

@@ -1,8 +1,8 @@
 // Named-component registry: string → learner / base-instance selector.
 //
-// The CLI (tools/frote_edit_cli) and the experiment harness (exp/learners)
-// used to keep two divergent if/else chains mapping names to components;
-// this registry is the single shared source of truth. Lookups return
+// The spec path (EngineSpec → Engine::Builder::from_spec, used by frote_run
+// and frote_serve) and the experiment code (exp/learners) resolve
+// components by name through this one registry. Lookups return
 // Expected so callers get a typed kUnknownComponent / kMissingDependency
 // error (with the list of valid names) instead of a throw.
 //

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "frote/core/audit.hpp"
 #include "frote/core/checkpoint.hpp"
 #include "frote/core/engine.hpp"
 #include "frote/core/registry.hpp"
@@ -535,6 +536,14 @@ Expected<std::vector<RunResult>> execute_plan(const RunPlan& plan,
             result.iterations_accepted = outcome.iterations_accepted;
             if (with_artifacts) {
               save_csv(outcome.augmented, (dir / "augmented.csv").string());
+              // The §6 audit (rules, modification, per-iteration decisions,
+              // lineage counts). Written before result.json, which marks
+              // the run complete: a crash in between leaves it resumable.
+              write_file_atomic(
+                  dir / "audit.txt",
+                  audit_report_string(build_audit_record(
+                      *dataset, p.engine->rules(), p.engine->config(),
+                      outcome)));
               write_file_atomic(dir / "result.json",
                                 json_dump(result.to_json(), 2) + "\n");
               std::error_code ignored;

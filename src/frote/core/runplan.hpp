@@ -8,8 +8,11 @@
 // run gets an index-prefixed name and its own output directory with
 //   spec.json        the fully-resolved EngineSpec of this run
 //   checkpoint.json  periodic session snapshot (while running / interrupted)
-//   result.json      deterministic summary (written on completion)
-//   augmented.csv    the output dataset D̂
+//   augmented.csv    the output dataset D̂ (written on completion)
+//   audit.txt        the edit's audit report (core/audit.hpp): rules,
+//                    modification, per-iteration decisions, row counts
+//   result.json      deterministic summary, written last: its presence
+//                    marks the run complete
 //
 // Runs execute concurrently on util/parallel.hpp (grain 1, ordered result
 // slots); within a driver worker, nested engine parallelism runs inline, so
@@ -42,8 +45,8 @@
 //   }
 //
 // Scenario runs write spec.json (the fully-resolved ScenarioSpec document)
-// and result.json (the ScenarioReport) — no checkpoint.json/augmented.csv —
-// and completed runs are still skipped under resume.
+// and result.json (the ScenarioReport) — no checkpoint.json, augmented.csv
+// or audit.txt — and completed runs are still skipped under resume.
 #pragma once
 
 #include <cstdint>

@@ -22,17 +22,18 @@ Dataset::Dataset(std::shared_ptr<const Schema> schema)
   width_ = schema_->num_features();
 }
 
-Dataset::Dataset(const Dataset& other)
+Dataset::Dataset(const Dataset& other, std::size_t row_capacity)
     : schema_(other.schema_),
       width_(other.width_),
-      values_(other.values_),
-      labels_(other.labels_),
-      row_ids_(other.row_ids_),
       uid_(next_uid()),
       version_(0),
       append_epoch_(0),
       next_row_id_(other.next_row_id_),
       staged_from_(other.staged_from_) {
+  reserve_rows(std::max(row_capacity, other.size()));
+  values_.assign(other.values_.begin(), other.values_.end());
+  labels_.assign(other.labels_.begin(), other.labels_.end());
+  row_ids_.assign(other.row_ids_.begin(), other.row_ids_.end());
   copies_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -155,25 +156,26 @@ void Dataset::remove_rows(std::vector<std::size_t> indices) {
   std::sort(indices.begin(), indices.end());
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
   FROTE_CHECK(indices.back() < size());
-  std::vector<double> new_values;
-  std::vector<int> new_labels;
-  std::vector<std::uint64_t> new_row_ids;
-  new_values.reserve((size() - indices.size()) * width_);
-  new_labels.reserve(labels_.size());
-  new_row_ids.reserve(row_ids_.size());
+  // Compact in place: the storage keeps its capacity (a session reserved
+  // for its whole budget before dropping rows) and no second table exists.
+  std::size_t kept = 0;
   std::size_t next_removed = 0;
   for (std::size_t i = 0; i < size(); ++i) {
     if (next_removed < indices.size() && indices[next_removed] == i) {
       ++next_removed;
       continue;
     }
-    new_values.insert(new_values.end(), row_ptr(i), row_ptr(i) + width_);
-    new_labels.push_back(labels_[i]);
-    new_row_ids.push_back(row_ids_[i]);
+    if (kept != i) {
+      std::copy(row_ptr(i), row_ptr(i) + width_,
+                values_.begin() + static_cast<std::ptrdiff_t>(kept * width_));
+      labels_[kept] = labels_[i];
+      row_ids_[kept] = row_ids_[i];
+    }
+    ++kept;
   }
-  values_ = std::move(new_values);
-  labels_ = std::move(new_labels);
-  row_ids_ = std::move(new_row_ids);
+  values_.resize(kept * width_);
+  labels_.resize(kept);
+  row_ids_.resize(kept);
   bump(/*rewrites_existing_rows=*/true);
 }
 

@@ -47,7 +47,13 @@ class Dataset {
   /// Copies get a fresh uid (they are a new logical dataset) and count
   /// toward copy_count() — tests/test_engine_perf.cpp uses the counter to
   /// prove the session loop never clones D̂ per iteration.
-  Dataset(const Dataset& other);
+  Dataset(const Dataset& other) : Dataset(other, 0) {}
+  /// A copy whose storage already holds `row_capacity` rows (at least
+  /// other.size()), so a consumer that will grow it toward a known size
+  /// copies once instead of copying and then reallocating. Otherwise
+  /// identical to the plain copy: same rows, row ids and next_row_id,
+  /// version and append_epoch 0, a fresh uid, one copy_count().
+  Dataset(const Dataset& other, std::size_t row_capacity);
   Dataset& operator=(const Dataset& other);
   Dataset(Dataset&&) = default;
   Dataset& operator=(Dataset&&) = default;
@@ -101,6 +107,8 @@ class Dataset {
   /// Pre-size the row storage for `rows` total rows, so a session that
   /// grows toward a known budget q·|D| appends without reallocation.
   void reserve_rows(std::size_t rows);
+  /// Rows the storage holds before an append reallocates.
+  std::size_t row_capacity() const { return labels_.capacity(); }
 
   // -- Staged appends --------------------------------------------------------
 

@@ -187,6 +187,23 @@ TEST(Dataset, CopyCountObservesCopiesButNotMoves) {
   EXPECT_EQ(moved.size(), 5u);
 }
 
+TEST(Dataset, CapacityCopyEqualsPlainCopy) {
+  auto data = testing::threshold_dataset(5);
+  data.set_label(0, 1 - data.label(0));  // version and append_epoch move
+  const auto before = Dataset::copy_count();
+  const Dataset plain = data;
+  const Dataset sized(data, 64);
+  EXPECT_EQ(Dataset::copy_count(), before + 2);
+  EXPECT_EQ(sized.digest(), plain.digest());
+  EXPECT_EQ(sized.next_row_id(), plain.next_row_id());
+  EXPECT_EQ(sized.version(), plain.version());
+  EXPECT_EQ(sized.append_epoch(), plain.append_epoch());
+  EXPECT_NE(sized.uid(), plain.uid());
+  EXPECT_GE(sized.row_capacity(), 64u);
+  // A capacity below the row count still copies every row.
+  EXPECT_EQ(Dataset(data, 2).digest(), plain.digest());
+}
+
 TEST(Dataset, AppendRequiresSameSchema) {
   auto a = testing::threshold_dataset(5);
   auto b = testing::blobs_dataset(3);

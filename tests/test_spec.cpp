@@ -1,14 +1,19 @@
 // core/spec: declarative EngineSpec round-trips — JSON → EngineSpec → JSON,
 // and JSON → Engine for every registry learner/selector combination with
 // the spec's scalars and stopping criterion installed — plus RunPlan
-// expansion and the concurrent driver's determinism.
+// expansion, execute_plan's determinism across thread counts and its
+// audit.txt artifact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "frote/core/audit.hpp"
 #include "frote/core/engine.hpp"
 #include "frote/core/registry.hpp"
 #include "frote/core/runplan.hpp"
@@ -418,6 +423,118 @@ TEST(RunPlan, DriverIsDeterministicAcrossThreadCounts) {
   }
   // The grid actually edited something, or the comparison is vacuous.
   EXPECT_GT((*serial)[0].instances_added, 0u);
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// A fresh, empty scratch directory under the system temp dir.
+std::filesystem::path scratch_dir(const std::string& name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(RunPlan, EachEngineRunWritesItsSessionsAuditReport) {
+  namespace fs = std::filesystem;
+  const RunPlan plan = small_plan();
+  const fs::path root = scratch_dir("frote_test_spec_audit");
+  RunPlanOptions options;
+  options.output_dir = root.string();
+  auto results = execute_plan(plan, options);
+  ASSERT_TRUE(results.has_value()) << results.error().message;
+
+  const Dataset data = load_spec_dataset(*plan.base.dataset).value();
+  const auto runs = plan.expand();
+  ASSERT_EQ(runs.size(), results->size());
+  for (const auto& run : runs) {
+    const auto engine =
+        Engine::Builder::from_spec(run.spec, data.schema()).value().build()
+            .value();
+    const auto learner = make_spec_learner(run.spec).value();
+    auto session = engine.open(data, *learner).value();
+    session.run();
+    const FroteResult result = std::move(session).result();
+    EXPECT_GT(result.instances_added, 0u) << run.name;
+    EXPECT_EQ(slurp(root / run.name / "audit.txt"),
+              audit_report_string(build_audit_record(
+                  data, engine.rules(), engine.config(), result)))
+        << run.name;
+  }
+  fs::remove_all(root);
+}
+
+TEST(RunPlan, ResumedPlanWritesTheUninterruptedAuditReport) {
+  namespace fs = std::filesystem;
+  RunPlan plan = small_plan();
+  for (const int threads : {1, 4}) {
+    plan.threads = threads;
+    const fs::path root = scratch_dir("frote_test_spec_audit_resume");
+    RunPlanOptions options;
+    options.output_dir = (root / "golden").string();
+    ASSERT_TRUE(execute_plan(plan, options).has_value());
+
+    options.output_dir = (root / "resumed").string();
+    options.checkpoint_every = 1;
+    options.max_steps = 2;
+    auto partial = execute_plan(plan, options);
+    ASSERT_TRUE(partial.has_value()) << partial.error().message;
+    std::size_t interrupted = 0;
+    for (const RunResult& run : *partial) {
+      if (run.completed) continue;
+      ++interrupted;  // no audit before the run completes
+      EXPECT_FALSE(fs::exists(root / "resumed" / run.name / "audit.txt"))
+          << run.name;
+    }
+    // Otherwise the resume path went untested.
+    EXPECT_GT(interrupted, 0u) << "threads " << threads;
+    options.max_steps = 0;
+    options.resume = true;
+    auto resumed = execute_plan(plan, options);
+    ASSERT_TRUE(resumed.has_value()) << resumed.error().message;
+
+    for (std::size_t i = 0; i < partial->size(); ++i) {
+      const std::string& name = (*partial)[i].name;
+      const std::string tag = name + " threads " + std::to_string(threads);
+      EXPECT_EQ((*partial)[i].completed, !(*resumed)[i].resumed) << tag;
+      const std::string golden = slurp(root / "golden" / name / "audit.txt");
+      EXPECT_FALSE(golden.empty()) << tag;
+      EXPECT_EQ(slurp(root / "resumed" / name / "audit.txt"), golden) << tag;
+    }
+    fs::remove_all(root);
+  }
+}
+
+TEST(RunPlan, ScenarioRunsWriteNoAuditReport) {
+  namespace fs = std::filesystem;
+  register_scenario("spec_no_audit", R"json({
+  "format": "frote.scenario_spec", "version": 1,
+  "name": "spec_no_audit",
+  "kind": "static",
+  "generator": {"name": "adult", "size": 80, "seed": 4},
+  "engine": {
+    "format": "frote.engine_spec", "version": 1,
+    "tau": 2, "q": 0.3, "k": 3,
+    "learner": {"name": "nb"}, "selector": "random",
+    "rules": ["IF hours_per_week > 50 THEN class = >50K"]
+  },
+  "expected": {"min_instances_added": 0}
+})json");
+  RunPlan plan;
+  plan.scenarios = {"spec_no_audit"};
+  plan.seeds = {5};
+  const fs::path root = scratch_dir("frote_test_spec_scenario_audit");
+  RunPlanOptions options;
+  options.output_dir = root.string();
+  auto results = execute_plan(plan, options);
+  ASSERT_TRUE(results.has_value()) << results.error().message;
+  const fs::path run_dir = root / results->front().name;
+  EXPECT_TRUE(fs::exists(run_dir / "result.json"));
+  EXPECT_FALSE(fs::exists(run_dir / "audit.txt"));
+  fs::remove_all(root);
 }
 
 TEST(RunPlan, DriverRequiresADatasetReference) {

@@ -3,8 +3,11 @@
 // Reads a RunPlan JSON document (core/runplan.hpp): a base EngineSpec with
 // a dataset reference plus a learner/selector/seed grid, expands it
 // deterministically, and executes the runs concurrently, writing per-run
-// artifacts (spec.json, checkpoint.json, result.json, augmented.csv) under
-// --out. Interrupted plans resume bit-identically with --resume.
+// artifacts (spec.json, checkpoint.json, augmented.csv, audit.txt,
+// result.json) under --out. Interrupted plans resume bit-identically with
+// --resume. A one-run plan over a csv dataset ({"kind": "csv", "path": ...})
+// is a CSV-in/CSV-out edit: augmented.csv is the edited data and audit.txt
+// its audit report.
 //
 // A plan whose grid lists "scenarios" (core/scenario.hpp) runs registered
 // scenarios instead: each run writes the fully-resolved scenario spec.json
@@ -21,7 +24,7 @@
 //                       leaving checkpoints behind (deterministic stand-in
 //                       for a mid-plan kill; finish with --resume)
 //
-// Argument parsing is strict, matching frote_edit: unknown flags, flags
+// Argument parsing is strict, matching frote_serve: unknown flags, flags
 // with a missing value, and malformed numbers are usage errors (exit 1).
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime error (bad plan/data).
@@ -71,7 +74,7 @@ bool usage_error(const std::string& message) {
 }
 
 /// Strict flag parser — same contract and shared machinery
-/// (tools/cli_common.hpp) as frote_edit.
+/// (tools/cli_common.hpp) as frote_serve.
 bool parse_args(int argc, char** argv, Options& options) {
   const cli::StrictArgs args{"frote_run", print_usage, argc, argv};
   const auto value_for = [&](int& i, const std::string& name,
