@@ -37,13 +37,14 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # test_incremental_learners locks update() ≡ train() and the certified
 # neighborhood cache under the pool;
 # test_serve drives the daemon end-to-end (its own suites re-check 1 vs 4);
+# test_serve_rpc calls the same protocol in process from four threads;
 # test_knn covers the chunk-parallel flat scan and the blocked batch scan,
 # and the neighbourhood fill, the generator prefetch and the IP selector's
 # borderline scoring fan out inside test_workspace;
 # test_ml pins the tree learners' outputs (the coded-column table build
 # fans features out).
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_incremental_learners|test_knn|test_ml'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_serve_rpc|test_incremental_learners|test_knn|test_ml'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run

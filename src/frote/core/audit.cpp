@@ -23,11 +23,11 @@ AuditRecord build_audit_record(const Dataset& input,
   AuditRecord record;
   record.original_rows = input.size();
   record.mod_strategy = config.mod_strategy;
-  // Re-derive the modification counts from the input (cheap and avoids
-  // entangling the audit into the hot loop).
-  Dataset scratch = input;
-  const std::size_t affected =
-      apply_mod_strategy(scratch, frs, config.mod_strategy);
+  // Re-derive the modification counts from the input (a read-only scan,
+  // which keeps the audit out of the hot loop).
+  const std::size_t affected = config.mod_strategy == ModStrategy::kNone
+                                   ? 0
+                                   : disagreeing_rows(input, frs).size();
   if (config.mod_strategy == ModStrategy::kRelabel) {
     record.relabelled_rows = affected;
   } else if (config.mod_strategy == ModStrategy::kDrop) {

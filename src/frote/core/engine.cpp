@@ -340,10 +340,9 @@ StepReport Session::step() {
   // next model stamp — if the batch is accepted they are exactly the new
   // model's predictions over the new D̂, ready for the next selection.
   // The retrain goes through Learner::update with the previous model and
-  // the size of the unchanged prefix: exact learners prove bit-identity to
-  // train(D′) and reuse what the append cannot have changed; the default
-  // update IS train(D′); approximate warm variants are opt-in registry
-  // names (docs/DESIGN.md §10).
+  // the size of the unchanged prefix. No bundled learner overrides it, so
+  // this is train(D′); an override must return train(D′)'s exact bytes
+  // (docs/DESIGN.md §10).
   auto candidate_model = learner_->update(*model_, active_, staged_at);
   ++model_updates_;
   const std::uint64_t candidate_stamp = ++model_stamp_counter_;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "frote/metrics/metrics.hpp"
 #include "frote/ml/model.hpp"
@@ -65,9 +66,14 @@ struct FroteResult {
   std::vector<ProgressPoint> trace;
 };
 
-/// Apply the mod strategy to `data` in place: every instance covered by a
-/// rule of `frs` whose label has zero probability under the rule's π is
-/// relabelled to the rule's mode class or dropped. Returns #rows affected.
+/// Indices, ascending, of the rows of `data` whose first covering rule of
+/// `frs` gives their label zero probability under its π.
+std::vector<std::size_t> disagreeing_rows(const Dataset& data,
+                                          const FeedbackRuleSet& frs);
+
+/// Apply the mod strategy to `data` in place: every disagreeing row (see
+/// disagreeing_rows) is relabelled to its rule's mode class or dropped.
+/// Returns #rows affected.
 std::size_t apply_mod_strategy(Dataset& data, const FeedbackRuleSet& frs,
                                ModStrategy strategy);
 

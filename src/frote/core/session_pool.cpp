@@ -22,22 +22,20 @@ constexpr const char* kSpecSuffix = ".spec.json";
 constexpr const char* kCheckpointSuffix = ".checkpoint.json";
 
 FroteError no_such_session(const std::string& id) {
-  return FroteError::invalid_argument("no such session: " + id);
+  return {FroteErrorCode::kNotFound, "no such session: " + id};
 }
 
-/// The "session unrecoverable" message prefix is part of the protocol:
-/// frote_serve maps it to JSON-RPC -32002. The session's durable state is
-/// gone (corrupt and quarantined, or quarantined earlier); the daemon and
-/// every other session keep serving.
+/// The session's durable state is gone (corrupt and quarantined, or
+/// quarantined earlier); the daemon and every other session keep serving.
 FroteError unrecoverable(const std::string& id, const std::string& why) {
-  return FroteError::io_error("session unrecoverable: " + id + ": " + why);
+  return {FroteErrorCode::kUnrecoverable,
+          "session unrecoverable: " + id + ": " + why};
 }
 
-/// "overloaded" prefix ⇒ JSON-RPC -32005 with a retry_after_ms hint.
 FroteError pool_overloaded(std::size_t limit, const char* what) {
-  return FroteError::io_error("overloaded: " + std::string(what) +
-                              " limit reached (" + std::to_string(limit) +
-                              "); retry later");
+  return {FroteErrorCode::kOverloaded,
+          "overloaded: " + std::string(what) + " limit reached (" +
+              std::to_string(limit) + "); retry later"};
 }
 
 }  // namespace

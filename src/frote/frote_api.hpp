@@ -26,13 +26,14 @@
 #include "frote/core/runplan.hpp"
 #include "frote/core/scenario.hpp"
 #include "frote/core/selection.hpp"
+#include "frote/core/serve_rpc.hpp"
 #include "frote/core/session_pool.hpp"
 #include "frote/core/spec.hpp"
 #include "frote/core/stages.hpp"
 #include "frote/core/workspace.hpp"
 
 // Serving layer: the JSON-RPC envelope and the vendored HTTP transport
-// behind tools/frote_serve (docs/DESIGN.md §7).
+// that tools/frote_serve puts in front of serve_rpc (docs/DESIGN.md §7).
 #include "frote/net/http.hpp"
 #include "frote/net/jsonrpc.hpp"
 

@@ -76,14 +76,7 @@ std::string rpc_result_line(const JsonValue& id, JsonValue result) {
 
 std::string rpc_error_line(const JsonValue& id, int code,
                            const std::string& message) {
-  JsonValue error = JsonValue::object();
-  error.set("code", std::int64_t{code});
-  error.set("message", message);
-  JsonValue envelope = JsonValue::object();
-  envelope.set("jsonrpc", "2.0");
-  envelope.set("id", id);
-  envelope.set("error", std::move(error));
-  return json_dump(envelope, 0);
+  return rpc_error_line(id, code, message, JsonValue());
 }
 
 std::string rpc_error_line(const JsonValue& id, int code,
@@ -91,7 +84,7 @@ std::string rpc_error_line(const JsonValue& id, int code,
   JsonValue error = JsonValue::object();
   error.set("code", std::int64_t{code});
   error.set("message", message);
-  error.set("data", std::move(data));
+  if (!data.is_null()) error.set("data", std::move(data));
   JsonValue envelope = JsonValue::object();
   envelope.set("jsonrpc", "2.0");
   envelope.set("id", id);
@@ -109,6 +102,12 @@ int rpc_code_for(const FroteError& error) {
     case FroteErrorCode::kMissingDependency:
     case FroteErrorCode::kParseError:
       return kInvalidParams;
+    case FroteErrorCode::kNotFound:
+      return kSessionNotFound;
+    case FroteErrorCode::kUnrecoverable:
+      return kSessionUnrecoverable;
+    case FroteErrorCode::kOverloaded:
+      return kOverloaded;
   }
   return kInternalError;
 }

@@ -11,8 +11,8 @@
 //   * a JSON document that is not a request object  → kInvalidRequest
 //     (wrong/missing "jsonrpc", missing/invalid "id", missing "method",
 //     non-object "params", oversized line)           (-32600)
-// Method-level failures are reported by the dispatcher with
-// kMethodNotFound / kInvalidParams / kSessionNotFound / kInternalError.
+// Method-level failures are reported by the dispatcher (core/serve_rpc)
+// with kMethodNotFound / kInvalidParams / rpc_code_for's codes.
 //
 // Request ids may be strings or integers (never null/fractional — this is
 // a lockstep request/response daemon, notifications are not served);
@@ -67,13 +67,15 @@ std::string rpc_result_line(const JsonValue& id, JsonValue result);
 std::string rpc_error_line(const JsonValue& id, int code,
                            const std::string& message);
 /// Error envelope with a machine-readable "data" member (e.g. the
-/// {"retry_after_ms": …} hint on kOverloaded responses).
+/// {"retry_after_ms": …} hint on kOverloaded responses); null is omitted.
 std::string rpc_error_line(const JsonValue& id, int code,
                            const std::string& message, JsonValue data);
 
 /// Map a FroteError raised while executing a method onto the protocol
 /// code: every config/parse/registry/argument problem is the caller's
-/// params (-32602), I/O is the server's fault (-32603).
+/// params (-32602), I/O is the server's fault (-32603), and the session
+/// pool's kNotFound / kUnrecoverable / kOverloaded are -32001 / -32002 /
+/// -32005.
 int rpc_code_for(const FroteError& error);
 
 }  // namespace frote::net

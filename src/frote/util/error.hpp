@@ -32,6 +32,9 @@ enum class FroteErrorCode {
   kMissingDependency,  // a component needs state the caller did not supply
   kParseError,         // malformed serialized input (JSON, rule text)
   kIoError,            // a file could not be read or written
+  kNotFound,           // a session id that is stale, closed or never issued
+  kUnrecoverable,      // a session whose durable state is gone
+  kOverloaded,         // an admission limit refused the request
 };
 
 /// Typed error value returned by fallible API-boundary operations.

@@ -7,7 +7,8 @@
 // The binary path arrives via the FROTE_SERVE_BINARY compile definition
 // (tests/CMakeLists.txt / bench/CMakeLists.txt point it at the built
 // target), so the harness always drives the binary from the same build
-// tree as the test.
+// tree as the test. Without it only the request builders below are
+// defined, for suites that call frote::serve_rpc in process.
 #pragma once
 
 #include <sys/types.h>
@@ -29,6 +30,7 @@
 
 namespace frote::testing {
 
+#ifdef FROTE_SERVE_BINARY
 /// A running frote_serve child. Lockstep use: send_line() then
 /// read_line(), or request() for both. Destruction reaps the child
 /// (SIGKILL if it has not exited).
@@ -205,6 +207,7 @@ class ServeProcess {
   bool reaped_ = false;
   std::string buffer_;
 };
+#endif  // FROTE_SERVE_BINARY
 
 /// Write the threshold_dataset scenario to `path` so served specs can
 /// reference it (the daemon only accepts dataset *references*).

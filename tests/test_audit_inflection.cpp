@@ -2,6 +2,7 @@
 // analysis utilities, plus the online-learning proxy selector.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,25 @@ TEST(Audit, RecordCapturesEditLineage) {
   // Relabel strategy: the covered-and-disagreeing rows are recorded.
   EXPECT_GT(record.relabelled_rows, 0u);
   EXPECT_EQ(record.dropped_rows, 0u);
+
+  // Every strategy's counts come from a read-only scan of the input: no
+  // copy of D, and the same numbers apply_mod_strategy reports.
+  for (const ModStrategy mod :
+       {ModStrategy::kNone, ModStrategy::kRelabel, ModStrategy::kDrop}) {
+    const Engine engine = fx.builder().mod_strategy(mod).build().value();
+    auto session = engine.open(fx.train, fx.learner).value();
+    session.run();
+    const FroteResult edited = std::move(session).result();
+    const std::uint64_t copies = Dataset::copy_count();
+    const auto counted =
+        build_audit_record(fx.train, fx.frs, engine.config(), edited);
+    EXPECT_EQ(Dataset::copy_count(), copies) << static_cast<int>(mod);
+    Dataset modded = fx.train;
+    const std::size_t affected = apply_mod_strategy(modded, fx.frs, mod);
+    EXPECT_EQ(counted.relabelled_rows,
+              mod == ModStrategy::kRelabel ? affected : 0u);
+    EXPECT_EQ(counted.dropped_rows, mod == ModStrategy::kDrop ? affected : 0u);
+  }
 }
 
 TEST(Audit, RulesInReportAreReparsable) {

@@ -11,7 +11,8 @@
 //     functions of their own request order, whether the requests interleave
 //     or not, at FROTE_NUM_THREADS=1 and 4 (and 1 ≡ 4 byte-for-byte).
 //   * Malformed input — a table of bad requests (test_json.cpp style) each
-//     yields the documented JSON-RPC error code and never kills the daemon.
+//     yields the documented JSON-RPC error code and never kills the daemon,
+//     and frote::serve_rpc in process answers each with the daemon's bytes.
 //   * Spool recovery — EOF shutdown spools live sessions; a restarted
 //     daemon continues them byte-identically to an uninterrupted run.
 //   * HTTP ≡ stdio — the vendored HTTP/1.1 listener carries the same bytes,
@@ -41,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "frote/core/serve_rpc.hpp"
 #include "frote/core/session_pool.hpp"
 #include "frote/net/http.hpp"
 #include "frote/util/parallel.hpp"
@@ -705,8 +707,13 @@ TEST(ServeContract, MalformedRequestsGetTypedErrorsAndNeverKillTheDaemon) {
   ServeProcess::Options options;
   options.args = {"--max-request-bytes", "2048"};
   ServeProcess daemon(options);
+  // The same table in process: serve_rpc on a pool configured like the
+  // daemon answers every case with the daemon's bytes.
+  frote::SessionPool pool{frote::SessionPoolConfig{}};
   for (const Case& c : cases) {
-    const JsonValue response = parse_response(daemon.request(c.line));
+    const std::string line = daemon.request(c.line);
+    EXPECT_EQ(frote::serve_rpc(pool, c.line, 2048), line) << c.label;
+    const JsonValue response = parse_response(line);
     EXPECT_EQ(error_code(response), c.expected_code) << c.label;
     EXPECT_EQ(*response.find("jsonrpc"), JsonValue("2.0")) << c.label;
     const JsonValue* error = response.find("error");

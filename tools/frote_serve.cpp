@@ -1,22 +1,16 @@
 // frote_serve — the multi-tenant FROTE session daemon.
 //
-// Speaks line-delimited JSON-RPC 2.0 (docs/DESIGN.md §7) over one of two
-// transports per invocation: stdio (default; one request per line, one
-// response per line, lockstep) or the vendored HTTP/1.1 listener (--http;
-// one request per POST body, up to --threads connections served at once;
-// requests to one session still run one at a time, on its entry mutex in
-// the pool). Both carry the same envelope, so a request
-// gets byte-identical response bytes whichever way it arrives — ci.sh
-// diffs a stdio run against an HTTP-driven run to lock that.
-//
-// Methods: session.create / session.step / session.snapshot /
-// session.result / session.close / server.stats, all backed by
-// core/session_pool.hpp, plus scenario.list and scenario.run
-// (core/scenario.hpp). Sessions are created from EngineSpec documents
-// (dataset reference required — the daemon has no other input channel,
-// the same posture as frote_run's plans) or from a registered scenario
-// ref ({"scenario": "name", "seed": N}), which resolves to such a spec
-// via scenario_session_spec.
+// A transport in front of frote::serve_rpc (core/serve_rpc.hpp), which
+// holds the whole JSON-RPC 2.0 protocol (docs/DESIGN.md §7): methods,
+// params validation and error codes. This file only moves request bytes to
+// it and response bytes back, over one of two transports per invocation:
+// stdio (default; one request per line, one response per line, lockstep)
+// or the vendored HTTP/1.1 listener (--http; one request per POST body, up
+// to --threads connections served at once; requests to one session still
+// run one at a time, on its entry mutex in the pool). Both call the same
+// function, so a request gets byte-identical response bytes whichever way
+// it arrives — ci.sh diffs a stdio run against an HTTP-driven run to lock
+// that. --drive is the matching HTTP client.
 //
 // Shutdown: SIGTERM/SIGINT (or stdin EOF in stdio mode) stops the
 // frontend between requests, spools every live session to the --spool
@@ -34,9 +28,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,12 +40,10 @@
 #include <chrono>
 #include <thread>
 
-#include "frote/core/registry.hpp"
-#include "frote/core/scenario.hpp"
+#include "frote/core/serve_rpc.hpp"
 #include "frote/core/session_pool.hpp"
-#include "frote/core/spec.hpp"
 #include "frote/net/http.hpp"
-#include "frote/net/jsonrpc.hpp"
+#include "frote/util/env.hpp"
 #include "frote/util/faultsim.hpp"
 #include "frote/util/fsio.hpp"
 #include "frote/util/parallel.hpp"
@@ -62,12 +51,8 @@
 
 namespace {
 
-using frote::EngineSpec;
-using frote::FroteError;
-using frote::JsonValue;
 using frote::SessionPool;
 using frote::SessionPoolConfig;
-using frote::SessionStepOutcome;
 
 struct Options {
   bool http = false;
@@ -80,14 +65,12 @@ struct Options {
   int threads = 0;
   std::size_t max_request_bytes = std::size_t{1} << 20;
   int read_timeout_ms = 5000;
-  // Deterministic fault injection (util/faultsim.hpp), merged with the
-  // FROTE_FAULTS environment variable.
+  // Deterministic fault injection (util/faultsim.hpp); overrides the
+  // FROTE_FAULTS environment variable, seeded by FROTE_FAULTS_SEED.
   std::string faults;
-  std::size_t faults_seed = 0;
   // Client mode: POST each line of --script to a listening daemon.
   int drive_port = -1;
   std::string script;
-  int retries = 3;  // --drive connect retries (deterministic backoff)
   bool help = false;
 };
 
@@ -96,8 +79,8 @@ void print_usage(std::ostream& os) {
         "       frote_serve --http [options]      serve over HTTP/1.1\n"
         "       frote_serve --drive PORT --script FILE\n"
         "                                         post each script line to a\n"
-        "                                         running daemon, print the\n"
-        "                                         responses\n"
+        "                                         running daemon (up to 3 connect\n"
+        "                                         retries), print the responses\n"
         "\n"
         "options:\n"
         "  --port N               HTTP port (default 0 = ephemeral)\n"
@@ -122,11 +105,8 @@ void print_usage(std::ostream& os) {
         "                         0 = no deadline)\n"
         "  --faults SPEC          deterministic fault injection, e.g.\n"
         "                         \"fsio.rename:nth=2:kill\" (see also the\n"
-        "                         FROTE_FAULTS environment variable)\n"
-        "  --faults-seed N        seed for prob= fault schedules (default 0)\n"
-        "  --retries N            --drive: connect retries with\n"
-        "                         deterministic exponential backoff\n"
-        "                         (default 3)\n"
+        "                         FROTE_FAULTS environment variable;\n"
+        "                         FROTE_FAULTS_SEED seeds prob= schedules)\n"
         "  --help                 show this message\n";
 }
 
@@ -182,16 +162,6 @@ bool parse_args(int argc, char** argv, Options& options) {
       }
     } else if (arg == "--faults") {
       if (!args.value_for(i, "faults", options.faults)) return false;
-    } else if (arg == "--faults-seed") {
-      if (!args.value_for(i, "faults-seed", value) ||
-          !args.parse_number("faults-seed", value, options.faults_seed)) {
-        return false;
-      }
-    } else if (arg == "--retries") {
-      if (!args.value_for(i, "retries", value) ||
-          !args.parse_number("retries", value, options.retries)) {
-        return false;
-      }
     } else if (arg == "--drive") {
       if (!args.value_for(i, "drive", value) ||
           !args.parse_number("drive", value, options.drive_port)) {
@@ -225,249 +195,7 @@ bool parse_args(int argc, char** argv, Options& options) {
   if (options.read_timeout_ms < 0) {
     return args.usage_error("--read-timeout-ms must be >= 0");
   }
-  if (options.retries < 0) {
-    return args.usage_error("--retries must be >= 0");
-  }
   return true;
-}
-
-/// Protocol code for a pool/engine failure. The pool reports typed
-/// conditions as message prefixes; the protocol distinguishes stale ids
-/// (-32001), lost durable state (-32002), and admission refusals (-32005)
-/// from genuinely bad params (-32602) / internal faults (-32603).
-int code_for(const FroteError& error) {
-  if (error.message.rfind("no such session", 0) == 0) {
-    return frote::net::kSessionNotFound;
-  }
-  if (error.message.rfind("session unrecoverable", 0) == 0) {
-    return frote::net::kSessionUnrecoverable;
-  }
-  if (error.message.rfind("overloaded", 0) == 0) {
-    return frote::net::kOverloaded;
-  }
-  return frote::net::rpc_code_for(error);
-}
-
-/// Error envelope for a pool failure. Overloaded responses carry a
-/// machine-readable retry hint so clients can back off without parsing
-/// the message text.
-std::string pool_error_line(const JsonValue& id, const FroteError& error) {
-  const int code = code_for(error);
-  if (code == frote::net::kOverloaded) {
-    JsonValue data = JsonValue::object();
-    data.set("retry_after_ms", std::int64_t{50});
-    return frote::net::rpc_error_line(id, code, error.message,
-                                      std::move(data));
-  }
-  return frote::net::rpc_error_line(id, code, error.message);
-}
-
-JsonValue step_outcome_json(const std::string& id,
-                            const SessionStepOutcome& outcome) {
-  JsonValue result = JsonValue::object();
-  result.set("session", id);
-  result.set("steps_executed", outcome.steps_executed);
-  result.set("accepted", outcome.last_accepted);
-  result.set("finished", outcome.finished);
-  result.set("iterations_run", outcome.iterations_run);
-  result.set("iterations_accepted", outcome.iterations_accepted);
-  result.set("instances_added", outcome.instances_added);
-  result.set("rows", outcome.rows);
-  result.set("j_bar", outcome.j_bar);
-  return result;
-}
-
-/// Execute one validated request against the pool; returns the response
-/// line (result or error envelope, no trailing newline).
-std::string dispatch(SessionPool& pool, const frote::net::RpcRequest& req) {
-  using frote::net::kInvalidParams;
-  using frote::net::kMethodNotFound;
-  using frote::net::rpc_error_line;
-  using frote::net::rpc_result_line;
-
-  const auto session_param = [&]() -> const std::string* {
-    const JsonValue* id = req.params.find("session");
-    if (id == nullptr || !id->is_string()) return nullptr;
-    return &id->as_string();
-  };
-
-  // Optional params.seed: a non-negative integer reseeding a scenario.
-  const auto seed_param =
-      [&](std::optional<std::uint64_t>& out) -> const char* {
-    const JsonValue* raw = req.params.find("seed");
-    if (raw == nullptr) return nullptr;
-    if (raw->type() != frote::JsonType::kInt &&
-        raw->type() != frote::JsonType::kUint) {
-      return "params.seed must be a non-negative integer";
-    }
-    if (raw->type() == frote::JsonType::kInt && raw->as_int64() < 0) {
-      return "params.seed must be a non-negative integer";
-    }
-    out = raw->as_uint64();
-    return nullptr;
-  };
-  // Resolve params.scenario through the registry (typed errors for an
-  // unknown name or a document that no longer validates).
-  const auto scenario_param = [&](const JsonValue* name,
-                                  frote::Expected<frote::ScenarioSpec>& out)
-      -> const char* {
-    if (!name->is_string()) return "params.scenario must be a scenario name";
-    out = frote::make_named_scenario(name->as_string());
-    return nullptr;
-  };
-
-  if (req.method == "session.create") {
-    const JsonValue* spec_json = req.params.find("spec");
-    const JsonValue* scenario_name = req.params.find("scenario");
-    if (scenario_name != nullptr) {
-      // Scenario ref: the registered document becomes the session's
-      // EngineSpec (generator expressed as a DatasetSpec synthetic
-      // reference), so the session spools/recovers like any other.
-      if (spec_json != nullptr) {
-        return rpc_error_line(
-            req.id, kInvalidParams,
-            "params.spec and params.scenario are mutually exclusive");
-      }
-      frote::Expected<frote::ScenarioSpec> scenario =
-          FroteError::invalid_argument("unresolved");
-      if (const char* problem = scenario_param(scenario_name, scenario)) {
-        return rpc_error_line(req.id, kInvalidParams, problem);
-      }
-      if (!scenario) {
-        return rpc_error_line(req.id, kInvalidParams,
-                              scenario.error().message);
-      }
-      std::optional<std::uint64_t> seed;
-      if (const char* problem = seed_param(seed)) {
-        return rpc_error_line(req.id, kInvalidParams, problem);
-      }
-      auto spec = frote::scenario_session_spec(*scenario, seed);
-      if (!spec) {
-        return rpc_error_line(req.id, kInvalidParams, spec.error().message);
-      }
-      auto id = pool.create(*spec);
-      if (!id) return pool_error_line(req.id, id.error());
-      JsonValue result = JsonValue::object();
-      result.set("session", *id);
-      result.set("scenario", scenario->name);
-      return rpc_result_line(req.id, std::move(result));
-    }
-    if (spec_json == nullptr || !spec_json->is_object()) {
-      return rpc_error_line(req.id, kInvalidParams,
-                            "params.spec must be an engine-spec object");
-    }
-    auto spec = EngineSpec::from_json(*spec_json);
-    if (!spec) {
-      return rpc_error_line(req.id, kInvalidParams, spec.error().message);
-    }
-    auto id = pool.create(*spec);
-    if (!id) return pool_error_line(req.id, id.error());
-    JsonValue result = JsonValue::object();
-    result.set("session", *id);
-    return rpc_result_line(req.id, std::move(result));
-  }
-  if (req.method == "scenario.list") {
-    JsonValue names = JsonValue::array();
-    for (const auto& name : frote::registered_scenario_names()) {
-      names.push_back(name);
-    }
-    JsonValue result = JsonValue::object();
-    result.set("scenarios", std::move(names));
-    return rpc_result_line(req.id, std::move(result));
-  }
-  if (req.method == "scenario.run") {
-    // Full replay in-process (drift schedule included — unlike
-    // session.create, which serves the phase-0 state); the result is the
-    // deterministic ScenarioReport document.
-    const JsonValue* scenario_name = req.params.find("scenario");
-    if (scenario_name == nullptr) {
-      return rpc_error_line(req.id, kInvalidParams,
-                            "params.scenario must be a scenario name");
-    }
-    frote::Expected<frote::ScenarioSpec> scenario =
-        FroteError::invalid_argument("unresolved");
-    if (const char* problem = scenario_param(scenario_name, scenario)) {
-      return rpc_error_line(req.id, kInvalidParams, problem);
-    }
-    if (!scenario) {
-      return rpc_error_line(req.id, kInvalidParams, scenario.error().message);
-    }
-    frote::ScenarioRunOptions run_options;
-    if (const char* problem = seed_param(run_options.seed)) {
-      return rpc_error_line(req.id, kInvalidParams, problem);
-    }
-    auto report = frote::run_scenario(*scenario, run_options);
-    if (!report) return pool_error_line(req.id, report.error());
-    return rpc_result_line(req.id, report->to_json());
-  }
-  if (req.method == "session.step") {
-    const std::string* id = session_param();
-    if (id == nullptr) {
-      return rpc_error_line(req.id, kInvalidParams,
-                            "params.session must be a session-id string");
-    }
-    std::size_t steps = 1;
-    if (const JsonValue* raw = req.params.find("steps")) {
-      // An integer in [1, 2^63 - 1]. The kind is checked first: as_int64
-      // throws on a kUint beyond the int64 range.
-      const bool in_range =
-          (raw->type() == frote::JsonType::kInt && raw->as_int64() >= 1) ||
-          (raw->type() == frote::JsonType::kUint && raw->as_uint64() >= 1 &&
-           raw->as_uint64() <= static_cast<std::uint64_t>(
-                                   std::numeric_limits<std::int64_t>::max()));
-      if (!in_range) {
-        return rpc_error_line(
-            req.id, kInvalidParams,
-            "params.steps must be a positive integer below 2^63");
-      }
-      steps = static_cast<std::size_t>(raw->as_uint64());
-    }
-    auto outcome = pool.step(*id, steps);
-    if (!outcome) return pool_error_line(req.id, outcome.error());
-    return rpc_result_line(req.id, step_outcome_json(*id, *outcome));
-  }
-  const auto simple = [&](auto method) -> std::string {
-    const std::string* id = session_param();
-    if (id == nullptr) {
-      return rpc_error_line(req.id, kInvalidParams,
-                            "params.session must be a session-id string");
-    }
-    auto result = (pool.*method)(*id);
-    if (!result) return pool_error_line(req.id, result.error());
-    return rpc_result_line(req.id, std::move(*result));
-  };
-  if (req.method == "session.snapshot") return simple(&SessionPool::snapshot);
-  if (req.method == "session.result") return simple(&SessionPool::result);
-  if (req.method == "session.close") return simple(&SessionPool::close);
-  if (req.method == "server.stats") {
-    return rpc_result_line(req.id, pool.stats());
-  }
-  return rpc_error_line(req.id, kMethodNotFound,
-                        "unknown method: " + req.method);
-}
-
-/// One request line/body in, one response line out (no trailing newline).
-/// Never throws, never exits: every failure becomes an error envelope.
-std::string handle_line(SessionPool& pool, const std::string& line,
-                        std::size_t max_request_bytes) {
-  using frote::net::kInternalError;
-  using frote::net::kInvalidRequest;
-  using frote::net::rpc_error_line;
-  if (line.size() > max_request_bytes) {
-    return rpc_error_line(JsonValue(), kInvalidRequest,
-                          "request exceeds --max-request-bytes (" +
-                              std::to_string(max_request_bytes) + ")");
-  }
-  auto request = frote::net::parse_rpc_request(line);
-  if (!request) {
-    return rpc_error_line(request.error().id, request.error().rpc_code,
-                          request.error().message);
-  }
-  try {
-    return dispatch(pool, *request);
-  } catch (const std::exception& e) {
-    return rpc_error_line(request->id, kInternalError, e.what());
-  }
 }
 
 // SIGTERM/SIGINT plumbing: the handler only does async-signal-safe work —
@@ -526,12 +254,12 @@ void serve_stdio(SessionPool& pool, const Options& options) {
         continue;
       }
       if (line.empty()) continue;  // blank lines keep scripts readable
-      respond(handle_line(pool, line, options.max_request_bytes));
+      respond(frote::serve_rpc(pool, line, options.max_request_bytes));
     }
     // Reject a line that outgrew the limit before its newline arrived, so
     // an unbounded line cannot grow the buffer without bound.
     if (!discarding && buffer.size() > options.max_request_bytes) {
-      respond(handle_line(pool, buffer, options.max_request_bytes));
+      respond(frote::serve_rpc(pool, buffer, options.max_request_bytes));
       buffer.clear();
       discarding = true;
     } else if (discarding) {
@@ -566,7 +294,7 @@ int serve_http(SessionPool& pool, const Options& options) {
         while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
           line.pop_back();
         }
-        response.body = handle_line(pool, line, options.max_request_bytes) +
+        response.body = frote::serve_rpc(pool, line, options.max_request_bytes) +
                         "\n";
 #ifdef __GLIBC__
         // Give the request's freed scratch back to the kernel. With several
@@ -601,13 +329,13 @@ int drive(const Options& options) {
   while (std::getline(script, line)) {
     if (line.empty()) continue;
     // Bounded deterministic backoff on transport failures (daemon still
-    // starting, listen queue momentarily full): fixed 10ms << attempt
-    // delays, no jitter — retry timing is part of the reproducible
+    // starting, listen queue momentarily full): up to three retries at
+    // fixed 10ms << attempt delays, no jitter — retry timing is part of the reproducible
     // behaviour, and response *bytes* stay identical to the stdio run
     // because only transport errors are retried, never responses.
     auto response = frote::net::http_post(
         static_cast<std::uint16_t>(options.drive_port), "/rpc", line + "\n");
-    for (int attempt = 0; !response && attempt < options.retries; ++attempt) {
+    for (int attempt = 0; !response && attempt < 3; ++attempt) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10 << attempt));
       response = frote::net::http_post(
           static_cast<std::uint16_t>(options.drive_port), "/rpc", line + "\n");
@@ -643,7 +371,9 @@ int main(int argc, char** argv) {
   try {
     frote::faultsim::configure_from_env();
     if (!options.faults.empty()) {
-      frote::faultsim::configure(options.faults, options.faults_seed);
+      frote::faultsim::configure(
+          options.faults,
+          static_cast<std::uint64_t>(frote::env_int("FROTE_FAULTS_SEED", 0)));
     }
   } catch (const frote::Error& e) {
     std::cerr << "frote_serve: " << e.what() << "\n";
