@@ -4,11 +4,13 @@
 // outweigh the improvement in MRA." Sweeps q and reports MRA / outside-F1 /
 // J̄ per budget, locating the J̄-maximising budget per model.
 #include <cstdint>
+#include <iterator>
 #include <iostream>
 #include <vector>
 
 #include "common.hpp"
 #include "frote/core/inflection.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/data/split.hpp"
 #include "frote/rules/perturb.hpp"
 
@@ -25,21 +27,24 @@ int main() {
       e.full ? std::vector<double>{0.0, 0.1, 0.25, 0.5, 1.0, 2.0}
              : std::vector<double>{0.0, 0.25, 0.5, 1.0};
 
-  for (LearnerKind learner_kind : all_learners()) {
-    Rng rng(derive_seed(900, static_cast<std::uint64_t>(learner_kind)));
+  for (std::uint64_t index = 0; index < std::size(bench::kPaperLearners);
+       ++index) {
+    const char* name = bench::kPaperLearners[index];
+    Rng rng(derive_seed(900, index));
     FeedbackRuleSet frs =
         sample_conflict_free_frs(ctx.pool, 3, ctx.data.schema(), rng);
     if (frs.empty()) continue;
     const auto cov = frs.coverage_union(ctx.data);
     auto split = coverage_split(ctx.data, cov, 0.1, 0.8, rng);
 
-    const auto learner = make_learner(learner_kind, 901, !e.full);
+    const auto learner =
+        make_named_learner(name, {.seed = 901, .fast = !e.full}).value();
     Engine::Builder base;
     base.rules(frs).tau(e.tau).eta(ctx.default_eta);
     const auto analysis =
         sweep_budget(split.train, split.test, *learner, base, budgets);
 
-    std::cout << "\n--- " << learner_name(learner_kind) << " ---\n";
+    std::cout << "\n--- " << name << " ---\n";
     TextTable table({"q", "N added", "MRA", "outside-F1", "J"});
     for (const auto& point : analysis.points) {
       table.add_row({TextTable::fmt(point.q, 2),

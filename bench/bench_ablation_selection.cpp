@@ -9,6 +9,7 @@
 
 #include "common.hpp"
 #include "frote/core/engine.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/core/spec.hpp"
 #include "frote/data/split.hpp"
 #include "frote/rules/perturb.hpp"
@@ -54,7 +55,8 @@ int main() {
       if (frs.empty()) continue;
       const auto cov = frs.coverage_union(ctx.data);
       auto split = coverage_split(ctx.data, cov, 0.1, 0.8, rng);
-      const auto learner = make_learner(LearnerKind::kRF, 951, !e.full);
+      const auto learner =
+          make_named_learner("rf", {.seed = 951, .fast = !e.full}).value();
       const auto initial = learner->train(split.train);
       const auto before = evaluate_objective(*initial, frs, split.test);
 

@@ -36,7 +36,7 @@ int main() {
     std::cout << "\n--- " << dataset_info(dataset).name << " ---\n";
     TextTable table({"model", "tcf", "J(initial)", "J(relabel)", "J(final)",
                      "final-relabel"});
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       for (double tcf : tcfs) {
         std::vector<double> j_init, j_mod, j_final;
         std::uint64_t seed = 1000 + static_cast<std::uint64_t>(tcf * 100);
@@ -54,7 +54,7 @@ int main() {
           }
         }
         if (j_init.empty()) continue;
-        table.add_row({learner_name(learner), TextTable::fmt(tcf, 2),
+        table.add_row({learner, TextTable::fmt(tcf, 2),
                        bench::pm(j_init), bench::pm(j_mod),
                        bench::pm(j_final),
                        TextTable::fmt(mean_of(j_final) - mean_of(j_mod), 3)});

@@ -26,7 +26,7 @@ int main() {
     auto config = bench::base_run_config();
     config.frs_size = frs_size;
     config.tcf = 0.2;
-    const auto outcomes = bench::run_many(ctx, LearnerKind::kRF, config,
+    const auto outcomes = bench::run_many(ctx, "rf", config,
                                           e.runs, 3100 + frs_size);
     if (outcomes.empty()) {
       table.add_row({std::to_string(frs_size), "0",

@@ -33,7 +33,7 @@ int main() {
     const auto& ctx = bench::context(dataset);
     std::cout << "\n--- " << dataset_info(dataset).name << " ---\n";
     TextTable table({"model", "tcf", "J(initial)", "J(relabel)", "J(final)"});
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       for (double tcf : tcfs) {
         auto config = bench::base_run_config();
         config.tcf = tcf;
@@ -48,7 +48,7 @@ int main() {
           j_mod.push_back(outcome.mod.j_bar);
           j_final.push_back(outcome.final.j_bar);
         }
-        table.add_row({learner_name(learner), TextTable::fmt(tcf, 2),
+        table.add_row({learner, TextTable::fmt(tcf, 2),
                        bench::pm(j_init), bench::pm(j_mod),
                        bench::pm(j_final)});
       }

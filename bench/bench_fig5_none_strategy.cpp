@@ -35,7 +35,7 @@ int main() {
     std::cout << "\n--- " << dataset_info(dataset).name << " ---\n";
     TextTable table(
         {"model", "tcf", "J(initial)", "J(final)", "final-imp", "std"});
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       for (double tcf : tcfs) {
         auto config = bench::base_run_config();
         config.tcf = tcf;
@@ -51,7 +51,7 @@ int main() {
           j_final.push_back(outcome.final.j_bar);
           imp.push_back(outcome.final.j_bar - outcome.mod.j_bar);
         }
-        table.add_row({learner_name(learner), TextTable::fmt(tcf, 2),
+        table.add_row({learner, TextTable::fmt(tcf, 2),
                        bench::pm(j_init), bench::pm(j_final),
                        TextTable::fmt(mean_of(imp), 3),
                        TextTable::fmt(stddev_of(imp), 3)});

@@ -6,9 +6,9 @@
 // FASTER (and from lower) at low tcf; RF needs fewer instances to converge
 // than LR (non-linear models are cheaper to edit).
 //
-// The per-acceptance series comes from a ProgressObserver attached to the
-// harness's editing Session (RunConfig::capture_trace): each accepted step
-// re-evaluates test-set J̄.
+// The per-acceptance series comes from the harness's step loop
+// (RunConfig::capture_trace): after each accepted step it re-evaluates
+// test-set J̄ on the session's new model.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -29,8 +29,8 @@ int main() {
                                        ? std::vector<double>{0.0, 0.1, 0.2}
                                        : std::vector<double>{0.0, 0.2};
 
-  for (LearnerKind learner : all_learners()) {
-    std::cout << "\n--- " << learner_name(learner) << " ---\n";
+  for (const char* learner : bench::kPaperLearners) {
+    std::cout << "\n--- " << learner << " ---\n";
     TextTable table({"tcf", "run", "series (N -> test J)"});
     for (double tcf : tcfs) {
       auto config = bench::base_run_config();

@@ -25,7 +25,6 @@
 #include "frote/core/spec.hpp"
 #include "frote/core/workspace.hpp"
 #include "frote/data/generators.hpp"
-#include "frote/exp/learners.hpp"
 #include "frote/metrics/metrics.hpp"
 #include "frote/ml/coded_columns.hpp"
 #include "frote/opt/ip.hpp"
@@ -138,18 +137,18 @@ void BM_SmoteNcGenerateMemoHit(benchmark::State& state) {
 BENCHMARK(BM_SmoteNcGenerateMemoHit)->Name("BM_SmoteNcGenerate/memo_hit");
 
 void BM_TrainModel(benchmark::State& state) {
+  // /0, /1, /2: the paper's three learners (§5.1).
+  constexpr const char* kNames[] = {"lr", "rf", "gbdt"};
   const auto& data = adult(1000);
-  const auto kind = static_cast<LearnerKind>(state.range(0));
-  const auto learner = make_learner(kind, 42, /*fast=*/true);
+  const char* name = kNames[state.range(0)];
+  const auto learner =
+      make_named_learner(name, {.seed = 42, .fast = true}).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(learner->train(data));
   }
-  state.SetLabel(learner_name(kind));
+  state.SetLabel(name);
 }
-BENCHMARK(BM_TrainModel)
-    ->Arg(static_cast<int>(LearnerKind::kLR))
-    ->Arg(static_cast<int>(LearnerKind::kRF))
-    ->Arg(static_cast<int>(LearnerKind::kLGBM));
+BENCHMARK(BM_TrainModel)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ModelUpdate(benchmark::State& state) {
   // Learner::update() on a dataset grown by one accepted batch (η = 20 rows):
@@ -176,14 +175,15 @@ void BM_ModelUpdate(benchmark::State& state) {
 BENCHMARK(BM_ModelUpdate)->Arg(0);
 
 void RunTreeFit(benchmark::State& state, const Dataset& data,
-                LearnerKind kind) {
+                const std::string& name) {
   // A whole fast-profile fit at a perfbench workload's size: the per-fit
   // tables (ml/coded_columns.hpp: the coded columns, plus GBDT's presort)
   // and every tree's split search. `table_share` is the tables' part of
   // one fit, timed separately after the loop with the same thread count.
   using Clock = std::chrono::steady_clock;
-  const bool gbdt = kind == LearnerKind::kLGBM;
-  const auto learner = make_learner(kind, 42, /*fast=*/true);
+  const bool gbdt = name == "gbdt";
+  const auto learner =
+      make_named_learner(name, {.seed = 42, .fast = true}).value();
   double fit_s = 0.0;
   std::size_t fits = 0;
   for (auto _ : state) {
@@ -212,8 +212,7 @@ void RunTreeFit(benchmark::State& state, const Dataset& data,
 }
 
 void BM_TreeFitRf(benchmark::State& state) {
-  RunTreeFit(state, adult(static_cast<std::size_t>(state.range(0))),
-             LearnerKind::kRF);
+  RunTreeFit(state, adult(static_cast<std::size_t>(state.range(0))), "rf");
 }
 BENCHMARK(BM_TreeFitRf)->Name("BM_TreeFit/rf")->Arg(8000);
 
@@ -222,14 +221,15 @@ void BM_TreeFitGbdt(benchmark::State& state) {
   RunTreeFit(state,
              cached_dataset(UciDataset::kWineQuality,
                             static_cast<std::size_t>(state.range(0))),
-             LearnerKind::kLGBM);
+             "gbdt");
 }
 BENCHMARK(BM_TreeFitGbdt)->Name("BM_TreeFit/gbdt")->Arg(300)->Arg(4000);
 
 void BM_ObjectiveEval(benchmark::State& state) {
   const auto& data = adult(2000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto model = learner->train(data);
   for (auto _ : state) {
     benchmark::DoNotOptimize(train_j_hat_bar(*model, frs, data));
@@ -241,7 +241,8 @@ void BM_IpSelection(benchmark::State& state) {
   const auto& data = adult(2000);
   FeedbackRuleSet frs({adult_rule(data)});
   const auto bp = preselect_base_population(data, frs, 5);
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto model = learner->train(data);
   IpSelector selector;
   Rng rng(2);
@@ -260,7 +261,8 @@ void BM_IpSelectionSized(benchmark::State& state) {
   const auto& data = adult(n);
   FeedbackRuleSet frs({adult_rule(data)});
   const auto bp = preselect_base_population(data, frs, 5);
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto model = learner->train(data);
   IpSelector selector;
   Rng rng(2);
@@ -294,7 +296,8 @@ void BM_IpSelectionWarm(benchmark::State& state) {
   const auto& data = adult(static_cast<std::size_t>(state.range(0)));
   FeedbackRuleSet frs({adult_rule(data)});
   const auto bp = preselect_base_population(data, frs, 5);
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto model = learner->train(data);
   IpSelector selector;
   SessionWorkspace ws(/*threads=*/0);
@@ -404,7 +407,8 @@ void BM_RandomSelection(benchmark::State& state) {
   const auto& data = adult(2000);
   FeedbackRuleSet frs({adult_rule(data)});
   const auto bp = preselect_base_population(data, frs, 5);
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto model = learner->train(data);
   RandomSelector selector;
   Rng rng(2);
@@ -419,7 +423,8 @@ void BM_FroteIteration(benchmark::State& state) {
   // end-to-end per-iteration cost.
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto engine =
       Engine::Builder().rules(frs).tau(2).eta(20).build().value();
   for (auto _ : state) {
@@ -437,7 +442,8 @@ void BM_SessionStep(benchmark::State& state) {
   // ns/op would scale with the benchmark's min-time instead of the step.
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto engine = Engine::Builder().rules(frs).eta(20).build().value();
   auto session = engine.open(data, *learner).value();
   for (auto _ : state) {
@@ -461,7 +467,8 @@ void BM_SessionStepAccept(benchmark::State& state) {
   // BM_SessionStepReject is the full accept-path maintenance cost.
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .eta(20)
@@ -487,7 +494,8 @@ void BM_SessionStepReject(benchmark::State& state) {
   // workspace exists for) — D̂ never grows, so no recycling heuristics.
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .eta(20)
@@ -549,7 +557,8 @@ void BM_SnapshotSave(benchmark::State& state) {
   // rows dominate — this is the cost of durability per interval.
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto engine = Engine::Builder().rules(frs).eta(20).build().value();
   auto session = engine.open(data, *learner).value();
   for (int i = 0; i < 3; ++i) session.step();
@@ -565,7 +574,8 @@ void BM_SnapshotRestore(benchmark::State& state) {
   // interrupt-to-stepping recovery latency (retraining dominates).
   const auto& data = adult(1000);
   FeedbackRuleSet frs({adult_rule(data)});
-  const auto learner = make_learner(LearnerKind::kRF, 42, true);
+  const auto learner =
+      make_named_learner("rf", {.seed = 42, .fast = true}).value();
   const auto engine = Engine::Builder().rules(frs).eta(20).build().value();
   auto session = engine.open(data, *learner).value();
   for (int i = 0; i < 3; ++i) session.step();

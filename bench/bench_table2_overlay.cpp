@@ -24,7 +24,7 @@ int main() {
                    "dJ FROTE"});
   for (UciDataset dataset : datasets) {
     const auto& ctx = bench::context(dataset);
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       auto config = bench::base_run_config();
       config.frs_size = 3;
       const auto outcomes = bench::run_many_overlay(
@@ -36,7 +36,7 @@ int main() {
         d_hard.push_back(outcome.overlay_hard.j_bar - outcome.initial.j_bar);
         d_frote.push_back(outcome.frote.j_bar - outcome.initial.j_bar);
       }
-      table.add_row({dataset_info(dataset).name, learner_name(learner),
+      table.add_row({dataset_info(dataset).name, learner,
                      bench::pm(d_soft), bench::pm(d_hard),
                      bench::pm(d_frote)});
     }

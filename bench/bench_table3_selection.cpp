@@ -36,7 +36,7 @@ int main() {
   int wins = 0, losses = 0, ties = 0;
   for (UciDataset dataset : datasets) {
     const auto& ctx = bench::context(dataset);
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       std::vector<double> d_random, d_ip;
       for (const std::string selector : {"random", "ip"}) {
         auto config = bench::base_run_config();
@@ -50,7 +50,7 @@ int main() {
         }
       }
       if (d_random.empty() || d_ip.empty()) continue;
-      table.add_row({dataset_info(dataset).name, learner_name(learner),
+      table.add_row({dataset_info(dataset).name, learner,
                      bench::pm(d_random), bench::pm(d_ip)});
       const double mr = mean_of(d_random), mi = mean_of(d_ip);
       if (std::abs(mr - mi) < 0.001) {

@@ -34,7 +34,7 @@ int main() {
   double total_added_random = 0.0, total_added_ip = 0.0;
   for (UciDataset dataset : datasets) {
     const auto& ctx = bench::context(dataset);
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       std::vector<double> d_random, d_ip, add_random, add_ip;
       for (const std::string selector : {"random", "ip"}) {
         auto config = bench::base_run_config();
@@ -53,7 +53,7 @@ int main() {
         }
       }
       if (d_random.empty() || d_ip.empty()) continue;
-      table.add_row({dataset_info(dataset).name, learner_name(learner),
+      table.add_row({dataset_info(dataset).name, learner,
                      bench::pm(d_random), bench::pm(d_ip),
                      bench::pm(add_random), bench::pm(add_ip)});
       total_added_random += mean_of(add_random);

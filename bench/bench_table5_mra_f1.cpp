@@ -34,7 +34,7 @@ int main() {
   RunningStats all_dmra, all_df1;
   for (UciDataset dataset : datasets) {
     const auto& ctx = bench::context(dataset);
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       std::vector<double> mra_random, mra_ip, f1_random, f1_ip;
       for (const std::string selector : {"random", "ip"}) {
         auto config = bench::base_run_config();
@@ -56,7 +56,7 @@ int main() {
         }
       }
       if (mra_random.empty() || mra_ip.empty()) continue;
-      table.add_row({dataset_info(dataset).name, learner_name(learner),
+      table.add_row({dataset_info(dataset).name, learner,
                      bench::pm(mra_random), bench::pm(mra_ip),
                      bench::pm(f1_random), bench::pm(f1_ip)});
     }

@@ -35,7 +35,7 @@ int main() {
       config.mod = ModStrategy::kNone;
       config.rule_confidence = p;
       const auto outcomes = bench::run_many(
-          ctx, LearnerKind::kLR, config,
+          ctx, "lr", config,
           std::max<std::size_t>(e.runs, 4),
           7100 + static_cast<std::uint64_t>(p * 10));
       if (outcomes.empty()) continue;

@@ -17,7 +17,7 @@ int main() {
   const auto& ctx = bench::context(UciDataset::kAdult);
   TextTable table({"Dataset", "Model", "dJ Overlay-Soft", "dJ Overlay-Hard",
                    "dJ FROTE"});
-  for (LearnerKind learner : all_learners()) {
+  for (const char* learner : bench::kPaperLearners) {
     auto config = bench::base_run_config();
     config.frs_size = 3;
     const auto outcomes = bench::run_many_overlay(
@@ -29,7 +29,7 @@ int main() {
       d_hard.push_back(outcome.overlay_hard.j_bar - outcome.initial.j_bar);
       d_frote.push_back(outcome.frote.j_bar - outcome.initial.j_bar);
     }
-    table.add_row({"Adult", learner_name(learner), bench::pm(d_soft),
+    table.add_row({"Adult", learner, bench::pm(d_soft),
                    bench::pm(d_hard), bench::pm(d_frote)});
   }
   table.print(std::cout);

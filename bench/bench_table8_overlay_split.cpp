@@ -24,7 +24,7 @@ int main() {
     std::cout << "\n--- " << dataset_info(dataset).name << " ---\n";
     TextTable table({"Model", "dMRA Soft", "dMRA Hard", "dMRA FROTE",
                      "dF1 Soft", "dF1 Hard", "dF1 FROTE"});
-    for (LearnerKind learner : all_learners()) {
+    for (const char* learner : bench::kPaperLearners) {
       auto config = bench::base_run_config();
       config.frs_size = 3;
       const auto outcomes = bench::run_many_overlay(
@@ -46,7 +46,7 @@ int main() {
         f1_frote.push_back(outcome.frote.f1 -
                            outcome.initial.f1);
       }
-      table.add_row({learner_name(learner), bench::pm(mra_soft),
+      table.add_row({learner, bench::pm(mra_soft),
                      bench::pm(mra_hard), bench::pm(mra_frote),
                      bench::pm(f1_soft), bench::pm(f1_hard),
                      bench::pm(f1_frote)});

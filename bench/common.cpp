@@ -48,8 +48,9 @@ RunConfig base_run_config() {
 }
 
 std::vector<RunOutcome> run_many(const ExperimentContext& ctx,
-                                 LearnerKind learner, const RunConfig& config,
-                                 std::size_t n, std::uint64_t seed_base) {
+                                 const std::string& learner,
+                                 const RunConfig& config, std::size_t n,
+                                 std::uint64_t seed_base) {
   std::vector<RunOutcome> outcomes;
   for (std::size_t r = 0; r < n; ++r) {
     auto outcome = run_frote_once(ctx, learner, config, seed_base + r);
@@ -59,7 +60,7 @@ std::vector<RunOutcome> run_many(const ExperimentContext& ctx,
 }
 
 std::vector<OverlayOutcome> run_many_overlay(const ExperimentContext& ctx,
-                                             LearnerKind learner,
+                                             const std::string& learner,
                                              const RunConfig& config,
                                              std::size_t n,
                                              std::uint64_t seed_base) {

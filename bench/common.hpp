@@ -41,14 +41,18 @@ const ExperimentContext& context(UciDataset id);
 /// Default run configuration honouring the env knobs.
 RunConfig base_run_config();
 
+/// The paper's three classification algorithms (§5.1) by registry name.
+inline constexpr const char* kPaperLearners[] = {"lr", "rf", "gbdt"};
+
 /// Run `n` FROTE repetitions (seeds seed_base, seed_base+1, ...) and return
 /// the valid outcomes.
 std::vector<RunOutcome> run_many(const ExperimentContext& ctx,
-                                 LearnerKind learner, const RunConfig& config,
-                                 std::size_t n, std::uint64_t seed_base);
+                                 const std::string& learner,
+                                 const RunConfig& config, std::size_t n,
+                                 std::uint64_t seed_base);
 
 std::vector<OverlayOutcome> run_many_overlay(const ExperimentContext& ctx,
-                                             LearnerKind learner,
+                                             const std::string& learner,
                                              const RunConfig& config,
                                              std::size_t n,
                                              std::uint64_t seed_base);

@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
   // 3. A scale-friendly engine: random base-instance selection and the fast
   //    logistic-regression learner keep each retrain linear in |D̂|; τ = 3
   //    bounds the run to three retrains.
-  const auto learner = make_learner(LearnerKind::kLR, 42, /*fast=*/true);
+  const auto learner =
+      make_named_learner("lr", {.seed = 42, .fast = true}).value();
   auto engine = Engine::Builder()
                     .rules(frs)
                     .tau(3)

@@ -8,7 +8,6 @@
 //
 // Build & run:  ./build/examples/example_rule_authoring
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "frote/frote_api.hpp"
@@ -44,25 +43,21 @@ IF education = 'advanced' THEN Y ~ [<=50K: 0.2, >50K: 0.8]
   std::cout << "\nConflict pairs resolved: " << resolved << "\n";
 
   // 3. Edit the model. The learner comes from the shared registry (the same
-  //    names the CLI accepts); a progress observer logs each acceptance for
-  //    the governance log alongside the structured audit record.
+  //    names the CLI accepts); the loop steps the session itself and logs
+  //    each acceptance for the governance log alongside the structured
+  //    audit record.
   const auto learner = make_named_learner("rf").value();
-  auto progress = std::make_shared<CallbackObserver>();
-  progress->accept = [](const Model&, std::size_t instances_added) {
-    std::cout << "  accepted batch, cumulative synthetic rows: "
-              << instances_added << "\n";
-  };
-  const auto engine = Engine::Builder()
-                          .rules(frs)
-                          .tau(15)
-                          .eta(40)
-                          .seed(2026)
-                          .observer(progress)
-                          .build()
-                          .value();
+  const auto engine =
+      Engine::Builder().rules(frs).tau(15).eta(40).seed(2026).build().value();
   std::cout << "\nRunning the edit...\n";
   auto session = engine.open(data, *learner).value();
-  session.run();
+  while (!session.finished()) {
+    const StepReport report = session.step();
+    if (report.accepted()) {
+      std::cout << "  accepted batch, cumulative synthetic rows: "
+                << report.instances_added << "\n";
+    }
+  }
   const auto result = std::move(session).result();
 
   // 4. Emit the audit report: the full lineage of the edit.

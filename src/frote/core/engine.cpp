@@ -90,8 +90,8 @@ Engine::Builder& Engine::Builder::rule_confidence(double confidence) {
   return *this;
 }
 
-Engine::Builder& Engine::Builder::accept_always(bool always) {
-  config_.accept_always = always;
+Engine::Builder& Engine::Builder::stopping(StoppingSpec spec) {
+  stopping_ = std::move(spec);
   return *this;
 }
 
@@ -109,18 +109,6 @@ Engine::Builder& Engine::Builder::generator(
 Engine::Builder& Engine::Builder::acceptance(
     std::shared_ptr<const AcceptancePolicy> policy) {
   acceptance_ = std::move(policy);
-  return *this;
-}
-
-Engine::Builder& Engine::Builder::stopping(
-    std::shared_ptr<const StoppingCriterion> criterion) {
-  stopping_ = std::move(criterion);
-  return *this;
-}
-
-Engine::Builder& Engine::Builder::observer(
-    std::shared_ptr<ProgressObserver> observer) {
-  observers_.push_back(std::move(observer));
   return *this;
 }
 
@@ -150,6 +138,7 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
     }
     return FroteError::invalid_config(std::move(message));
   }
+  if (auto unknown = unknown_stopping_kind(stopping_)) return *unknown;
 
   auto impl = std::make_shared<Impl>();
   impl->config = config_;
@@ -167,17 +156,10 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   impl->generator = generator_
                         ? generator_
                         : std::make_shared<const SmoteNcInstanceGenerator>();
-  if (acceptance_) {
-    impl->acceptance = acceptance_;
-  } else if (config_.accept_always) {
-    impl->acceptance = std::make_shared<const AlwaysAcceptPolicy>();
-  } else {
-    impl->acceptance = std::make_shared<const JHatImprovementPolicy>();
-  }
-  impl->stopping = stopping_
-                       ? stopping_
-                       : std::make_shared<const BudgetStoppingCriterion>();
-  impl->observers = observers_;
+  impl->acceptance = acceptance_
+                         ? acceptance_
+                         : std::make_shared<const JHatImprovementPolicy>();
+  impl->stopping = stopping_;
   impl->generate_config.k = config_.k;
   impl->generate_config.rule_confidence = config_.rule_confidence;
   impl->generate_config.threads = config_.threads;
@@ -235,9 +217,6 @@ Session::Session(std::shared_ptr<const Engine::Impl> engine,
   best_j_bar_ = train_j_hat_bar(*model_, frs, active_, config.threads,
                                 ws_->predictions(), model_version_);
   trace_.push_back({0, 0, best_j_bar_, true});
-  for (const auto& observer : engine_->observers) {
-    observer->on_session_start(*model_, best_j_bar_);
-  }
 
   if (frs.empty() || config.q == 0.0) {
     done_ = true;
@@ -262,24 +241,31 @@ SessionProgress Session::progress() const {
   return p;
 }
 
-bool Session::finished() const {
-  return done_ || engine_->stopping->should_stop(progress());
-}
-
-void Session::add_observer(std::shared_ptr<ProgressObserver> observer) {
-  observers_.push_back(std::move(observer));
-}
-
-void Session::notify_step(const StepReport& report) {
-  for (const auto& observer : engine_->observers) observer->on_step(report);
-  for (const auto& observer : observers_) observer->on_step(report);
-}
-
-void Session::notify_accept() {
-  for (const auto& observer : engine_->observers) {
-    observer->on_accept(*model_, added_);
+bool should_stop(const StoppingSpec& spec, const SessionProgress& p) {
+  if (spec.kind == "budget") {
+    return p.iterations_run >= p.tau || p.instances_added > p.quota;
   }
-  for (const auto& observer : observers_) observer->on_accept(*model_, added_);
+  if (spec.kind == "plateau") return p.consecutive_rejections >= spec.patience;
+  for (const StoppingSpec& child : spec.children) {  // any_of
+    if (should_stop(child, p)) return true;
+  }
+  return false;
+}
+
+std::optional<FroteError> unknown_stopping_kind(const StoppingSpec& spec) {
+  if (spec.kind == "budget" || spec.kind == "plateau") return std::nullopt;
+  if (spec.kind != "any_of") {
+    return FroteError::unknown_component("unknown stopping kind '" +
+                                         spec.kind + "'");
+  }
+  for (const auto& child : spec.children) {
+    if (auto unknown = unknown_stopping_kind(child)) return unknown;
+  }
+  return std::nullopt;
+}
+
+bool Session::finished() const {
+  return done_ || should_stop(engine_->stopping, progress());
 }
 
 StepReport Session::step() {
@@ -305,7 +291,6 @@ StepReport Session::step() {
   if (selected.empty()) {  // no usable base population left
     done_ = true;
     report.status = StepStatus::kExhausted;
-    notify_step(report);
     return report;
   }
 
@@ -315,12 +300,11 @@ StepReport Session::step() {
                                   engine_->generate_config, ws_.get()};
   Dataset synthetic = engine_->generator->generate(context, selected, rng_);
   if (synthetic.empty()) {
-    // A fruitless step counts toward the plateau: without this, a custom
-    // StoppingCriterion watching consecutive_rejections could spin run()
-    // forever on data where generation persistently yields nothing.
+    // A fruitless step counts toward the plateau: without this, a plateau
+    // stopping spec could spin run() forever on data where generation
+    // persistently yields nothing.
     ++consecutive_rejections_;
     report.status = StepStatus::kNoSynthetic;
-    notify_step(report);
     return report;
   }
   report.batch_size = synthetic.size();
@@ -387,8 +371,6 @@ StepReport Session::step() {
   }
   report.instances_added = added_;
   report.best_j_bar = best_j_bar_;
-  notify_step(report);
-  if (accept) notify_accept();
   return report;
 }
 

@@ -1,7 +1,7 @@
 // Engine/Session: the composable, steppable form of the FROTE loop.
 //
-// `Engine` is an immutable, validated bundle of configuration + pipeline
-// stage components (selection, generation, acceptance, stopping, observers).
+// `Engine` is an immutable, validated bundle of configuration, pipeline
+// stage components (selection, generation, acceptance) and the StoppingSpec.
 // It is cheap to copy and safe to share; build one with `Engine::Builder`,
 // which returns `Expected<Engine, FroteError>` so configuration mistakes are
 // typed values, not throws.
@@ -9,7 +9,7 @@
 // `Session` is one live edit: it owns the evolving D̂ and model state for a
 // (dataset, learner) pair and exposes
 //   step()   — one Algorithm-1 iteration, returning a typed StepReport
-//   run()    — iterate until the engine's StoppingCriterion (or exhaustion)
+//   run()    — iterate until the engine's StoppingSpec fires (or exhaustion)
 //   result() — finalize into the classic FroteResult (rvalue-qualified:
 //              `std::move(session).result()` hands over the model)
 // so callers can pause, inspect intermediate state, interleave sessions, and
@@ -28,14 +28,22 @@
 #include <vector>
 
 #include "frote/core/frote.hpp"
+#include "frote/core/spec.hpp"
 #include "frote/core/stages.hpp"
 #include "frote/core/workspace.hpp"
 
 namespace frote {
 
 class Session;
-struct EngineSpec;
 struct SessionCheckpoint;
+
+/// Whether `spec` stops a session in state `progress` (allocation-free):
+///   budget — Algorithm 1's bounds: iterations_run >= τ or
+///            instances_added > q·|D| (so the final batch may overshoot the
+///            budget by at most η);
+///   plateau — consecutive_rejections >= patience;
+///   any_of — any child fires.
+bool should_stop(const StoppingSpec& spec, const SessionProgress& progress);
 
 class Engine {
  public:
@@ -70,10 +78,11 @@ class Engine::Builder {
   Builder();
 
   /// Seed the builder from a declarative spec (core/spec.hpp): scalar
-  /// knobs, the selector by registry name, the stopping criterion the spec
-  /// describes, and the rule text parsed against `schema`. Fails with a
-  /// typed error on malformed rule text or an unknown mod strategy or
-  /// stopping kind; an unknown selector name surfaces from build().
+  /// knobs, the selector by registry name, the stopping spec, the
+  /// acceptance policy (AlwaysAcceptPolicy when accept_always is set) and
+  /// the rule text parsed against `schema`. Fails with a typed error on
+  /// malformed rule text or an unknown mod strategy or stopping kind; an
+  /// unknown selector name surfaces from build().
   static Expected<Builder, FroteError> from_spec(const EngineSpec& spec,
                                                  const Schema& schema);
 
@@ -89,9 +98,9 @@ class Engine::Builder {
   Builder& threads(int threads);
   Builder& mod_strategy(ModStrategy strategy);
   Builder& rule_confidence(double confidence);
-  /// Convenience for the ablation switch; equivalent to
-  /// acceptance(std::make_shared<AlwaysAcceptPolicy>()).
-  Builder& accept_always(bool always);
+  /// When run() stops (default: budget). An unknown kind anywhere in the
+  /// tree fails build() with kUnknownComponent.
+  Builder& stopping(StoppingSpec spec);
 
   /// Select the base-instance selector by registry name
   /// (make_named_selector: "random" — the default — "ip", "online-proxy",
@@ -105,10 +114,6 @@ class Engine::Builder {
   /// Component overrides (pluggable stages).
   Builder& generator(std::shared_ptr<const InstanceGenerator> generator);
   Builder& acceptance(std::shared_ptr<const AcceptancePolicy> policy);
-  Builder& stopping(std::shared_ptr<const StoppingCriterion> criterion);
-  /// Observers receive events from every session the engine opens; may be
-  /// called repeatedly to register several.
-  Builder& observer(std::shared_ptr<ProgressObserver> observer);
 
   /// Validate and assemble. Reports every invalid field in one
   /// kInvalidConfig error message.
@@ -120,8 +125,7 @@ class Engine::Builder {
   std::string selector_name_ = "random";  // registry-resolved in build()
   std::shared_ptr<const InstanceGenerator> generator_;
   std::shared_ptr<const AcceptancePolicy> acceptance_;
-  std::shared_ptr<const StoppingCriterion> stopping_;
-  std::vector<std::shared_ptr<ProgressObserver>> observers_;
+  StoppingSpec stopping_;
 };
 
 /// Optional warm-start inputs for Session::restore(). The pool stashes an
@@ -144,17 +148,19 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Execute one Algorithm-1 iteration (lines 7–16): select → generate →
-  /// retrain → accept/reject, notifying observers. A manual step() ignores
-  /// the StoppingCriterion — the caller owns the loop; use finished() to
-  /// honour it. After the base population exhausts (kExhausted) or on a
-  /// finished session, returns a kFinished/kExhausted no-op report.
+  /// retrain → accept/reject. The returned report is how a caller watches
+  /// the edit; after an accepted step, model() is the new model. A manual
+  /// step() ignores the StoppingSpec — the caller owns the loop; use
+  /// finished() to honour it. After the base population exhausts
+  /// (kExhausted) or on a finished session, returns a kFinished/kExhausted
+  /// no-op report.
   StepReport step();
 
-  /// Loop step() until the engine's StoppingCriterion fires or the session
+  /// Loop step() until the engine's StoppingSpec fires or the session
   /// exhausts. Returns the number of steps executed by this call.
   std::size_t run();
 
-  /// True when the StoppingCriterion says stop or no progress is possible.
+  /// True when the StoppingSpec says stop or no progress is possible.
   bool finished() const;
 
   /// Loop-state snapshot (iterations, N, τ, quota, best Ĵ̄, plateau count).
@@ -170,10 +176,6 @@ class Session {
   /// Per-iteration decisions so far (iteration 0 is the initial model).
   const std::vector<ProgressPoint>& trace() const { return trace_; }
   double best_j_hat_bar() const { return best_j_bar_; }
-
-  /// Attach an observer to this session only. Events that already fired
-  /// (e.g. on_session_start) are not replayed.
-  void add_observer(std::shared_ptr<ProgressObserver> observer);
 
   /// Capture the session's complete loop state — the evolving D̂ (rows plus
   /// change-tracking metadata), RNG stream, iteration/acceptance counters
@@ -224,9 +226,6 @@ class Session {
           const Learner& learner);
   friend class Engine;
 
-  void notify_step(const StepReport& report);
-  void notify_accept();
-
   std::shared_ptr<const Engine::Impl> engine_;
   const Learner* learner_ = nullptr;
   Rng rng_;
@@ -251,7 +250,6 @@ class Session {
   std::size_t consecutive_rejections_ = 0;
   std::uint64_t model_updates_ = 0;
   std::vector<ProgressPoint> trace_;
-  std::vector<std::shared_ptr<ProgressObserver>> observers_;
   bool done_ = false;  // exhausted, or nothing to do (empty F / q == 0)
 };
 

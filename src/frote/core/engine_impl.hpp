@@ -1,9 +1,10 @@
 // Engine's private implementation record, shared by the translation units
-// that assemble or re-open engines (engine.cpp, checkpoint.cpp).
+// that assemble or re-open engines (engine.cpp, spec.cpp, checkpoint.cpp).
 // Not part of the public API — include "frote/core/engine.hpp" instead.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,12 @@ struct Engine::Impl {
   std::shared_ptr<const BaseInstanceSelector> selector;
   std::shared_ptr<const InstanceGenerator> generator;
   std::shared_ptr<const AcceptancePolicy> acceptance;
-  std::shared_ptr<const StoppingCriterion> stopping;
-  std::vector<std::shared_ptr<ProgressObserver>> observers;
+  StoppingSpec stopping;  // validated by build()
   GenerateConfig generate_config;
 };
+
+/// kUnknownComponent naming the first unknown kind in `spec`'s tree, or
+/// nothing when every kind is known (Builder::build and from_spec).
+std::optional<FroteError> unknown_stopping_kind(const StoppingSpec& spec);
 
 }  // namespace frote

@@ -37,8 +37,6 @@ struct FroteConfig {
   /// Probability of following the rule's label during generation; < 1
   /// activates the probabilistic-rule scheme of supplement B (Table 6).
   double rule_confidence = 1.0;
-  /// Accept every batch regardless of Ĵ (ablation; Algorithm 1 uses false).
-  bool accept_always = false;
   std::uint64_t seed = 42;
   /// Threads for the engine-side hot paths (the Ĵ evaluation sweep and the
   /// IP selector's candidate scoring). 0 ⇒ the FROTE_NUM_THREADS environment

@@ -1,7 +1,7 @@
 // Named-component registry: string → learner / base-instance selector.
 //
 // The spec path (EngineSpec → Engine::Builder::from_spec, used by frote_run
-// and frote_serve) and the experiment code (exp/learners) resolve
+// and frote_serve) and the experiment harness (exp/harness) resolve
 // components by name through this one registry. Lookups return
 // Expected so callers get a typed kUnknownComponent / kMissingDependency
 // error (with the list of valid names) instead of a throw.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "frote/core/engine.hpp"
+#include "frote/core/engine_impl.hpp"
 #include "frote/core/registry.hpp"
 #include "frote/core/scenario.hpp"
 #include "frote/data/csv.hpp"
@@ -112,36 +113,16 @@ Expected<StoppingSpec, FroteError> StoppingSpec::from_json(
         spec.kind + "\"");
   }
   // An any_of over zero criteria never fires — a session driven by it
-  // would loop without bound, so reject it at parse time.
+  // would loop without bound, so reject it at parse time. A plateau of
+  // patience 0 fires before the first step, so the session never runs.
   if (spec.kind == "any_of" && spec.children.empty()) {
     reader.add_problem("kind \"any_of\" requires a non-empty children list");
   }
+  if (spec.kind == "plateau" && spec.patience == 0) {
+    reader.add_problem("kind \"plateau\" requires patience >= 1");
+  }
   if (!reader.ok()) return reader.take_error();
   return spec;
-}
-
-Expected<std::shared_ptr<const StoppingCriterion>> make_spec_stopping(
-    const StoppingSpec& spec) {
-  if (spec.kind == "budget") {
-    return std::shared_ptr<const StoppingCriterion>(
-        std::make_shared<BudgetStoppingCriterion>());
-  }
-  if (spec.kind == "plateau") {
-    return std::shared_ptr<const StoppingCriterion>(
-        std::make_shared<PlateauStoppingCriterion>(spec.patience));
-  }
-  if (spec.kind == "any_of") {
-    std::vector<std::shared_ptr<const StoppingCriterion>> criteria;
-    for (const auto& child : spec.children) {
-      auto built = make_spec_stopping(child);
-      if (!built) return built.error();
-      criteria.push_back(std::move(*built));
-    }
-    return std::shared_ptr<const StoppingCriterion>(
-        std::make_shared<AnyOfStoppingCriterion>(std::move(criteria)));
-  }
-  return FroteError::unknown_component("unknown stopping kind '" + spec.kind +
-                                       "'");
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +285,9 @@ Expected<Engine::Builder, FroteError> Engine::Builder::from_spec(
   builder.config_.threads = spec.threads;
   builder.config_.mod_strategy = *mod;
   builder.config_.rule_confidence = spec.rule_confidence;
-  builder.config_.accept_always = spec.accept_always;
+  if (spec.accept_always) {
+    builder.acceptance_ = std::make_shared<const AlwaysAcceptPolicy>();
+  }
   builder.selector_name_ = spec.selector;
 
   std::vector<FeedbackRule> rules;
@@ -317,9 +300,8 @@ Expected<Engine::Builder, FroteError> Engine::Builder::from_spec(
     }
   }
   builder.frs_ = FeedbackRuleSet(std::move(rules));
-  auto stopping = make_spec_stopping(spec.stopping);
-  if (!stopping) return stopping.error();
-  builder.stopping_ = std::move(*stopping);
+  if (auto unknown = unknown_stopping_kind(spec.stopping)) return *unknown;
+  builder.stopping_ = spec.stopping;
   return builder;
 }
 

@@ -3,8 +3,8 @@
 // A FROTE run used to exist only as in-process Engine::Builder calls plus
 // ad-hoc CLI flags, so it could not be stored, diffed, handed to a service,
 // or re-executed after a restart. EngineSpec captures everything the
-// Builder accepts — scalar knobs, the selector and stopping criterion by
-// registry name, the learner, the feedback rules via the rules/parser text
+// Builder accepts — scalar knobs, the selector by registry name, the
+// stopping spec, the learner, the feedback rules via the rules/parser text
 // round-trip, and an optional dataset reference — as one JSON document:
 //
 //   {
@@ -48,8 +48,6 @@
 
 namespace frote {
 
-class StoppingCriterion;
-
 /// Reference to the input dataset D. "csv" loads `path` (data/csv.hpp
 /// schema-header format); "synthetic" generates the named UCI stand-in
 /// (data/generators.hpp) at `size` rows with `seed`.
@@ -64,9 +62,10 @@ struct DatasetSpec {
   static Expected<DatasetSpec, FroteError> from_json(const JsonValue& json);
 };
 
-/// Declarative stopping criterion: "budget" (τ + q·|D| bounds, the
-/// Algorithm 1 default), "plateau" (stop after `patience` consecutive
-/// non-accepting steps), or "any_of" over `children`.
+/// When a session stops: "budget" (τ + q·|D| bounds, the Algorithm 1
+/// default), "plateau" (stop after `patience` consecutive non-accepting
+/// steps), or "any_of" over `children`. Session::finished() reads it
+/// through should_stop (core/engine.hpp).
 struct StoppingSpec {
   std::string kind = "budget";
   std::size_t patience = 25;             // plateau
@@ -121,10 +120,6 @@ Expected<std::unique_ptr<Learner>> make_spec_learner(const EngineSpec& spec);
 
 /// Materialise a dataset reference.
 Expected<Dataset> load_spec_dataset(const DatasetSpec& spec);
-
-/// Build the stopping criterion a StoppingSpec describes.
-Expected<std::shared_ptr<const StoppingCriterion>> make_spec_stopping(
-    const StoppingSpec& spec);
 
 /// ModStrategy ↔ its spec/CLI name ("relabel" | "drop" | "none").
 Expected<ModStrategy> parse_mod_strategy(const std::string& name);

@@ -1,16 +1,16 @@
 // Pipeline stages of the FROTE editing loop (Algorithm 1) as interfaces.
 //
 // The loop body — select base instances → generate synthetics → retrain →
-// accept/reject → observe — is a sequence of components the Engine
-// composes, alongside `BaseInstanceSelector` (core/selection.hpp):
+// accept/reject — is a sequence of components the Engine composes,
+// alongside `BaseInstanceSelector` (core/selection.hpp):
 //
 //   InstanceGenerator  — line 8's Generate(B): selected base instances to a
 //                        batch of synthetic rows
-//   AcceptancePolicy   — lines 12–16's Ĵ test (accept_always is a policy
-//                        here, not a config bool)
-//   StoppingCriterion  — when run() stops: τ, the q·|D| budget, plateaus
-//   ProgressObserver   — per-step/per-accept hooks: live access to what the
-//                        FroteResult trace records after the fact
+//   AcceptancePolicy   — lines 12–16's Ĵ test
+//
+// When the loop stops is data, not a stage: a StoppingSpec (core/spec.hpp)
+// read against the SessionProgress below. Each Session::step() returns a
+// StepReport, which is how a caller watches an edit.
 //
 // All components must be deterministic given the Rng they are handed —
 // tests/test_determinism.cpp locks seed → bit-identical output, pinned to
@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "frote/core/base_population.hpp"
@@ -41,8 +39,7 @@ enum class StepStatus {
   kFinished,     // the session had already finished; step() was a no-op
 };
 
-/// Typed report of one Algorithm-1 iteration, returned by Session::step()
-/// and delivered to ProgressObserver::on_step.
+/// Typed report of one Algorithm-1 iteration, returned by Session::step().
 struct StepReport {
   /// 1-based index of this iteration (counts every step, incl. rejected).
   std::size_t iteration = 0;
@@ -63,7 +60,8 @@ struct StepReport {
   }
 };
 
-/// Snapshot of a session's loop state, handed to StoppingCriterion.
+/// Snapshot of a session's loop state, read by should_stop
+/// (core/engine.hpp).
 struct SessionProgress {
   std::size_t iterations_run = 0;
   std::size_t iterations_accepted = 0;
@@ -142,105 +140,10 @@ class JHatImprovementPolicy : public AcceptancePolicy {
   }
 };
 
-/// The ablation switch; Builder::accept_always(true) installs it.
+/// The ablation switch; EngineSpec::accept_always installs it.
 class AlwaysAcceptPolicy : public AcceptancePolicy {
  public:
   bool accept(const AcceptanceContext&) const override { return true; }
-};
-
-/// Stage: decides when Session::run() stops asking for more steps. Consulted
-/// *before* each step; a session also stops on its own when the base
-/// population is exhausted (StepStatus::kExhausted).
-class StoppingCriterion {
- public:
-  virtual ~StoppingCriterion() = default;
-  virtual bool should_stop(const SessionProgress& progress) const = 0;
-};
-
-/// Algorithm 1's loop bounds: stop once τ iterations ran or the accepted
-/// instance count exceeds the q·|D| budget (the final batch may overshoot by
-/// at most η, exactly as the original loop allowed).
-class BudgetStoppingCriterion : public StoppingCriterion {
- public:
-  bool should_stop(const SessionProgress& p) const override {
-    return p.iterations_run >= p.tau || p.instances_added > p.quota;
-  }
-};
-
-/// Stop after `max_rejections` consecutive non-accepting steps — the edit
-/// has plateaued and further retrains are wasted budget. Replacing the
-/// default criterion removes the τ/budget bounds entirely; wrap this in
-/// AnyOfStoppingCriterion alongside BudgetStoppingCriterion to keep them.
-class PlateauStoppingCriterion : public StoppingCriterion {
- public:
-  explicit PlateauStoppingCriterion(std::size_t max_rejections)
-      : max_rejections_(max_rejections) {}
-  bool should_stop(const SessionProgress& p) const override {
-    return p.consecutive_rejections >= max_rejections_;
-  }
-
- private:
-  std::size_t max_rejections_;
-};
-
-/// Disjunction: stop as soon as any child criterion says stop. Use this to
-/// add a plateau cut-off on top of the τ/budget bounds.
-class AnyOfStoppingCriterion : public StoppingCriterion {
- public:
-  explicit AnyOfStoppingCriterion(
-      std::vector<std::shared_ptr<const StoppingCriterion>> criteria)
-      : criteria_(std::move(criteria)) {}
-  bool should_stop(const SessionProgress& p) const override {
-    for (const auto& criterion : criteria_) {
-      if (criterion && criterion->should_stop(p)) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::shared_ptr<const StoppingCriterion>> criteria_;
-};
-
-/// Stage: progress hooks, giving live access to what FroteResult::trace
-/// records after the fact. Engine-level observers see every session the
-/// engine opens; observers added to a Session see only that session's
-/// events after attachment.
-class ProgressObserver {
- public:
-  virtual ~ProgressObserver() = default;
-  /// The initial model was trained on the mod-applied dataset; `j_hat_bar`
-  /// is its Ĵ̄ (the trace's iteration-0 point).
-  virtual void on_session_start(const Model& model, double j_hat_bar) {
-    (void)model;
-    (void)j_hat_bar;
-  }
-  /// A step completed (any status except kFinished).
-  virtual void on_step(const StepReport& report) { (void)report; }
-  /// A step was accepted (fires after on_step for that step), with the
-  /// retrained model and the cumulative instance count.
-  virtual void on_accept(const Model& model, std::size_t instances_added) {
-    (void)model;
-    (void)instances_added;
-  }
-};
-
-/// Adapter: wrap plain std::functions as an observer. Unset callbacks are
-/// skipped.
-class CallbackObserver : public ProgressObserver {
- public:
-  std::function<void(const Model&, double)> session_start;
-  std::function<void(const StepReport&)> step;
-  std::function<void(const Model&, std::size_t)> accept;
-
-  void on_session_start(const Model& model, double j_hat_bar) override {
-    if (session_start) session_start(model, j_hat_bar);
-  }
-  void on_step(const StepReport& report) override {
-    if (step) step(report);
-  }
-  void on_accept(const Model& model, std::size_t instances_added) override {
-    if (accept) accept(model, instances_added);
-  }
 };
 
 }  // namespace frote

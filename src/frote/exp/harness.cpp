@@ -6,6 +6,7 @@
 
 #include "frote/baselines/overlay.hpp"
 #include "frote/core/engine.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/core/spec.hpp"
 #include "frote/data/split.hpp"
 #include "frote/metrics/metrics.hpp"
@@ -21,8 +22,9 @@ namespace {
 /// rule set itself is installed as in-process objects (Builder::rules)
 /// rather than spec text: the harness rules carry perturbation provenance
 /// the textual grammar does not encode.
-EngineSpec harness_spec(const ExperimentContext& ctx, LearnerKind learner,
-                        const RunConfig& config, std::uint64_t engine_seed,
+EngineSpec harness_spec(const ExperimentContext& ctx,
+                        const std::string& learner, const RunConfig& config,
+                        std::uint64_t engine_seed,
                         std::uint64_t learner_seed) {
   EngineSpec spec;
   spec.tau = config.tau;
@@ -33,11 +35,7 @@ EngineSpec harness_spec(const ExperimentContext& ctx, LearnerKind learner,
   spec.mod_strategy = mod_strategy_name(config.mod);
   spec.rule_confidence = config.rule_confidence;
   spec.selector = config.selector;
-  switch (learner) {
-    case LearnerKind::kLR: spec.learner = "lr"; break;
-    case LearnerKind::kRF: spec.learner = "rf"; break;
-    case LearnerKind::kLGBM: spec.learner = "gbdt"; break;
-  }
+  spec.learner = learner;
   spec.learner_fast = config.fast_learner;
   spec.learner_seed = learner_seed;
   return spec;
@@ -77,8 +75,9 @@ ExperimentContext make_context(UciDataset id, double scale,
 
   // Initial explanation model (the model whose rules the simulated user
   // edits): a small random forest is cheap and rule-friendly.
-  auto explainer = make_learner(LearnerKind::kRF, derive_seed(seed, 11),
-                                /*fast=*/true);
+  auto explainer =
+      make_named_learner("rf", {.seed = derive_seed(seed, 11), .fast = true})
+          .value();
   auto model = explainer->train(ctx.data);
   // BRCG produces few, high-support rules; mirror that so the perturbation
   // provenance regions have realistic (large) coverage.
@@ -135,7 +134,8 @@ EvalPoint evaluate_model(const Model& model, const FeedbackRuleSet& frs,
   return point;
 }
 
-RunOutcome run_frote_once(const ExperimentContext& ctx, LearnerKind learner,
+RunOutcome run_frote_once(const ExperimentContext& ctx,
+                          const std::string& learner,
                           const RunConfig& config, std::uint64_t run_seed) {
   RunOutcome outcome;
   Rng rng(derive_seed(run_seed, 17));
@@ -177,15 +177,14 @@ RunOutcome run_frote_once(const ExperimentContext& ctx, LearnerKind learner,
                           .build()
                           .value();
   auto session = engine.open(split.train, *learner_ptr).value();
-  if (config.capture_trace) {
-    auto tracer = std::make_shared<CallbackObserver>();
-    tracer->accept = [&](const Model& model, std::size_t added) {
-      outcome.test_trace.emplace_back(added,
-                                      test_j_bar(model, frs, split.test));
-    };
-    session.add_observer(std::move(tracer));
+  while (!session.finished()) {
+    const StepReport report = session.step();
+    if (config.capture_trace && report.accepted()) {
+      outcome.test_trace.emplace_back(
+          report.instances_added,
+          test_j_bar(session.model(), frs, split.test));
+    }
   }
-  session.run();
   const auto result = std::move(session).result();
   outcome.final = evaluate_model(*result.model, frs, split.test);
   outcome.added_frac = static_cast<double>(result.instances_added) /
@@ -195,7 +194,8 @@ RunOutcome run_frote_once(const ExperimentContext& ctx, LearnerKind learner,
 }
 
 OverlayOutcome run_overlay_once(const ExperimentContext& ctx,
-                                LearnerKind learner, const RunConfig& config,
+                                const std::string& learner,
+                                const RunConfig& config,
                                 std::uint64_t run_seed) {
   OverlayOutcome outcome;
   Rng rng(derive_seed(run_seed, 29));

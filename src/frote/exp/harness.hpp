@@ -11,7 +11,6 @@
 
 #include "frote/core/frote.hpp"
 #include "frote/data/generators.hpp"
-#include "frote/exp/learners.hpp"
 #include "frote/rules/perturb.hpp"
 
 namespace frote {
@@ -79,8 +78,10 @@ struct RunOutcome {
   std::vector<std::pair<std::size_t, double>> test_trace;  // (N, test J̄)
 };
 
-/// One full FROTE run per the paper's protocol.
-RunOutcome run_frote_once(const ExperimentContext& ctx, LearnerKind learner,
+/// One full FROTE run per the paper's protocol. `learner` is a registry
+/// name (make_named_learner): the paper's three are "lr", "rf" and "gbdt".
+RunOutcome run_frote_once(const ExperimentContext& ctx,
+                          const std::string& learner,
                           const RunConfig& config, std::uint64_t run_seed);
 
 /// Overlay comparison run (§5.2 / Table 2 protocol: 50/50 coverage and
@@ -93,7 +94,8 @@ struct OverlayOutcome {
   EvalPoint frote;
 };
 OverlayOutcome run_overlay_once(const ExperimentContext& ctx,
-                                LearnerKind learner, const RunConfig& config,
+                                const std::string& learner,
+                                const RunConfig& config,
                                 std::uint64_t run_seed);
 
 /// Evaluate a model on `test` against `frs` (exposed for tests/examples).

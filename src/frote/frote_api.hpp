@@ -5,8 +5,10 @@
 // and external consumers of the installed CMake package (frote::frote).
 //
 // Entry points: the loop runs through Engine::Builder → Engine::open →
-// Session (core/engine.hpp); EngineSpec (core/spec.hpp) describes the same
-// run as a JSON document (Builder::from_spec). Learners,
+// Session (core/engine.hpp). Session::step() runs one iteration and returns
+// its StepReport, which is how a caller watches an edit; a StoppingSpec
+// decides when run() and finished() stop. EngineSpec (core/spec.hpp)
+// describes the same run as a JSON document (Builder::from_spec). Learners,
 // selectors and scenarios are named through the registry
 // (core/registry.hpp); register_selector adds a name Builder::selector
 // accepts. CHANGES.md records how the surface evolved.
@@ -66,9 +68,9 @@
 #include "frote/baselines/overlay.hpp"
 #include "frote/metrics/metrics.hpp"
 
-// Experiment harness, paper learner kinds, and the named-component registry.
+// Experiment harness and the named-component registry (learners and
+// selectors by name).
 #include "frote/exp/harness.hpp"
-#include "frote/exp/learners.hpp"
 #include "frote/core/registry.hpp"
 
 // Utilities: typed errors/Expected, deterministic RNG, the deterministic

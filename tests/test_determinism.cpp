@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "frote/core/engine.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/core/spec.hpp"
-#include "frote/exp/learners.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "frote/util/hash.hpp"
 #include "frote/util/parallel.hpp"
@@ -177,8 +177,8 @@ TEST(Determinism, ThreadDefaultOverrideKeepsBitIdenticalOutput) {
 
 TEST(Determinism, LearnerTrainingIsDeterministic) {
   auto data = testing::blobs_dataset(60, 6.0, 9);
-  auto learner_a = make_learner(LearnerKind::kLR, /*seed=*/7, /*fast=*/true);
-  auto learner_b = make_learner(LearnerKind::kLR, /*seed=*/7, /*fast=*/true);
+  auto learner_a = make_named_learner("lr", {.seed = 7, .fast = true}).value();
+  auto learner_b = make_named_learner("lr", {.seed = 7, .fast = true}).value();
   auto model_a = learner_a->train(data);
   auto model_b = learner_b->train(data);
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -1,6 +1,6 @@
 // Engine/Session API contract: builder validation, open() preconditions,
-// step()-vs-run() equivalence, observer ordering and pluggable
-// stopping/acceptance. tests/test_determinism.cpp pins the output bytes.
+// step()-vs-run() equivalence, pluggable acceptance/generation and the
+// StoppingSpec semantics. tests/test_determinism.cpp pins the output bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 
 #include "frote/core/engine.hpp"
 #include "frote/core/session_pool.hpp"
+#include "frote/core/spec.hpp"
 #include "frote/data/csv.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "test_util.hpp"
@@ -41,12 +42,6 @@ struct Fixture {
     Engine::Builder b;
     b.rules(frs).tau(6).q(0.4).k(5).seed(seed).mod_strategy(mod);
     return b;
-  }
-
-  FroteResult run(const Engine::Builder& b) const {
-    auto session = b.build().value().open(train, learner).value();
-    session.run();
-    return std::move(session).result();
   }
 };
 
@@ -233,81 +228,7 @@ TEST(Engine, IsReusableAcrossSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// Observers
-
-struct RecordingObserver : ProgressObserver {
-  std::vector<std::string> events;
-  void on_session_start(const Model&, double) override {
-    events.push_back("start");
-  }
-  void on_step(const StepReport& report) override {
-    events.push_back(report.accepted() ? "step-accepted" : "step-other");
-  }
-  void on_accept(const Model&, std::size_t) override {
-    events.push_back("accept");
-  }
-};
-
-TEST(Observer, OrderingIsStartThenStepThenAccept) {
-  Fixture fx;
-  auto observer = std::make_shared<RecordingObserver>();
-  const auto engine =
-      fx.builder(ModStrategy::kNone).observer(observer).build().value();
-  auto session = engine.open(fx.train, fx.learner).value();
-  session.run();
-  const auto result = std::move(session).result();
-
-  const auto& events = observer->events;
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front(), "start");
-  std::size_t accepts = 0;
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    if (events[i] == "accept") {
-      ++accepts;
-      // on_accept fires immediately after the accepted step's on_step.
-      ASSERT_GT(i, 0u);
-      EXPECT_EQ(events[i - 1], "step-accepted");
-    } else if (events[i] == "step-accepted") {
-      // Every accepted step must be followed by its on_accept.
-      ASSERT_LT(i + 1, events.size());
-      EXPECT_EQ(events[i + 1], "accept");
-    }
-  }
-  EXPECT_EQ(accepts, result.iterations_accepted);
-}
-
-TEST(Observer, SessionLevelObserverSeesSameStepsAsEngineLevel) {
-  Fixture fx;
-  auto engine_observer = std::make_shared<RecordingObserver>();
-  const auto engine =
-      fx.builder(ModStrategy::kNone).observer(engine_observer).build().value();
-  auto session = engine.open(fx.train, fx.learner).value();
-  auto session_observer = std::make_shared<RecordingObserver>();
-  session.add_observer(session_observer);
-  session.run();
-
-  // The session-level observer was attached after open(), so it misses
-  // on_session_start but sees every subsequent step/accept event.
-  std::vector<std::string> engine_tail(engine_observer->events.begin() + 1,
-                                       engine_observer->events.end());
-  EXPECT_EQ(engine_tail, session_observer->events);
-}
-
-// ---------------------------------------------------------------------------
-// Pluggable policies and stopping criteria
-
-TEST(Policies, AlwaysAcceptPolicyMatchesAcceptAlwaysFlag) {
-  Fixture fx;
-  const auto flag = fx.run(fx.builder(ModStrategy::kNone).accept_always(true));
-  const auto direct =
-      fx.run(fx.builder(ModStrategy::kNone)
-                 .acceptance(std::make_shared<AlwaysAcceptPolicy>()));
-
-  EXPECT_EQ(flag.instances_added, direct.instances_added);
-  expect_bit_identical(flag.augmented, direct.augmented);
-  // accept-always means every trained batch was kept.
-  EXPECT_EQ(direct.iterations_accepted, direct.trace.size() - 1);
-}
+// Pluggable policies and the StoppingSpec
 
 struct EmptyGenerator : InstanceGenerator {
   Dataset generate(const GenerationContext& ctx,
@@ -316,14 +237,85 @@ struct EmptyGenerator : InstanceGenerator {
   }
 };
 
+/// Open a session from `spec` over the fixture's data and drive it the way
+/// run() does, keeping every step's report. An empty generator makes every
+/// step fruitless.
+std::vector<StepReport> drive_spec_session(const EngineSpec& spec,
+                                           bool empty_generator,
+                                           std::size_t* quota = nullptr) {
+  Fixture fx;
+  auto builder = Engine::Builder::from_spec(spec, fx.train.schema()).value();
+  if (empty_generator) builder.generator(std::make_shared<EmptyGenerator>());
+  auto session = builder.build().value().open(fx.train, fx.learner).value();
+  if (quota != nullptr) *quota = session.progress().quota;
+  std::vector<StepReport> reports;
+  while (!session.finished()) reports.push_back(session.step());
+  EXPECT_EQ(session.progress().iterations_run, reports.size());
+  return reports;
+}
+
+TEST(Stopping, SpecDrivenSessionsStopWhereAlgorithmOneSays) {
+  EngineSpec spec;
+  spec.mod_strategy = "none";
+  spec.seed = 99;
+  spec.rules = {"IF x > 7 THEN class = neg"};
+  spec.accept_always = true;
+
+  // budget, τ side: q·|D| is out of reach, so the session runs τ steps,
+  // every one of them trained and accepted.
+  spec.tau = 4;
+  spec.q = 1.0;
+  spec.eta = 5;
+  const auto at_tau = drive_spec_session(spec, false);
+  ASSERT_EQ(at_tau.size(), 4u);
+  for (const auto& report : at_tau) EXPECT_TRUE(report.accepted());
+
+  // budget, quota side: the session stops after the first step whose total
+  // passes q·|D|, overshooting it by at most one η batch. q·|D| = 15 here:
+  // the third batch of 5 meets it, which is not enough; the fourth passes.
+  spec.tau = 100;
+  spec.q = 0.1;
+  std::size_t quota = 0;
+  const auto at_quota = drive_spec_session(spec, false, &quota);
+  EXPECT_EQ(quota, 15u);
+  ASSERT_EQ(at_quota.size(), 4u);
+  EXPECT_EQ(at_quota[2].instances_added, quota);
+  for (std::size_t i = 0; i + 1 < at_quota.size(); ++i) {
+    EXPECT_LE(at_quota[i].instances_added, quota) << "step " << i;
+  }
+  EXPECT_GT(at_quota.back().instances_added, quota);
+  EXPECT_LE(at_quota.back().instances_added, quota + spec.eta);
+
+  // plateau(2): two fruitless steps end the session, long before τ.
+  spec.stopping = StoppingSpec{"plateau", 2, {}};
+  const auto plateau = drive_spec_session(spec, true);
+  ASSERT_EQ(plateau.size(), 2u);
+  for (const auto& report : plateau) {
+    EXPECT_EQ(report.status, StepStatus::kNoSynthetic);
+  }
+
+  // any_of(any_of(plateau 1), budget): the nested plateau cuts a fruitless
+  // session after one step; a fruitful one runs to τ.
+  StoppingSpec inner;
+  inner.kind = "any_of";
+  inner.children = {StoppingSpec{"plateau", 1, {}}};
+  spec.stopping = StoppingSpec{"any_of", 25, {inner, StoppingSpec{}}};
+  EXPECT_EQ(drive_spec_session(spec, true).size(), 1u);
+  spec.tau = 3;
+  spec.q = 1.0;
+  const auto nested = drive_spec_session(spec, false);
+  ASSERT_EQ(nested.size(), 3u);
+  for (const auto& report : nested) EXPECT_TRUE(report.accepted());
+}
+
 TEST(Policies, FruitlessStepsCountTowardPlateauSoRunTerminates) {
   // A generator that never produces rows must not spin run() forever when
-  // the stopping criterion is plateau-only: kNoSynthetic steps count as
+  // the stopping spec is plateau-only: kNoSynthetic steps count as
   // non-accepting steps.
   Fixture fx;
   const auto engine = fx.builder(ModStrategy::kNone)
                           .generator(std::make_shared<EmptyGenerator>())
-                          .stopping(std::make_shared<PlateauStoppingCriterion>(3))
+                          .stopping(StoppingSpec{"plateau", 3, {}})
                           .build()
                           .value();
   auto session = engine.open(fx.train, fx.learner).value();
@@ -337,12 +329,10 @@ TEST(Policies, PlateauStoppingCutsOffConsecutiveRejections) {
   Fixture fx;
   // Budget bounds plus a one-rejection plateau cut-off: the session must
   // stop at the first rejected step (or earlier via the budget).
-  std::vector<std::shared_ptr<const StoppingCriterion>> criteria;
-  criteria.push_back(std::make_shared<BudgetStoppingCriterion>());
-  criteria.push_back(std::make_shared<PlateauStoppingCriterion>(1));
   const auto engine =
       fx.builder(ModStrategy::kNone)
-          .stopping(std::make_shared<AnyOfStoppingCriterion>(criteria))
+          .stopping(StoppingSpec{
+              "any_of", 25, {StoppingSpec{}, StoppingSpec{"plateau", 1, {}}}})
           .build()
           .value();
   auto session = engine.open(fx.train, fx.learner).value();

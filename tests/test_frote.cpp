@@ -180,19 +180,9 @@ TEST(Frote, AcceptAlwaysAblationAddsMore) {
   DecisionTreeLearner learner;
   auto r_strict = edit(quick_builder(), s.train, learner, s.frs);
   auto r_always =
-      edit(quick_builder().accept_always(true), s.train, learner, s.frs);
+      edit(quick_builder().acceptance(std::make_shared<AlwaysAcceptPolicy>()),
+           s.train, learner, s.frs);
   EXPECT_GE(r_always.instances_added, r_strict.instances_added);
-}
-
-TEST(Frote, OnAcceptObserverFires) {
-  auto s = policy_change_scenario(144);
-  DecisionTreeLearner learner;
-  std::size_t calls = 0;
-  auto counter = std::make_shared<CallbackObserver>();
-  counter->accept = [&](const Model&, std::size_t) { ++calls; };
-  auto result =
-      edit(quick_builder().observer(counter), s.train, learner, s.frs);
-  EXPECT_EQ(calls, result.iterations_accepted);
 }
 
 TEST(Frote, WorksWithIpSelection) {

@@ -39,7 +39,7 @@ TEST(Harness, ContextHasPoolInCoverageBand) {
 TEST(Harness, FroteRunProducesValidOutcome) {
   const auto& ctx = small_context();
   const auto outcome =
-      run_frote_once(ctx, LearnerKind::kRF, quick_run_config(), 7);
+      run_frote_once(ctx, "rf", quick_run_config(), 7);
   ASSERT_TRUE(outcome.valid);
   EXPECT_EQ(outcome.frs_size, 3u);
   // All metrics are probabilities.
@@ -63,7 +63,7 @@ TEST(Harness, FinalAtLeastRoughlyInitial) {
   int valid = 0;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto outcome =
-        run_frote_once(ctx, LearnerKind::kRF, quick_run_config(), seed);
+        run_frote_once(ctx, "rf", quick_run_config(), seed);
     if (!outcome.valid) continue;
     ++valid;
     init += outcome.initial.j_bar;
@@ -75,8 +75,8 @@ TEST(Harness, FinalAtLeastRoughlyInitial) {
 
 TEST(Harness, DeterministicRuns) {
   const auto& ctx = small_context();
-  const auto a = run_frote_once(ctx, LearnerKind::kRF, quick_run_config(), 3);
-  const auto b = run_frote_once(ctx, LearnerKind::kRF, quick_run_config(), 3);
+  const auto a = run_frote_once(ctx, "rf", quick_run_config(), 3);
+  const auto b = run_frote_once(ctx, "rf", quick_run_config(), 3);
   ASSERT_EQ(a.valid, b.valid);
   EXPECT_DOUBLE_EQ(a.initial.j_bar, b.initial.j_bar);
   EXPECT_DOUBLE_EQ(a.final.j_bar, b.final.j_bar);
@@ -88,18 +88,32 @@ TEST(Harness, TraceCapturedWhenRequested) {
   auto config = quick_run_config();
   config.capture_trace = true;
   config.tcf = 0.0;  // tcf 0 drives augmentation, ensuring acceptances
-  const auto outcome = run_frote_once(ctx, LearnerKind::kRF, config, 11);
+  const auto outcome = run_frote_once(ctx, "rf", config, 11);
   ASSERT_TRUE(outcome.valid);
+  ASSERT_FALSE(outcome.test_trace.empty());
+  EXPECT_GT(outcome.test_trace.front().first, 0u);
   for (std::size_t i = 1; i < outcome.test_trace.size(); ++i) {
     EXPECT_GT(outcome.test_trace[i].first, outcome.test_trace[i - 1].first);
   }
+  // The last point watched the last accepted model, which is the final one.
+  EXPECT_EQ(outcome.test_trace.back().second, outcome.final.j_bar);
+
+  // Capturing the trace only watches the loop: the edit is the same run.
+  config.capture_trace = false;
+  const auto plain = run_frote_once(ctx, "rf", config, 11);
+  ASSERT_TRUE(plain.valid);
+  EXPECT_TRUE(plain.test_trace.empty());
+  EXPECT_EQ(plain.final.j_bar, outcome.final.j_bar);
+  EXPECT_EQ(plain.final.mra, outcome.final.mra);
+  EXPECT_EQ(plain.final.f1, outcome.final.f1);
+  EXPECT_EQ(plain.added_frac, outcome.added_frac);
 }
 
 TEST(Harness, ModNoneReusesInitialEvaluation) {
   const auto& ctx = small_context();
   auto config = quick_run_config();
   config.mod = ModStrategy::kNone;
-  const auto outcome = run_frote_once(ctx, LearnerKind::kLR, config, 5);
+  const auto outcome = run_frote_once(ctx, "lr", config, 5);
   ASSERT_TRUE(outcome.valid);
   EXPECT_DOUBLE_EQ(outcome.initial.j_bar, outcome.mod.j_bar);
 }
@@ -107,7 +121,7 @@ TEST(Harness, ModNoneReusesInitialEvaluation) {
 TEST(Harness, OverlayRunComparesThreeMethods) {
   const auto& ctx = small_context();
   const auto outcome =
-      run_overlay_once(ctx, LearnerKind::kRF, quick_run_config(), 13);
+      run_overlay_once(ctx, "rf", quick_run_config(), 13);
   ASSERT_TRUE(outcome.valid);
   // Hard constraints always reach MRA = 1 by construction.
   EXPECT_NEAR(outcome.overlay_hard.mra, 1.0, 1e-9);
@@ -119,7 +133,7 @@ TEST(Harness, ImpossibleFrsSizeReportsInvalid) {
   const auto& ctx = small_context();
   auto config = quick_run_config();
   config.frs_size = ctx.pool.size() + 10;
-  const auto outcome = run_frote_once(ctx, LearnerKind::kRF, config, 1);
+  const auto outcome = run_frote_once(ctx, "rf", config, 1);
   EXPECT_FALSE(outcome.valid);
 }
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "frote/core/engine.hpp"
-#include "frote/exp/learners.hpp"
+#include "frote/core/registry.hpp"
 #include "frote/util/parallel.hpp"
 #include "test_util.hpp"
 
@@ -240,12 +240,12 @@ void expect_bit_identical(const Dataset& a, const Dataset& b) {
   }
 }
 
-FroteResult run_threaded_edit(ModStrategy mod, int threads,
-                              LearnerKind learner_kind) {
+FroteResult run_threaded_edit(ModStrategy mod, int threads) {
   auto data = testing::threshold_dataset(150, 5.0, /*seed=*/11);
   FeedbackRuleSet frs({testing::x_gt_rule(7.0, 0)});
   const auto learner =
-      make_learner(learner_kind, /*seed=*/7, /*fast=*/true, threads);
+      make_named_learner("rf", {.seed = 7, .fast = true, .threads = threads})
+          .value();
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .tau(4)
@@ -266,9 +266,9 @@ class ThreadedEquivalence : public ::testing::TestWithParam<ModStrategy> {};
 
 TEST_P(ThreadedEquivalence, AugmentationBitIdenticalAcrossThreadCounts) {
   const ModStrategy mod = GetParam();
-  const auto serial = run_threaded_edit(mod, 1, LearnerKind::kRF);
+  const auto serial = run_threaded_edit(mod, 1);
   for (int threads : {2, 8}) {
-    const auto parallel = run_threaded_edit(mod, threads, LearnerKind::kRF);
+    const auto parallel = run_threaded_edit(mod, threads);
     EXPECT_EQ(serial.instances_added, parallel.instances_added)
         << "threads=" << threads;
     EXPECT_EQ(serial.iterations_run, parallel.iterations_run);
@@ -297,9 +297,14 @@ INSTANTIATE_TEST_SUITE_P(AllModStrategies, ThreadedEquivalence,
 
 TEST(ThreadedEquivalence, LrTrainingBitIdenticalAcrossThreadCounts) {
   auto data = testing::threshold_dataset(200, 5.0, /*seed=*/3);
-  const auto serial = make_learner(LearnerKind::kLR, 7, true, 1)->train(data);
+  const auto serial =
+      make_named_learner("lr", {.seed = 7, .fast = true, .threads = 1})
+          .value()
+          ->train(data);
   const auto threaded =
-      make_learner(LearnerKind::kLR, 7, true, 8)->train(data);
+      make_named_learner("lr", {.seed = 7, .fast = true, .threads = 8})
+          .value()
+          ->train(data);
   const auto pa = serial->predict_proba_all(data);
   const auto pb = threaded->predict_proba_all(data);
   ASSERT_EQ(pa.size(), pb.size());
@@ -314,9 +319,13 @@ TEST(ThreadedEquivalence, GbdtTrainingBitIdenticalAcrossThreadCounts) {
   for (const std::size_t n : {std::size_t{200}, std::size_t{40000}}) {
     auto data = testing::threshold_dataset(n, 5.0, /*seed=*/5);
     const auto serial =
-        make_learner(LearnerKind::kLGBM, 7, true, 1)->train(data);
+        make_named_learner("gbdt", {.seed = 7, .fast = true, .threads = 1})
+            .value()
+            ->train(data);
     const auto threaded =
-        make_learner(LearnerKind::kLGBM, 7, true, 8)->train(data);
+        make_named_learner("gbdt", {.seed = 7, .fast = true, .threads = 8})
+            .value()
+            ->train(data);
     const auto pa = serial->predict_proba_all(data);
     const auto pb = threaded->predict_proba_all(data);
     ASSERT_EQ(pa.size(), pb.size());

@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "frote/exp/learners.hpp"
 #include "frote/core/registry.hpp"
 #include "test_util.hpp"
 
@@ -44,27 +43,6 @@ TEST(Registry, LgbmIsAnAliasForGbdt) {
   auto lgbm = make_named_learner("lgbm", spec).value()->train(data);
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(gbdt->predict(data.row(i)), lgbm->predict(data.row(i)));
-  }
-}
-
-TEST(Registry, EnumMakeLearnerDelegatesToRegistry) {
-  // The typed harness entry point and the string registry must resolve to
-  // identically configured learners (same seed ⇒ same predictions).
-  const auto data = testing::blobs_dataset(40, 6.0, 7);
-  LearnerSpec spec;
-  spec.seed = 17;
-  spec.fast = true;
-  auto via_enum = make_learner(LearnerKind::kRF, 17, /*fast=*/true);
-  auto via_name = make_named_learner("rf", spec).value();
-  auto model_enum = via_enum->train(data);
-  auto model_name = via_name->train(data);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const auto pa = model_enum->predict_proba(data.row(i));
-    const auto pb = model_name->predict_proba(data.row(i));
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t c = 0; c < pa.size(); ++c) {
-      EXPECT_EQ(pa[c], pb[c]) << "row " << i << " class " << c;
-    }
   }
 }
 

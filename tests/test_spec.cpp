@@ -1,6 +1,6 @@
 // core/spec: declarative EngineSpec round-trips — JSON → EngineSpec → JSON,
 // and JSON → Engine for every registry learner/selector combination with
-// the spec's scalars and stopping criterion installed — plus RunPlan
+// the spec's scalars and stopping spec installed — plus RunPlan
 // expansion, execute_plan's determinism across thread counts and its
 // audit.txt artifact.
 #include <gtest/gtest.h>
@@ -121,7 +121,6 @@ TEST(EngineSpec, RoundTripsThroughEngineForEveryRegistryCombination) {
       EXPECT_EQ(config.threads, spec.threads);
       EXPECT_EQ(mod_strategy_name(config.mod_strategy), spec.mod_strategy);
       EXPECT_EQ(config.rule_confidence, spec.rule_confidence);
-      EXPECT_EQ(config.accept_always, spec.accept_always);
       // The rule text parses back to itself against the schema.
       ASSERT_EQ(engine->rules().size(), spec.rules.size());
       for (std::size_t r = 0; r < spec.rules.size(); ++r) {
@@ -195,11 +194,11 @@ TEST(EngineSpec, LastSelectorChoiceWins) {
   EXPECT_EQ(first_step_status(spec_null), StepStatus::kExhausted);
 }
 
-TEST(EngineSpec, FromSpecInstallsTheStoppingCriterion) {
+TEST(EngineSpec, FromSpecInstallsTheStoppingSpec) {
   // With a generator that never produces rows every step is fruitless, so
-  // the spec's plateau criterion ends the run after `patience` steps, where
-  // the budget criterion runs all tau of them. A later stopping() call
-  // replaces the spec's criterion.
+  // the spec's plateau ends the run after `patience` steps, where the
+  // budget runs all tau of them. A later stopping() call replaces the
+  // spec's stopping.
   struct EmptyGenerator : InstanceGenerator {
     Dataset generate(const GenerationContext& ctx,
                      const std::vector<SelectedInstance>&,
@@ -230,8 +229,7 @@ TEST(EngineSpec, FromSpecInstallsTheStoppingCriterion) {
   EXPECT_EQ(steps_of(Engine::Builder::from_spec(spec, *schema)
                          .value()
                          .generator(empty)
-                         .stopping(std::make_shared<PlateauStoppingCriterion>(
-                             1))),
+                         .stopping(StoppingSpec{"plateau", 1, {}})),
             1u);
 }
 
@@ -260,6 +258,21 @@ TEST(EngineSpec, UnknownComponentNamesAreTypedErrors) {
   auto stopping = Engine::Builder::from_spec(spec, *schema);
   ASSERT_FALSE(stopping.has_value());
   EXPECT_EQ(stopping.error().code, FroteErrorCode::kUnknownComponent);
+  EXPECT_EQ(stopping.error().message, "unknown stopping kind 'forever'");
+
+  // A kind nested under any_of is checked too, and so is a stopping spec
+  // handed to the builder directly.
+  spec.stopping =
+      StoppingSpec{"any_of", 25, {StoppingSpec{"sometimes", 25, {}}}};
+  auto nested = Engine::Builder::from_spec(spec, *schema);
+  ASSERT_FALSE(nested.has_value());
+  EXPECT_EQ(nested.error().code, FroteErrorCode::kUnknownComponent);
+  EXPECT_EQ(nested.error().message, "unknown stopping kind 'sometimes'");
+  auto direct =
+      Engine::Builder().stopping(StoppingSpec{"forever", 25, {}}).build();
+  ASSERT_FALSE(direct.has_value());
+  EXPECT_EQ(direct.error().code, FroteErrorCode::kUnknownComponent);
+  EXPECT_EQ(direct.error().message, "unknown stopping kind 'forever'");
 }
 
 TEST(EngineSpec, MalformedRuleTextIsAParseError) {
@@ -297,6 +310,23 @@ TEST(EngineSpec, ForwardCompatPolicy) {
       "\"stopping\": {\"kind\": \"any_of\"}}");
   ASSERT_FALSE(empty_any_of.has_value());
   EXPECT_EQ(empty_any_of.error().code, FroteErrorCode::kParseError);
+  // Nor does a plateau of patience 0: it fires before the first step, so
+  // the session would never run. Rejected, also as an any_of child.
+  auto zero_patience = EngineSpec::parse(
+      "{\"format\": \"frote.engine_spec\", "
+      "\"stopping\": {\"kind\": \"plateau\", \"patience\": 0}}");
+  ASSERT_FALSE(zero_patience.has_value());
+  EXPECT_EQ(zero_patience.error().code, FroteErrorCode::kParseError);
+  auto nested_zero_patience = EngineSpec::parse(
+      "{\"format\": \"frote.engine_spec\", \"stopping\": {\"kind\": "
+      "\"any_of\", \"children\": [{\"kind\": \"plateau\", "
+      "\"patience\": 0}]}}");
+  ASSERT_FALSE(nested_zero_patience.has_value());
+  EXPECT_EQ(nested_zero_patience.error().code, FroteErrorCode::kParseError);
+  auto patience_one = EngineSpec::parse(
+      "{\"format\": \"frote.engine_spec\", "
+      "\"stopping\": {\"kind\": \"plateau\", \"patience\": 1}}");
+  ASSERT_TRUE(patience_one.has_value()) << patience_one.error().message;
 
   auto wrong_type = EngineSpec::parse(
       "{\"format\": \"frote.engine_spec\", \"tau\": \"many\"}");
@@ -328,13 +358,20 @@ TEST(StoppingSpec, RoundTripAndBehaviour) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(json_dump(parsed->to_json()), json_dump(spec.to_json()));
 
-  auto criterion = make_spec_stopping(*parsed).value();
   SessionProgress progress;
   progress.tau = 100;
   progress.quota = 1000;
-  EXPECT_FALSE(criterion->should_stop(progress));
+  EXPECT_FALSE(should_stop(*parsed, progress));
   progress.consecutive_rejections = 2;  // the plateau child fires
-  EXPECT_TRUE(criterion->should_stop(progress));
+  EXPECT_TRUE(should_stop(*parsed, progress));
+  progress.consecutive_rejections = 1;
+  progress.instances_added = 1000;  // meeting the quota is not passing it
+  EXPECT_FALSE(should_stop(*parsed, progress));
+  progress.instances_added = 1001;  // the budget child fires
+  EXPECT_TRUE(should_stop(*parsed, progress));
+  progress.instances_added = 0;
+  progress.iterations_run = 100;  // τ iterations ran
+  EXPECT_TRUE(should_stop(*parsed, progress));
 
   StoppingSpec unknown;
   unknown.kind = "never";

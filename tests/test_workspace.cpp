@@ -20,7 +20,6 @@
 #include "frote/core/registry.hpp"
 #include "frote/core/stages.hpp"
 #include "frote/core/workspace.hpp"
-#include "frote/exp/learners.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "frote/util/hash.hpp"
 #include "test_util.hpp"
