@@ -347,10 +347,10 @@ BENCHMARK(BM_IpSolveEdit);
 
 void RunNeighborhoodFill(benchmark::State& state, const Dataset& data) {
   // IP selection's "neighbourhoods" stage cold: a fresh workspace fills the
-  // (k+1)-neighbourhoods of 1000 evenly spaced rows (k = 5, as the IP
-  // selector's borderline_k). The counters give the stage's cost model,
-  // time ≈ pairs × c_pair; exact_replays is how many of those pairs the
-  // bounded kernel had to finish exactly.
+  // (k+1)-neighbourhoods of 1000 evenly spaced rows (k = 5; the IP selector
+  // itself asks for kBorderlineK = 10). The counters give the stage's cost
+  // model, time ≈ pairs × c_pair; exact_replays is how many of those pairs
+  // the bounded kernel had to finish exactly.
   const std::size_t n = data.size();
   const std::size_t queries = std::min<std::size_t>(1000, n);
   std::vector<std::size_t> rows(queries);

@@ -42,9 +42,10 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # and the neighbourhood fill, the generator prefetch and the IP selector's
 # borderline scoring fan out inside test_workspace;
 # test_ml pins the tree learners' outputs (the coded-column table build
-# fans features out).
+# fans features out);
+# test_extra_models/test_rule_pipeline pin NB, kNN, OnlineLogReg, induction.
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_serve_rpc|test_incremental_learners|test_knn|test_ml'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_serve_rpc|test_incremental_learners|test_knn|test_ml|test_extra_models|test_rule_pipeline'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run

@@ -22,20 +22,12 @@ Expected<Session, FroteError> Engine::open(const Dataset& data,
     return FroteError::invalid_argument(
         "FROTE requires a non-empty input dataset");
   }
-  // kDrop removes every covered row whose label the covering rule's π gives
-  // zero probability; if that is every row there is nothing to train on.
-  if (impl_->config.mod_strategy == ModStrategy::kDrop) {
-    bool keeps_a_row = false;
-    for (std::size_t i = 0; i < data.size() && !keeps_a_row; ++i) {
-      const int covering = impl_->frs.first_covering_rule(data.row(i));
-      keeps_a_row =
-          covering < 0 || impl_->frs.rule(static_cast<std::size_t>(covering))
-                                  .pi.prob(data.label(i)) > 0.0;
-    }
-    if (!keeps_a_row) {
-      return FroteError::invalid_argument(
-          "the drop mod strategy removes every row of the input dataset");
-    }
+  // kDrop removes every disagreeing row; if that is every row there is
+  // nothing to train on.
+  if (impl_->config.mod_strategy == ModStrategy::kDrop &&
+      disagreeing_rows(data, impl_->frs).size() == data.size()) {
+    return FroteError::invalid_argument(
+        "the drop mod strategy removes every row of the input dataset");
   }
   return Session(impl_, data, learner);
 }
@@ -138,7 +130,7 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
     }
     return FroteError::invalid_config(std::move(message));
   }
-  if (auto unknown = unknown_stopping_kind(stopping_)) return *unknown;
+  if (auto error = stopping_error(stopping_)) return *error;
 
   auto impl = std::make_shared<Impl>();
   impl->config = config_;
@@ -252,16 +244,15 @@ bool should_stop(const StoppingSpec& spec, const SessionProgress& p) {
   return false;
 }
 
-std::optional<FroteError> unknown_stopping_kind(const StoppingSpec& spec) {
-  if (spec.kind == "budget" || spec.kind == "plateau") return std::nullopt;
-  if (spec.kind != "any_of") {
+std::optional<FroteError> stopping_error(const StoppingSpec& spec) {
+  auto defect = find_stopping_defect(spec);
+  if (!defect) return std::nullopt;
+  if (defect->unknown_kind) {
     return FroteError::unknown_component("unknown stopping kind '" +
-                                         spec.kind + "'");
+                                         defect->kind + "'");
   }
-  for (const auto& child : spec.children) {
-    if (auto unknown = unknown_stopping_kind(child)) return unknown;
-  }
-  return std::nullopt;
+  return FroteError::invalid_config("invalid stopping spec: " +
+                                    defect->problem);
 }
 
 bool Session::finished() const {

@@ -23,8 +23,19 @@ struct Engine::Impl {
   GenerateConfig generate_config;
 };
 
-/// kUnknownComponent naming the first unknown kind in `spec`'s tree, or
-/// nothing when every kind is known (Builder::build and from_spec).
-std::optional<FroteError> unknown_stopping_kind(const StoppingSpec& spec);
+/// The first defect of a stopping-spec tree, in pre-order. A kind outside
+/// budget/plateau/any_of is unknown; an any_of over no children never
+/// fires and a plateau of patience 0 fires before the first step, so both
+/// are shape problems.
+struct StoppingDefect {
+  bool unknown_kind = false;  // else a shape problem
+  std::string kind;           // the offending node's kind
+  std::string problem;        // StoppingSpec::from_json's message text
+};
+std::optional<StoppingDefect> find_stopping_defect(const StoppingSpec& spec);
+
+/// find_stopping_defect as Builder::build and from_spec report it: an
+/// unknown kind is kUnknownComponent, a shape problem kInvalidConfig.
+std::optional<FroteError> stopping_error(const StoppingSpec& spec);
 
 }  // namespace frote

@@ -8,6 +8,14 @@
 
 namespace frote {
 
+/// Rows of D̂ sampled for the Ĵ estimate (caps the quadratic cost the
+/// supplement flags as the bottleneck).
+constexpr std::size_t kEvalSample = 200;
+/// Online updates applied per candidate singleton.
+constexpr std::size_t kUpdatesPerCandidate = 3;
+/// Candidates scored per rule (top-η/m by proxy score are selected).
+constexpr std::size_t kCandidatesPerRule = 40;
+
 std::vector<SelectedInstance> OnlineProxySelector::select(
     const Dataset& data, const BasePopulation& bp, const Model& model,
     std::size_t eta, Rng& rng) const {
@@ -19,15 +27,14 @@ std::vector<SelectedInstance> OnlineProxySelector::select(
   const OnlineLogReg base_proxy(data, model);
 
   // Subsampled evaluation set for Ĵ (the supplement's O(|D̂|²) bottleneck).
-  const std::size_t sample_size =
-      std::min(config_.eval_sample, data.size());
+  const std::size_t sample_size = std::min(kEvalSample, data.size());
   const auto eval_rows =
       rng.sample_without_replacement(data.size(), sample_size);
   const Dataset eval_set = data.subset(eval_rows);
 
   const MixedDistance distance = MixedDistance::fit(data);
   GenerateConfig generate_config;
-  generate_config.k = config_.k;
+  generate_config.k = k_;
 
   const std::size_t per_rule_budget =
       std::max<std::size_t>(1, eta / m);
@@ -41,7 +48,7 @@ std::vector<SelectedInstance> OnlineProxySelector::select(
                                        generate_config);
     // Score a random sample of candidate singletons.
     const std::size_t num_candidates =
-        std::min(config_.candidates_per_rule, pool.indices.size());
+        std::min(kCandidatesPerRule, pool.indices.size());
     const auto slots =
         rng.sample_without_replacement(pool.indices.size(), num_candidates);
     std::vector<std::pair<double, std::size_t>> scored;  // (score, slot)
@@ -49,7 +56,7 @@ std::vector<SelectedInstance> OnlineProxySelector::select(
       if (!generator.generate(slot, rng, row, label)) continue;
       // Step 2: OL(M̂, Generate({i})) — update a copy of the proxy.
       OnlineLogReg updated = base_proxy;
-      for (std::size_t u = 0; u < config_.updates_per_candidate; ++u) {
+      for (std::size_t u = 0; u < kUpdatesPerCandidate; ++u) {
         updated.update(row, label);
       }
       scored.emplace_back(train_j_hat_bar(updated, *frs_, eval_set), slot);

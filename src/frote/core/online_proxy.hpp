@@ -15,24 +15,13 @@
 
 namespace frote {
 
-struct OnlineProxyConfig {
-  std::size_t k = 5;
-  /// Rows of D̂ sampled for the Ĵ estimate (caps the quadratic cost the
-  /// supplement flags as the bottleneck).
-  std::size_t eval_sample = 200;
-  /// Online updates applied per candidate singleton.
-  std::size_t updates_per_candidate = 3;
-  /// Candidates scored per rule (top-η/m by proxy score are selected).
-  std::size_t candidates_per_rule = 40;
-};
-
 /// Scores singleton candidates with the online proxy and picks the highest
-/// scoring ones per rule, subject to the same per-rule budget as IP.
+/// scoring ones per rule, subject to the same per-rule budget as IP. `k` is
+/// the generator's neighbourhood size.
 class OnlineProxySelector : public BaseInstanceSelector {
  public:
-  OnlineProxySelector(const FeedbackRuleSet& frs,
-                      OnlineProxyConfig config = {})
-      : frs_(&frs), config_(config) {}
+  explicit OnlineProxySelector(const FeedbackRuleSet& frs, std::size_t k = 5)
+      : frs_(&frs), k_(k) {}
 
   std::vector<SelectedInstance> select(const Dataset& data,
                                        const BasePopulation& bp,
@@ -41,7 +30,7 @@ class OnlineProxySelector : public BaseInstanceSelector {
 
  private:
   const FeedbackRuleSet* frs_;
-  OnlineProxyConfig config_;
+  std::size_t k_;
 };
 
 }  // namespace frote

@@ -87,10 +87,8 @@ struct Registry {
             "selector 'online-proxy' scores candidates against the feedback "
             "rules; SelectorSpec::frs must be set");
       }
-      OnlineProxyConfig config;
-      config.k = spec.k;
       return std::shared_ptr<const BaseInstanceSelector>(
-          std::make_shared<OnlineProxySelector>(*spec.frs, config));
+          std::make_shared<OnlineProxySelector>(*spec.frs, spec.k));
     };
 
     for (const auto& [name, document] : builtin_scenario_documents()) {

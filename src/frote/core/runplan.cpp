@@ -224,6 +224,12 @@ JsonValue RunResult::to_json() const {
 
 namespace {
 
+/// Re-attempts per run after an execution failure (transient I/O: artifact
+/// writes hitting a full disk, injected faults). Each retry restarts that
+/// run's body from scratch, so a retried run produces the same bytes a
+/// first-try run would.
+constexpr int kRunRetries = 2;
+
 namespace fs = std::filesystem;
 
 /// Parse a previously-written result.json; false on any mismatch (the run
@@ -562,7 +568,7 @@ Expected<std::vector<RunResult>> execute_plan(const RunPlan& plan,
               break;
             } catch (const std::exception& e) {
               failures[i] = e.what();
-              if (attempt >= options.retries) break;
+              if (attempt >= kRunRetries) break;
             }
           }
         }

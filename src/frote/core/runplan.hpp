@@ -122,11 +122,6 @@ struct RunPlanOptions {
   /// files (integrity footer, util/fsio.hpp); one that fails validation is
   /// quarantined to checkpoint.json.corrupt and the run restarts fresh.
   bool resume = false;
-  /// Re-attempts per run after an execution failure (transient I/O —
-  /// artifact writes hitting a full disk, injected faults). Each retry
-  /// restarts that run's body from scratch, so a retried run produces the
-  /// same bytes a first-try run would. 0 disables.
-  int retries = 2;
 };
 
 /// Summary of one expanded run. Deterministic — no wall-clock fields — so

@@ -38,6 +38,11 @@ std::vector<SelectedInstance> RandomSelector::select(const Dataset& data,
 
 namespace {
 
+/// IP objective weight of a borderline candidate (its kBorderlineK
+/// neighbours' predicted labels split near-evenly) and of every other one.
+constexpr double kBorderlineWeight = 3.0;
+constexpr double kOtherWeight = 1.0;
+
 /// Borderline weights for a subset of rows (supplement A): weight 3 when the
 /// k-NN predicted-label split is near-even, 1 for safe/noisy instances.
 /// The per-candidate scoring loop is the IP selector's hot path: every
@@ -52,8 +57,8 @@ std::vector<double> subset_weights(const Dataset& data, const Model& model,
                                    const std::vector<std::size_t>& rows,
                                    const IpSelectorConfig& config,
                                    SessionWorkspace* ws) {
-  const std::size_t k = std::min(config.borderline_k, data.size() - 1);
-  std::vector<double> weights(rows.size(), config.other_weight);
+  const std::size_t k = std::min(kBorderlineK, data.size() - 1);
+  std::vector<double> weights(rows.size(), kOtherWeight);
   if (k == 0) return weights;
   // Every candidate's (k+1)-neighbourhood, ascending (squared distance,
   // dataset row). Workspace path: the session's incremental cache —
@@ -122,7 +127,7 @@ std::vector<double> subset_weights(const Dataset& data, const Model& model,
           }
           const std::size_t total = same + diff;
           if (total > 0 && diff < total && 2 * diff >= total) {
-            weights[s] = config.borderline_weight;  // p ≈ q: borderline
+            weights[s] = kBorderlineWeight;  // p ≈ q: borderline
           }
         }
       });

@@ -58,11 +58,12 @@ class RandomSelector : public BaseInstanceSelector {
                                        Rng& rng) const override;
 };
 
+/// Neighbours whose predicted labels decide whether an IP candidate is
+/// borderline (supplement A).
+inline constexpr std::size_t kBorderlineK = 10;
+
 struct IpSelectorConfig {
   std::size_t k = 5;               // lower bound per rule: k + 1
-  std::size_t borderline_k = 10;   // neighbours for the weight computation
-  double borderline_weight = 3.0;
-  double other_weight = 1.0;
   IpConfig ip;
   /// Threads for the per-candidate borderline scoring sweep;
   /// 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.

@@ -106,23 +106,39 @@ Expected<StoppingSpec, FroteError> StoppingSpec::from_json(
       }
     }
   }
-  if (spec.kind != "budget" && spec.kind != "plateau" &&
-      spec.kind != "any_of") {
-    reader.add_problem(
-        "kind must be \"budget\", \"plateau\" or \"any_of\", got \"" +
-        spec.kind + "\"");
-  }
-  // An any_of over zero criteria never fires — a session driven by it
-  // would loop without bound, so reject it at parse time. A plateau of
-  // patience 0 fires before the first step, so the session never runs.
-  if (spec.kind == "any_of" && spec.children.empty()) {
-    reader.add_problem("kind \"any_of\" requires a non-empty children list");
-  }
-  if (spec.kind == "plateau" && spec.patience == 0) {
-    reader.add_problem("kind \"plateau\" requires patience >= 1");
+  // Each child parsed above is already valid, so a defect found here is
+  // this node's own.
+  if (auto defect = find_stopping_defect(spec)) {
+    reader.add_problem(std::move(defect->problem));
   }
   if (!reader.ok()) return reader.take_error();
   return spec;
+}
+
+std::optional<StoppingDefect> find_stopping_defect(const StoppingSpec& spec) {
+  if (spec.kind != "budget" && spec.kind != "plateau" &&
+      spec.kind != "any_of") {
+    return StoppingDefect{true, spec.kind,
+                          "kind must be \"budget\", \"plateau\" or "
+                          "\"any_of\", got \"" +
+                              spec.kind + "\""};
+  }
+  // An any_of over zero criteria never fires — a session driven by it
+  // would loop without bound. A plateau of patience 0 fires before the
+  // first step, so the session never runs.
+  if (spec.kind == "any_of" && spec.children.empty()) {
+    return StoppingDefect{
+        false, spec.kind,
+        "kind \"any_of\" requires a non-empty children list"};
+  }
+  if (spec.kind == "plateau" && spec.patience == 0) {
+    return StoppingDefect{false, spec.kind,
+                          "kind \"plateau\" requires patience >= 1"};
+  }
+  for (const auto& child : spec.children) {
+    if (auto defect = find_stopping_defect(child)) return defect;
+  }
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +316,7 @@ Expected<Engine::Builder, FroteError> Engine::Builder::from_spec(
     }
   }
   builder.frs_ = FeedbackRuleSet(std::move(rules));
-  if (auto unknown = unknown_stopping_kind(spec.stopping)) return *unknown;
+  if (auto error = stopping_error(spec.stopping)) return *error;
   builder.stopping_ = spec.stopping;
   return builder;
 }

@@ -37,6 +37,11 @@
 
 namespace frote {
 
+/// Candidate thresholds per numeric feature per node (quantile cuts) in both
+/// tree learners' split searches (DT and GBDT); keeps the search near O(n)
+/// per node.
+inline constexpr std::size_t kNumericCuts = 24;
+
 class CodedColumns {
  public:
   /// How numeric values map to rank keys.

@@ -300,7 +300,7 @@ class TreeBuilder {
     // in the same entry or the next one.
     cuts_.clear();
     const auto draws = static_cast<std::size_t>(total);
-    const std::size_t k = std::min(config_.numeric_cuts, draws - 1);
+    const std::size_t k = std::min(kNumericCuts, draws - 1);
     std::size_t e = 0;
     std::size_t e_end = entries[0].mult;
     for (std::size_t t = 1; t <= k; ++t) {
@@ -369,7 +369,10 @@ std::unique_ptr<Model> DecisionTreeLearner::train(const Dataset& data) const {
   FROTE_CHECK_MSG(!data.empty(), "cannot train on empty dataset");
   const std::vector<std::uint32_t> multiplicity(data.size(), 1);
   const CodedColumns columns(data, CodedColumns::ZeroSign::kDistinct, 0);
-  Rng rng(config_.seed);
+  // A standalone tree draws its feature subsets from one fixed stream; a
+  // forest passes each tree its own.
+  constexpr std::uint64_t kTreeSeed = 42;
+  Rng rng(kTreeSeed);
   return train_weighted(data, columns, multiplicity, rng);
 }
 

@@ -21,10 +21,6 @@ struct DecisionTreeConfig {
   /// Number of features examined per split; 0 = all (set by RandomForest to
   /// sqrt(d) for decorrelation).
   std::size_t max_features = 0;
-  /// Candidate thresholds per numeric feature per node (quantile cuts);
-  /// keeps split search near O(n) per node.
-  std::size_t numeric_cuts = 24;
-  std::uint64_t seed = 42;
 };
 
 class DecisionTreeModel : public Model {

@@ -18,6 +18,15 @@ namespace {
 /// Rows per chunk for the gradient/hessian and score-update sweeps. Each row
 /// is written independently, so any thread count is trivially bit-identical.
 constexpr std::size_t kRowGrain = 512;
+
+/// Shrinkage applied to every leaf value.
+constexpr double kLearningRate = 0.1;
+/// Leaf budget of one tree's leaf-wise growth.
+constexpr std::size_t kMaxLeaves = 15;
+/// L2 regularisation on leaf values (λ in the gain and in -G/(H+λ)).
+constexpr double kLambda = 1.0;
+/// Smallest hessian sum a split may leave on either side.
+constexpr double kMinChildWeight = 1e-3;
 }  // namespace
 
 double GbdtTree::predict(std::span<const double> row) const {
@@ -147,7 +156,7 @@ class TreeGrower {
     frontier.push(leaves.back().get());
 
     std::size_t num_leaves = 1;
-    while (num_leaves < config_.max_leaves && !frontier.empty()) {
+    while (num_leaves < kMaxLeaves && !frontier.empty()) {
       Leaf* leaf = frontier.top();
       frontier.pop();
       if (!leaf->split.valid || leaf->split.gain <= 0.0) continue;
@@ -196,8 +205,7 @@ class TreeGrower {
     for (const auto& leaf : leaves) {
       auto& node = tree.nodes[static_cast<std::size_t>(leaf->node_id)];
       if (node.left >= 0) continue;
-      node.value = -config_.learning_rate * leaf->sum_g /
-                   (leaf->sum_h + config_.lambda);
+      node.value = -kLearningRate * leaf->sum_g / (leaf->sum_h + kLambda);
       for (const std::uint32_t row : leaf->rows) {
         scores[row * dims + k] += node.value;
       }
@@ -277,7 +285,7 @@ class TreeGrower {
   }
 
   double leaf_score(double g, double h) const {
-    return g * g / (h + config_.lambda);
+    return g * g / (h + kLambda);
   }
 
   /// Per-round split search. Features are scored independently (each one
@@ -315,7 +323,7 @@ class TreeGrower {
                   double parent_score) const {
     const double gr = leaf.sum_g - gl;
     const double hr = leaf.sum_h - hl;
-    if (hl < config_.min_child_weight || hr < config_.min_child_weight) return;
+    if (hl < kMinChildWeight || hr < kMinChildWeight) return;
     const double gain =
         0.5 * (leaf_score(gl, hl) + leaf_score(gr, hr) - parent_score);
     if (gain > best.gain + 1e-12) {
@@ -364,7 +372,7 @@ class TreeGrower {
     if (codes[sorted[0]] == codes[sorted[m - 1]]) return;
     auto& cuts = cuts_[f];
     cuts.clear();
-    const std::size_t k = std::min(config_.numeric_cuts, m - 1);
+    const std::size_t k = std::min(kNumericCuts, m - 1);
     for (std::size_t t = 1; t <= k; ++t) {
       const std::size_t pos = t * (m - 1) / (k + 1);
       const double lo = values[codes[sorted[pos]]];

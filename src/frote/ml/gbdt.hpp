@@ -14,13 +14,8 @@ namespace frote {
 
 struct GbdtConfig {
   std::size_t num_rounds = 60;
-  double learning_rate = 0.1;
-  std::size_t max_leaves = 15;
   std::size_t max_depth = 6;
-  double lambda = 1.0;          // L2 on leaf values
-  double min_child_weight = 1e-3;
   std::size_t min_samples_leaf = 5;
-  std::size_t numeric_cuts = 24;
   std::uint64_t seed = 42;
   /// Threads for the gradient sweep and per-round split search;
   /// 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.

@@ -21,9 +21,7 @@ std::vector<double> KnnClassifierModel::predict_proba(
   for (const auto& nb : neighbors) {
     const auto label = static_cast<std::size_t>(
         labels_[index_.dataset_index(nb.index)]);
-    votes[label] += config_.distance_weighted
-                        ? 1.0 / (nb.distance + 1e-9)
-                        : 1.0;
+    votes[label] += 1.0;
   }
   double total = 0.0;
   for (double v : votes) total += v;

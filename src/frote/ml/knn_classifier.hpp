@@ -13,8 +13,6 @@ namespace frote {
 
 struct KnnClassifierConfig {
   std::size_t k = 5;
-  /// Weight votes by inverse distance instead of uniformly.
-  bool distance_weighted = false;
 };
 
 class KnnClassifierModel : public Model {

@@ -11,6 +11,11 @@ namespace {
 /// Rows per objective-sweep chunk. Fixed so the gradient/NLL accumulation
 /// order depends only on the dataset size — never the thread count.
 constexpr std::size_t kObjectiveGrain = 256;
+/// Inverse regularisation strength (sklearn's default C); penalty =
+/// ||w||²/(2C).
+constexpr double kC = 1.0;
+/// The descent stops once ||grad|| < kTolerance · n.
+constexpr double kTolerance = 1e-5;
 }  // namespace
 
 void softmax_inplace(std::vector<double>& logits) {
@@ -217,8 +222,7 @@ std::unique_ptr<Model> LogisticRegressionLearner::train(
   std::vector<int> y(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = data.label(i);
 
-  Objective objective{x,       y,        n, width, classes, 1.0 / config_.c,
-                      config_.threads};
+  Objective objective{x, y, n, width, classes, 1.0 / kC, config_.threads};
   const std::size_t dim = classes * (width + 1);
   std::vector<double> w(dim, 0.0), grad(dim, 0.0), trial(dim, 0.0),
       trial_grad(dim, 0.0);
@@ -228,10 +232,7 @@ std::unique_ptr<Model> LogisticRegressionLearner::train(
   for (std::size_t iter = 0; iter < config_.max_iter; ++iter) {
     double grad_norm2 = 0.0;
     for (double g : grad) grad_norm2 += g * g;
-    if (std::sqrt(grad_norm2) <
-        config_.tolerance * static_cast<double>(n)) {
-      break;
-    }
+    if (std::sqrt(grad_norm2) < kTolerance * static_cast<double>(n)) break;
     // Backtracking line search on the descent direction -grad.
     bool accepted = false;
     for (int bt = 0; bt < 30; ++bt) {

@@ -15,9 +15,6 @@ namespace frote {
 
 struct LogisticRegressionConfig {
   std::size_t max_iter = 500;  // the paper's setting
-  /// Inverse regularisation strength (sklearn's C); penalty = ||w||²/(2C).
-  double c = 1.0;
-  double tolerance = 1e-5;
   /// Threads for the objective/gradient sweep; 0 ⇒ FROTE_NUM_THREADS.
   int threads = 0;
 };

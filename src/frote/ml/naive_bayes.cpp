@@ -6,6 +6,11 @@
 
 namespace frote {
 
+/// Laplace smoothing added to every category count.
+constexpr double kLaplaceAlpha = 1.0;
+/// Gaussian variance floor.
+constexpr double kMinVariance = 1e-6;
+
 NaiveBayesModel::NaiveBayesModel(std::size_t num_classes,
                                  std::size_t num_features)
     : Model(num_classes), classes_(num_classes),
@@ -58,7 +63,7 @@ std::unique_ptr<Model> NaiveBayesLearner::train(const Dataset& data) const {
         (static_cast<double>(class_counts[c]) + 1.0) /
         (static_cast<double>(data.size()) + static_cast<double>(classes)));
     stats.mean.assign(num_numeric, 0.0);
-    stats.variance.assign(num_numeric, config_.min_variance);
+    stats.variance.assign(num_numeric, kMinVariance);
     stats.log_cat.resize(features);
 
     // First pass: means + category counts.
@@ -66,7 +71,7 @@ std::unique_ptr<Model> NaiveBayesLearner::train(const Dataset& data) const {
     for (std::size_t f = 0; f < features; ++f) {
       if (model->categorical_[f]) {
         cat_counts[f].assign(data.schema().feature(f).cardinality(),
-                             config_.laplace_alpha);
+                             kLaplaceAlpha);
       }
     }
     std::size_t n_c = 0;
@@ -100,8 +105,7 @@ std::unique_ptr<Model> NaiveBayesLearner::train(const Dataset& data) const {
     }
     if (n_c > 1) {
       for (double& v : stats.variance) {
-        v = std::max(config_.min_variance,
-                     v / static_cast<double>(n_c - 1));
+        v = std::max(kMinVariance, v / static_cast<double>(n_c - 1));
       }
     }
     // Normalise category tables to log-probabilities.

@@ -12,11 +12,6 @@
 
 namespace frote {
 
-struct NaiveBayesConfig {
-  double laplace_alpha = 1.0;   // categorical smoothing
-  double min_variance = 1e-6;   // Gaussian variance floor
-};
-
 class NaiveBayesModel : public Model {
  public:
   NaiveBayesModel(std::size_t num_classes, std::size_t num_features);
@@ -37,13 +32,8 @@ class NaiveBayesModel : public Model {
 
 class NaiveBayesLearner : public Learner {
  public:
-  explicit NaiveBayesLearner(NaiveBayesConfig config = {}) : config_(config) {}
-
   std::unique_ptr<Model> train(const Dataset& data) const override;
   std::string name() const override { return "NB"; }
-
- private:
-  NaiveBayesConfig config_;
 };
 
 }  // namespace frote

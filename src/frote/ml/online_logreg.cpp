@@ -7,17 +7,24 @@
 
 namespace frote {
 
-OnlineLogReg::OnlineLogReg(const Dataset& data, const Model& teacher,
-                           OnlineLogRegConfig config)
-    : Model(data.num_classes()), config_(config) {
+/// Initial distillation passes over D̂.
+constexpr std::size_t kEpochs = 5;
+/// SGD step, decayed by 1/sqrt(t).
+constexpr double kLearningRate = 0.1;
+/// L2 weight decay per step.
+constexpr double kL2 = 1e-4;
+/// Seed of the distillation's row shuffles.
+constexpr std::uint64_t kShuffleSeed = 42;
+
+OnlineLogReg::OnlineLogReg(const Dataset& data, const Model& teacher)
+    : Model(data.num_classes()) {
   encoder_ = Encoder::fit(data);
   width_ = encoder_.encoded_width();
   weights_.assign(num_classes() * (width_ + 1), 0.0);
   fit(data, teacher.predict_all(data));
 }
 
-OnlineLogReg::OnlineLogReg(const Dataset& data, OnlineLogRegConfig config)
-    : Model(data.num_classes()), config_(config) {
+OnlineLogReg::OnlineLogReg(const Dataset& data) : Model(data.num_classes()) {
   encoder_ = Encoder::fit(data);
   width_ = encoder_.encoded_width();
   weights_.assign(num_classes() * (width_ + 1), 0.0);
@@ -27,10 +34,10 @@ OnlineLogReg::OnlineLogReg(const Dataset& data, OnlineLogRegConfig config)
 }
 
 void OnlineLogReg::fit(const Dataset& data, const std::vector<int>& labels) {
-  Rng rng(config_.seed);
+  Rng rng(kShuffleSeed);
   std::vector<std::size_t> order(data.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t idx : order) {
       sgd_step(encoder_.transform(data.row(idx)), labels[idx]);
@@ -59,7 +66,7 @@ void OnlineLogReg::update(std::span<const double> row, int label) {
 void OnlineLogReg::sgd_step(const std::vector<double>& x, int label) {
   ++step_count_;
   const double lr =
-      config_.learning_rate / std::sqrt(static_cast<double>(step_count_));
+      kLearningRate / std::sqrt(static_cast<double>(step_count_));
   std::vector<double> probs(num_classes(), 0.0);
   for (std::size_t c = 0; c < num_classes(); ++c) {
     const double* w = weights_.data() + c * (width_ + 1);
@@ -73,7 +80,7 @@ void OnlineLogReg::sgd_step(const std::vector<double>& x, int label) {
         probs[c] - (static_cast<std::size_t>(label) == c ? 1.0 : 0.0);
     double* w = weights_.data() + c * (width_ + 1);
     for (std::size_t j = 0; j < width_; ++j) {
-      w[j] -= lr * (err * x[j] + config_.l2 * w[j]);
+      w[j] -= lr * (err * x[j] + kL2 * w[j]);
     }
     w[width_] -= lr * err;
   }

@@ -10,22 +10,14 @@
 
 namespace frote {
 
-struct OnlineLogRegConfig {
-  std::size_t epochs = 5;       // initial distillation passes over D̂
-  double learning_rate = 0.1;   // SGD step (decays 1/sqrt(t))
-  double l2 = 1e-4;
-  std::uint64_t seed = 42;
-};
-
 /// Mutable softmax classifier supporting per-instance updates.
 class OnlineLogReg : public Model {
  public:
   /// Distill `teacher`'s predictions on `data` into a linear model.
-  OnlineLogReg(const Dataset& data, const Model& teacher,
-               OnlineLogRegConfig config = {});
+  OnlineLogReg(const Dataset& data, const Model& teacher);
 
   /// Distill hard labels from `data` itself (no teacher).
-  explicit OnlineLogReg(const Dataset& data, OnlineLogRegConfig config = {});
+  explicit OnlineLogReg(const Dataset& data);
 
   std::vector<double> predict_proba(std::span<const double> row) const override;
 
@@ -39,7 +31,6 @@ class OnlineLogReg : public Model {
   Encoder encoder_;
   std::vector<double> weights_;  // classes x (width+1)
   std::size_t width_ = 0;
-  OnlineLogRegConfig config_;
   std::size_t step_count_ = 0;
 };
 

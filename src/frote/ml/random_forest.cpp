@@ -30,13 +30,10 @@ DecisionTreeLearner RandomForestLearner::tree_learner(
   DecisionTreeConfig tree_config;
   tree_config.max_depth = config_.max_depth;
   tree_config.min_samples_leaf = config_.min_samples_leaf;
-  tree_config.numeric_cuts = config_.numeric_cuts;
-  tree_config.max_features =
-      config_.max_features != 0
-          ? config_.max_features
-          : std::max<std::size_t>(
-                1, static_cast<std::size_t>(std::sqrt(
-                       static_cast<double>(data.num_features()))));
+  // sqrt(num_features) per split, sklearn's default for classification.
+  tree_config.max_features = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::sqrt(static_cast<double>(data.num_features()))));
   return DecisionTreeLearner(tree_config);
 }
 

@@ -16,9 +16,6 @@ struct RandomForestConfig {
   std::size_t num_trees = 50;
   std::size_t max_depth = 3;  // the paper's setting
   std::size_t min_samples_leaf = 1;
-  /// 0 ⇒ sqrt(num_features), sklearn's default for classification.
-  std::size_t max_features = 0;
-  std::size_t numeric_cuts = 24;
   std::uint64_t seed = 42;
   /// Threads for per-tree training; 0 ⇒ FROTE_NUM_THREADS.
   int threads = 0;

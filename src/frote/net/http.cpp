@@ -127,7 +127,7 @@ void serve_connection(
     const HttpLimits& limits) {
   using Clock = std::chrono::steady_clock;
   // Read head + body under one whole-request deadline. Buffering is
-  // bounded at every stage: the head by max_header_bytes, the body by
+  // bounded at every stage: the head by kMaxHeaderBytes, the body by
   // the (already-validated) Content-Length.
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(limits.read_timeout_ms);
@@ -180,13 +180,13 @@ void serve_connection(
     if (!head_done) {
       const std::size_t head_end = data.find("\r\n\r\n");
       if (head_end == std::string::npos) {
-        if (data.size() > limits.max_header_bytes) {
+        if (data.size() > kMaxHeaderBytes) {
           head_too_large = true;
           break;
         }
         continue;
       }
-      if (head_end + 2 > limits.max_header_bytes) {
+      if (head_end + 2 > kMaxHeaderBytes) {
         head_too_large = true;
         break;
       }

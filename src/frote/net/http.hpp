@@ -53,15 +53,18 @@ struct HttpResponse {
   std::string body;
 };
 
+/// serve()'s cap on head buffering: a request whose head (request line and
+/// headers) runs past this many bytes gets 431.
+inline constexpr std::size_t kMaxHeaderBytes = std::size_t{64} << 10;
+
 /// Per-connection resource bounds for serve(). Every limit maps to a
-/// specific abuse: max_header_bytes caps head buffering (431),
+/// specific abuse: kMaxHeaderBytes caps head buffering (431),
 /// max_body_bytes caps declared and actual body size (413), and
 /// read_timeout_ms is a whole-request read deadline — a client that
 /// trickles bytes (slowloris) or stalls mid-body gets 408 and the
 /// connection back, instead of parking its accept loop forever.
 struct HttpLimits {
   std::size_t max_body_bytes = std::size_t{4} << 20;
-  std::size_t max_header_bytes = std::size_t{64} << 10;
   int read_timeout_ms = 5000;  // <= 0 means no deadline
 };
 
@@ -86,7 +89,7 @@ class HttpServer {
   /// `handler` per request and writing its response, so up to `workers`
   /// requests are in flight at once. Malformed requests get 400, bodies
   /// beyond limits.max_body_bytes get 413, heads beyond
-  /// limits.max_header_bytes get 431, and connections that miss the
+  /// kMaxHeaderBytes get 431, and connections that miss the
   /// limits.read_timeout_ms read deadline get 408 — all without reaching
   /// the handler. Handler exceptions become 500 responses; the loop keeps
   /// serving. Returns when stop() is called and every loop has finished

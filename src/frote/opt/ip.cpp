@@ -9,16 +9,18 @@ namespace frote {
 
 namespace {
 
+/// A binary within this distance of 0 or 1 counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+
 struct Node {
   std::vector<double> lo, hi;
 };
 
 /// Index of the most fractional binary variable, or SIZE_MAX if integral.
 std::size_t most_fractional(const std::vector<double>& x,
-                            const std::vector<std::size_t>& binary_vars,
-                            double tol) {
+                            const std::vector<std::size_t>& binary_vars) {
   std::size_t best = static_cast<std::size_t>(-1);
-  double best_frac = tol;
+  double best_frac = kIntegralityTol;
   for (std::size_t j : binary_vars) {
     const double f = std::abs(x[j] - std::round(x[j]));
     if (f > best_frac) {
@@ -55,8 +57,7 @@ IpResult solve_binary_ip(const LpProblem& problem,
     if (relax.status != LpStatus::kOptimal) continue;
     if (relax.objective <= incumbent + 1e-9) continue;  // bound prune
 
-    const std::size_t frac =
-        most_fractional(relax.x, binary_vars, config.integrality_tol);
+    const std::size_t frac = most_fractional(relax.x, binary_vars);
     if (frac == static_cast<std::size_t>(-1)) {
       // Integral solution: new incumbent.
       if (first_node) result.relaxation_was_integral = true;

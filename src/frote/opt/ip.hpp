@@ -14,7 +14,6 @@ namespace frote {
 
 struct IpConfig {
   std::size_t max_nodes = 400;
-  double integrality_tol = 1e-6;
 
   /// Memberwise, so a field added later joins the workspace's IP memo key
   /// (core/workspace.cpp) without a separate edit there.

@@ -8,10 +8,15 @@ namespace frote {
 
 namespace {
 
+/// A clause stops growing once its (Laplace-corrected) precision reaches
+/// this.
+constexpr double kTargetPrecision = 0.9;
+/// Candidate numeric thresholds per feature (quantiles).
+constexpr std::size_t kNumThresholds = 8;
+
 /// Build the candidate predicate pool: one (=, code) per observed category
 /// value, and (≤ t) / (> t) at empirical quantiles for numeric features.
-std::vector<Predicate> candidate_predicates(const Dataset& data,
-                                            std::size_t num_thresholds) {
+std::vector<Predicate> candidate_predicates(const Dataset& data) {
   std::vector<Predicate> pool;
   for (std::size_t f = 0; f < data.num_features(); ++f) {
     const auto& spec = data.schema().feature(f);
@@ -30,9 +35,9 @@ std::vector<Predicate> candidate_predicates(const Dataset& data,
       }
       std::sort(column.begin(), column.end());
       std::set<double> thresholds;
-      for (std::size_t t = 1; t <= num_thresholds; ++t) {
+      for (std::size_t t = 1; t <= kNumThresholds; ++t) {
         const double q = static_cast<double>(t) /
-                         static_cast<double>(num_thresholds + 1);
+                         static_cast<double>(kNumThresholds + 1);
         const auto idx = static_cast<std::size_t>(
             q * static_cast<double>(column.size() - 1));
         thresholds.insert(column[idx]);
@@ -71,7 +76,7 @@ GrowResult grow_clause(const Dataset& data, const std::vector<int>& pred,
     if (pred[i] == target) ++cur_pos;
   }
   while (grown.clause.size() < config.max_conditions &&
-         precision_of(cur_pos, cur_tot) < config.target_precision) {
+         precision_of(cur_pos, cur_tot) < kTargetPrecision) {
     double best_score = -1.0;
     const Predicate* best_pred = nullptr;
     std::size_t best_pos = 0, best_tot = 0;
@@ -123,7 +128,7 @@ std::vector<FeedbackRule> induce_rules(const Dataset& data, const Model& model,
   FROTE_CHECK(!data.empty());
   const std::vector<int> pred = model.predict_all(data);
   const std::size_t num_classes = data.num_classes();
-  const auto pool = candidate_predicates(data, config.num_thresholds);
+  const auto pool = candidate_predicates(data);
 
   std::vector<FeedbackRule> rules;
   for (std::size_t cls = 0; cls < num_classes; ++cls) {

@@ -20,10 +20,6 @@ struct InductionConfig {
   std::size_t max_rules_per_class = 8;
   /// Max predicates per rule clause (paper favours small rules, §3.1).
   std::size_t max_conditions = 3;
-  /// Stop growing a clause once (Laplace-corrected) precision reaches this.
-  double target_precision = 0.9;
-  /// Candidate numeric thresholds per feature (quantiles).
-  std::size_t num_thresholds = 8;
   /// Discard rules covering fewer rows than this.
   std::size_t min_rule_coverage = 10;
 };

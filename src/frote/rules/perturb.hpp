@@ -21,21 +21,13 @@
 
 namespace frote {
 
+/// The paper's coverage band for a pooled rule, as a fraction of |D|:
+/// kMinCoverageFrac inclusive, kMaxCoverageFrac exclusive.
+inline constexpr double kMinCoverageFrac = 0.05;
+inline constexpr double kMaxCoverageFrac = 0.25;
+
 struct PerturbConfig {
-  double min_coverage_frac = 0.05;  // inclusive
-  double max_coverage_frac = 0.25;  // exclusive
   std::size_t pool_size = 100;
-  /// Attempt budget; generation stops early when exhausted (some datasets
-  /// cannot yield 100 in-band rules, mirroring the paper's |F|=15/20 note).
-  std::size_t max_attempts = 20000;
-  /// Divergence filter: a candidate is kept only if at most this fraction
-  /// of its covered instances already carry the rule's class. The paper's
-  /// perturbed rules simulate feedback that *deviates* from the model
-  /// (operator reversal on near-separable UCI data lands the asserted class
-  /// in opposite-class territory); on our smoother synthetic datasets the
-  /// same three operations need this explicit filter to reach comparable
-  /// divergence (see docs/DESIGN.md §3).
-  double max_label_agreement = 0.5;
 };
 
 /// One application of the paper's three perturbation operations to `rule`,
@@ -46,7 +38,7 @@ FeedbackRule perturb_rule(const FeedbackRule& seed,
                           const Dataset& data, Rng& rng);
 
 /// Build a pool of up to `config.pool_size` perturbed feedback rules whose
-/// coverage fraction on `data` lies in the configured band.
+/// coverage fraction on `data` lies in the paper's band.
 std::vector<FeedbackRule> generate_feedback_pool(
     const Dataset& data, const std::vector<FeedbackRule>& seeds,
     const PerturbConfig& config, Rng& rng);

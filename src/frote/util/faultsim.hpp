@@ -18,8 +18,8 @@
 // kill-recover chaos suite (tests/test_chaos_serve.cpp) a sweep instead of
 // a dice roll.
 //
-// Configuration comes from the FROTE_FAULTS environment variable or an
-// explicit configure() call (frote_serve's --faults flag). The grammar:
+// Configuration comes from the FROTE_FAULTS environment variable (the only
+// way to arm frote_serve) or an explicit configure() call. The grammar:
 //
 //   FROTE_FAULTS = entry ("," entry)*
 //   entry        = point ":" mode [":" action]

@@ -85,10 +85,7 @@ ServeProcess::Options spool_options(const fs::path& spool,
                                     const std::string& faults = "") {
   ServeProcess::Options options;
   options.args = {"--spool", spool.string(), "--evict-every-request"};
-  if (!faults.empty()) {
-    options.args.push_back("--faults");
-    options.args.push_back(faults);
-  }
+  if (!faults.empty()) options.env = {{"FROTE_FAULTS", faults}};
   return options;
 }
 
@@ -234,9 +231,9 @@ TEST(ChaosServe, KillDuringShutdownSpoolRecoversAllOrNothing) {
           base / (std::string(point) + "-nth" + std::to_string(nth));
       fs::create_directories(spool);
       ServeProcess::Options options;
-      options.args = {"--spool", spool.string(), "--faults",
-                      std::string(point) + ":nth=" + std::to_string(nth) +
-                          ":kill"};
+      options.args = {"--spool", spool.string()};
+      options.env = {{"FROTE_FAULTS", std::string(point) + ":nth=" +
+                                          std::to_string(nth) + ":kill"}};
       std::vector<std::string> got;
       int exit_code = 0;
       {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "frote/core/engine.hpp"
@@ -76,6 +77,32 @@ TEST(EngineBuilder, ReportsEveryInvalidFieldInOneError) {
   EXPECT_NE(message.find("tau"), std::string::npos);
   EXPECT_NE(message.find("q must be"), std::string::npos);
   EXPECT_NE(message.find("k must be"), std::string::npos);
+}
+
+// The stopping specs StoppingSpec::from_json refuses are refused by build()
+// too, at the top and nested under any_of: an empty any_of never fires, and
+// a plateau of patience 0 is finished before its first step.
+TEST(EngineBuilder, RejectsStoppingSpecsTheParserRefuses) {
+  const StoppingSpec empty_any_of{"any_of", 25, {}};
+  const StoppingSpec zero_patience{"plateau", 0, {}};
+  const std::vector<std::pair<StoppingSpec, std::string>> cases = {
+      {empty_any_of, "kind \"any_of\" requires a non-empty children list"},
+      {zero_patience, "kind \"plateau\" requires patience >= 1"},
+      {StoppingSpec{"any_of", 25, {StoppingSpec{}, empty_any_of}},
+       "kind \"any_of\" requires a non-empty children list"},
+      {StoppingSpec{"any_of", 25, {StoppingSpec{}, zero_patience}},
+       "kind \"plateau\" requires patience >= 1"},
+  };
+  for (const auto& [stopping, problem] : cases) {
+    const auto built = Engine::Builder().stopping(stopping).build();
+    ASSERT_FALSE(built.has_value()) << problem;
+    EXPECT_EQ(built.error().code, FroteErrorCode::kInvalidConfig);
+    EXPECT_EQ(built.error().message, "invalid stopping spec: " + problem);
+  }
+  EXPECT_TRUE(Engine::Builder()
+                  .stopping(StoppingSpec{"plateau", 1, {}})
+                  .build()
+                  .has_value());
 }
 
 TEST(EngineBuilder, ValueThrowsFroteErrorOnInvalidConfig) {

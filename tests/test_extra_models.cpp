@@ -6,8 +6,12 @@
 #include <vector>
 
 #include "frote/core/engine.hpp"
+#include "frote/data/generators.hpp"
 #include "frote/ml/knn_classifier.hpp"
+#include "frote/ml/logistic_regression.hpp"
 #include "frote/ml/naive_bayes.hpp"
+#include "frote/ml/online_logreg.hpp"
+#include "model_pins.hpp"
 #include "test_util.hpp"
 
 namespace frote {
@@ -86,18 +90,54 @@ TEST(KnnClassifier, MajorityVoteSmoothsNoise) {
   EXPECT_GE(train_accuracy(*model, data), 0.9);
 }
 
-TEST(KnnClassifier, DistanceWeightingChangesVotes) {
-  auto data = testing::blobs_dataset(30);
-  KnnClassifierConfig uniform, weighted;
-  uniform.k = weighted.k = 5;
-  weighted.distance_weighted = true;
-  const auto m1 = KnnClassifierLearner(uniform).train(data);
-  const auto m2 = KnnClassifierLearner(weighted).train(data);
-  // Probabilities differ at points between the blobs.
-  const std::vector<double> mid = {3.0, 3.0};
-  const auto p1 = m1->predict_proba(mid);
-  const auto p2 = m2->predict_proba(mid);
-  EXPECT_NE(p1[0], p2[0]);
+// Pins of the extra learners (model_pins.hpp), at 1 and 4 threads. Naive
+// Bayes is pinned on the all-categorical grid (Laplace smoothing over unused
+// codes) and on the binary and multiclass draws of the LR pin (Gaussians
+// over the variance floor): on the adversarial columns its 1e300 magnitudes
+// overflow every class's likelihood and each probability is NaN.
+TEST(ModelPins, NaiveBayes) {
+  const auto fit = [](const Dataset& data, int) {
+    return NaiveBayesLearner().train(data);
+  };
+  testing::expect_pinned_on([] { return testing::categorical_dataset(3); },
+                            testing::categorical_probes(3),
+                            0x70dab2f6a72abb0aull, fit);
+  testing::expect_pinned_on(
+      [] { return make_dataset(UciDataset::kAdult, 400, 5); },
+      make_dataset(UciDataset::kAdult, 100, 6), 0x69b66d60e71ccf56ull, fit);
+  testing::expect_pinned_on(
+      [] { return make_dataset(UciDataset::kContraceptive, 400, 5); },
+      make_dataset(UciDataset::kContraceptive, 100, 6),
+      0xbcf5e6b210970991ull, fit);
+}
+
+// kNN's uniform votes on the adversarial columns.
+TEST(ModelPins, KnnClassifier) {
+  const auto fit = [](const Dataset& data, int) {
+    return KnnClassifierLearner().train(data);
+  };
+  testing::expect_pinned(2, 0xb8b261c93955d8a1ull, fit);
+  testing::expect_pinned(3, 0xe929dffb5798efe0ull, fit);
+}
+
+// The online proxy's student: OnlineLogReg distilled from the `lr` teacher
+// on an adult draw, then after one SGD update per row of a second draw, and
+// the hard-label distillation of the same draw.
+TEST(ModelPins, OnlineLogReg) {
+  const Dataset data = make_dataset(UciDataset::kAdult, 400, 5);
+  const Dataset probes = make_dataset(UciDataset::kAdult, 100, 6);
+  const auto teacher = LogisticRegressionLearner().train(data);
+  OnlineLogReg student(data, *teacher);
+  EXPECT_EQ(testing::model_digest(student, data, probes, 1),
+            0x54598aeeddc2bc9eull);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    student.update(probes.row(i), probes.label(i));
+  }
+  EXPECT_EQ(testing::model_digest(student, data, probes, 4),
+            0x2ff539bb4d6ccb33ull);
+  const OnlineLogReg hard(data);
+  EXPECT_EQ(testing::model_digest(hard, data, probes, 1),
+            0x584fead06789159cull);
 }
 
 /// FROTE is model-agnostic: it must edit a generative model (NB) and a

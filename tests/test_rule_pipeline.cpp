@@ -2,13 +2,17 @@
 // stand-in), perturbation (§5.1) and conflict-free FRS sampling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <vector>
 
+#include "frote/data/generators.hpp"
 #include "frote/ml/decision_tree.hpp"
+#include "frote/ml/random_forest.hpp"
 #include "frote/rules/induction.hpp"
 #include "frote/rules/perturb.hpp"
 #include "frote/rules/relax.hpp"
+#include "frote/util/hash.hpp"
 #include "test_util.hpp"
 
 namespace frote {
@@ -119,8 +123,8 @@ TEST(Perturb, PoolRespectsCoverageBand) {
     const auto cov = coverage(rule.clause, data).size();
     const double frac =
         static_cast<double>(cov) / static_cast<double>(data.size());
-    EXPECT_GE(frac, config.min_coverage_frac);
-    EXPECT_LT(frac, config.max_coverage_frac);
+    EXPECT_GE(frac, kMinCoverageFrac);
+    EXPECT_LT(frac, kMaxCoverageFrac);
   }
 }
 
@@ -138,6 +142,49 @@ TEST(Perturb, PoolHasNoDuplicateClauses) {
                    pool[i].pi == pool[j].pi);
     }
   }
+}
+
+void mix_clause(Fnv1a64& h, const Clause& clause) {
+  h.update_u64(clause.size());
+  for (const auto& p : clause.predicates()) {
+    h.update_u64(p.feature);
+    h.update_u64(static_cast<std::uint64_t>(p.op));
+    h.update_u64(std::bit_cast<std::uint64_t>(p.value));
+  }
+}
+
+std::uint64_t rules_digest(const std::vector<FeedbackRule>& rules) {
+  Fnv1a64 h;
+  h.update_u64(rules.size());
+  for (const auto& rule : rules) {
+    mix_clause(h, rule.clause);
+    for (double p : rule.pi.probs()) {
+      h.update_u64(std::bit_cast<std::uint64_t>(p));
+    }
+    h.update_u64(rule.provenance.has_value() ? 1 : 0);
+    if (rule.provenance) mix_clause(h, *rule.provenance);
+  }
+  return h.digest();
+}
+
+// The rule pipeline end to end on one adult draw: the rules induced from a
+// random forest and the feedback pool perturbed from them, every predicate,
+// π and provenance to the bit.
+TEST(RulePipelinePins, InductionAndFeedbackPoolOnAdult) {
+  const Dataset data = make_dataset(UciDataset::kAdult, 800, 3);
+  RandomForestConfig forest;
+  forest.num_trees = 15;
+  forest.seed = 9;
+  const auto model = RandomForestLearner(forest).train(data);
+  const auto seeds = induce_rules(data, *model);
+  ASSERT_FALSE(seeds.empty());
+  EXPECT_EQ(rules_digest(seeds), 0xa0bce8a8ea0ea464ull);
+  PerturbConfig config;
+  config.pool_size = 40;
+  Rng rng(13);
+  const auto pool = generate_feedback_pool(data, seeds, config, rng);
+  ASSERT_FALSE(pool.empty());
+  EXPECT_EQ(rules_digest(pool), 0xd8f6a6c058b9021full);
 }
 
 TEST(FrsSampling, SampledSetIsConflictFree) {

@@ -1067,8 +1067,8 @@ TEST(ServeRobustness, InjectedFaultsDegradeGracefully) {
     const fs::path spool = dir / "spool-fsync";
     fs::create_directories(spool);
     ServeProcess::Options options;
-    options.args = {"--spool", spool.string(), "--evict-every-request",
-                    "--faults", "fsio.fsync:nth=3"};
+    options.args = {"--spool", spool.string(), "--evict-every-request"};
+    options.env = {{"FROTE_FAULTS", "fsio.fsync:nth=3"}};
     ServeProcess daemon(options);
     EXPECT_EQ(daemon.request(create_line("c", spec)), golden[0]);
     EXPECT_EQ(daemon.request(step_line("s1", "s-000001")), golden[1]);
@@ -1085,8 +1085,8 @@ TEST(ServeRobustness, InjectedFaultsDegradeGracefully) {
     const fs::path spool = dir / "spool-restore";
     fs::create_directories(spool);
     ServeProcess::Options options;
-    options.args = {"--spool", spool.string(), "--evict-every-request",
-                    "--faults", "pool.restore:nth=1"};
+    options.args = {"--spool", spool.string(), "--evict-every-request"};
+    options.env = {{"FROTE_FAULTS", "pool.restore:nth=1"}};
     ServeProcess daemon(options);
     EXPECT_EQ(daemon.request(create_line("c", spec)), golden[0]);
     const JsonValue failed =
@@ -1136,6 +1136,71 @@ TEST(ServeRobustness, SlowClientGetsRequestTimeout) {
       << "stalled client got: " << response.substr(0, 64);
 
   // The listener survives: a normal request still round-trips.
+  const auto ok =
+      frote::net::http_post(port, "/rpc", create_line("c", spec) + "\n");
+  ASSERT_TRUE(ok.has_value()) << ok.error().message;
+  EXPECT_EQ(ok->status, 200);
+
+  daemon.terminate();
+  EXPECT_EQ(daemon.wait(), 0);
+}
+
+/// Sends `bytes` on a fresh connection to the daemon and returns all it
+/// answers before closing.
+std::string raw_exchange(std::uint16_t port, const std::string& bytes) {
+  const int sock = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(sock, 0);
+  if (sock < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string response;
+  if (connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = write(sock, bytes.data() + sent, bytes.size() - sent);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    char chunk[512];
+    for (;;) {
+      const ssize_t n = read(sock, chunk, sizeof chunk);
+      if (n <= 0) break;
+      response.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+  close(sock);
+  return response;
+}
+
+/// The HTTP listener's size caps: a head past kMaxHeaderBytes (64 KiB) is
+/// answered with 431 and a Content-Length past --max-request-bytes with
+/// 413, both before the handler runs, and the daemon goes on serving.
+TEST(ServeRobustness, OversizedHeadAndBodyAreRefused) {
+  const fs::path dir = scratch_dir("oversized");
+  const auto spec = scenario_spec(dir);
+  const fs::path port_file = dir / "port.txt";
+  ServeProcess::Options options;
+  options.args = {"--http", "--port-file", port_file.string(),
+                  "--max-request-bytes", "4096"};
+  ServeProcess daemon(options);
+  const std::uint16_t port = published_port(port_file);
+  ASSERT_NE(port, 0) << "daemon never published its port";
+
+  // One byte past the cap and no blank line: the daemon has read every
+  // byte when it answers, so the close is clean.
+  std::string head = "POST /rpc HTTP/1.1\r\nX-Pad: ";
+  head.resize(frote::net::kMaxHeaderBytes + 1, 'a');
+  const std::string too_long = raw_exchange(port, head);
+  EXPECT_EQ(too_long.rfind("HTTP/1.1 431", 0), 0u)
+      << "oversized head got: " << too_long.substr(0, 64);
+
+  const std::string too_large = raw_exchange(
+      port, "POST /rpc HTTP/1.1\r\nContent-Length: 4097\r\n\r\n");
+  EXPECT_EQ(too_large.rfind("HTTP/1.1 413", 0), 0u)
+      << "oversized body got: " << too_large.substr(0, 64);
+
   const auto ok =
       frote::net::http_post(port, "/rpc", create_line("c", spec) + "\n");
   ASSERT_TRUE(ok.has_value()) << ok.error().message;

@@ -18,6 +18,7 @@
 #include "frote/core/registry.hpp"
 #include "frote/core/runplan.hpp"
 #include "frote/core/spec.hpp"
+#include "frote/util/faultsim.hpp"
 #include "frote/util/rng.hpp"
 #include "test_util.hpp"
 
@@ -273,6 +274,13 @@ TEST(EngineSpec, UnknownComponentNamesAreTypedErrors) {
   ASSERT_FALSE(direct.has_value());
   EXPECT_EQ(direct.error().code, FroteErrorCode::kUnknownComponent);
   EXPECT_EQ(direct.error().message, "unknown stopping kind 'forever'");
+  // A known kind of the wrong shape is an invalid configuration instead.
+  spec.stopping = StoppingSpec{"any_of", 25, {StoppingSpec{"plateau", 0, {}}}};
+  auto shape = Engine::Builder::from_spec(spec, *schema);
+  ASSERT_FALSE(shape.has_value());
+  EXPECT_EQ(shape.error().code, FroteErrorCode::kInvalidConfig);
+  EXPECT_EQ(shape.error().message,
+            "invalid stopping spec: kind \"plateau\" requires patience >= 1");
 }
 
 TEST(EngineSpec, MalformedRuleTextIsAParseError) {
@@ -543,6 +551,44 @@ TEST(RunPlan, ResumedPlanWritesTheUninterruptedAuditReport) {
     }
     fs::remove_all(root);
   }
+}
+
+// A transient write failure costs a retry, not the run: each run gets two
+// re-attempts from scratch, and a retried run writes the bytes a first-try
+// run does. A write that keeps failing fails the plan after the third try.
+TEST(RunPlan, RetriesARunTwiceAfterWriteFailures) {
+  namespace fs = std::filesystem;
+  RunPlan plan = small_plan();
+  plan.learners = {"rf"};
+  plan.seeds = {1};
+  plan.threads = 1;
+  const fs::path root = scratch_dir("frote_test_spec_retry");
+  RunPlanOptions options;
+  options.output_dir = (root / "golden").string();
+  ASSERT_TRUE(execute_plan(plan, options).has_value());
+
+  faultsim::configure("fsio.write:nth=1");
+  options.output_dir = (root / "retried").string();
+  auto retried = execute_plan(plan, options);
+  EXPECT_EQ(faultsim::triggers("fsio.write"), 1u);
+  faultsim::disarm();
+  ASSERT_TRUE(retried.has_value()) << retried.error().message;
+  const std::string name = plan.expand()[0].name;
+  for (const char* file : {"spec.json", "augmented.csv", "audit.txt",
+                           "result.json"}) {
+    const std::string golden = slurp(root / "golden" / name / file);
+    EXPECT_FALSE(golden.empty()) << file;
+    EXPECT_EQ(slurp(root / "retried" / name / file), golden) << file;
+  }
+
+  faultsim::configure("fsio.write:prob=1");
+  options.output_dir = (root / "failed").string();
+  auto failed = execute_plan(plan, options);
+  EXPECT_EQ(faultsim::hits("fsio.write"), 3u);
+  faultsim::disarm();
+  ASSERT_FALSE(failed.has_value());
+  EXPECT_EQ(failed.error().code, FroteErrorCode::kInvalidArgument);
+  fs::remove_all(root);
 }
 
 TEST(RunPlan, ScenarioRunsWriteNoAuditReport) {

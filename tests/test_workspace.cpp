@@ -322,7 +322,7 @@ TEST(IpSelectorWorkspace, SelectsTheRowsTheHanRuleCallsBorderline) {
 
   const auto predicted = model->predict_all(data, 1);
   const auto distance = MixedDistance::fit(data);
-  const std::size_t k = config.borderline_k;
+  const std::size_t k = kBorderlineK;
   std::vector<std::size_t> borderline;
   std::size_t noisy = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {

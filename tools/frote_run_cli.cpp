@@ -47,7 +47,6 @@ struct Options {
   int threads = -1;  // -1 = use the plan's value
   std::size_t checkpoint_every = 0;
   std::size_t max_steps = 0;
-  int retries = 2;
   bool resume = false;
   bool dry_run = false;
   bool help = false;
@@ -61,8 +60,6 @@ void print_usage(std::ostream& os) {
         "(resumable)\n"
         "                 [--resume]       continue incomplete runs from "
         "checkpoints\n"
-        "                 [--retries N]    re-attempts per run after I/O "
-        "failures (default 2)\n"
         "                 [--dry-run]      print the expanded plan and exit "
         "0\n"
         "                 [--help]         show this message and exit 0\n";
@@ -118,13 +115,6 @@ bool parse_args(int argc, char** argv, Options& options) {
       if (!value_for(i, name, value) ||
           !parse_number(name, value, options.max_steps))
         return false;
-    } else if (name == "retries") {
-      if (!value_for(i, name, value) ||
-          !parse_number(name, value, options.retries))
-        return false;
-      if (options.retries < 0) {
-        return usage_error("--retries must be >= 0");
-      }
     } else {
       return usage_error("unknown option: --" + name);
     }
@@ -190,7 +180,6 @@ int run(const Options& options) {
   plan_options.checkpoint_every = options.checkpoint_every;
   plan_options.max_steps = options.max_steps;
   plan_options.resume = options.resume;
-  plan_options.retries = options.retries;
   std::cerr << "executing " << runs.size() << " run(s)"
             << (options.out_dir.empty() ? "" : " -> " + options.out_dir)
             << "\n";

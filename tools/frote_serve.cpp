@@ -43,7 +43,6 @@
 #include "frote/core/serve_rpc.hpp"
 #include "frote/core/session_pool.hpp"
 #include "frote/net/http.hpp"
-#include "frote/util/env.hpp"
 #include "frote/util/faultsim.hpp"
 #include "frote/util/fsio.hpp"
 #include "frote/util/parallel.hpp"
@@ -65,9 +64,6 @@ struct Options {
   int threads = 0;
   std::size_t max_request_bytes = std::size_t{1} << 20;
   int read_timeout_ms = 5000;
-  // Deterministic fault injection (util/faultsim.hpp); overrides the
-  // FROTE_FAULTS environment variable, seeded by FROTE_FAULTS_SEED.
-  std::string faults;
   // Client mode: POST each line of --script to a listening daemon.
   int drive_port = -1;
   std::string script;
@@ -103,11 +99,12 @@ void print_usage(std::ostream& os) {
         "  --read-timeout-ms N    HTTP per-request read deadline; slow or\n"
         "                         stalled clients get 408 (default 5000,\n"
         "                         0 = no deadline)\n"
-        "  --faults SPEC          deterministic fault injection, e.g.\n"
-        "                         \"fsio.rename:nth=2:kill\" (see also the\n"
-        "                         FROTE_FAULTS environment variable;\n"
-        "                         FROTE_FAULTS_SEED seeds prob= schedules)\n"
-        "  --help                 show this message\n";
+        "  --help                 show this message\n"
+        "\n"
+        "environment:\n"
+        "  FROTE_FAULTS=SPEC      deterministic fault injection, e.g.\n"
+        "                         \"fsio.rename:nth=2:kill\"\n"
+        "  FROTE_FAULTS_SEED=N    seeds its prob= schedules (default 0)\n";
 }
 
 bool parse_args(int argc, char** argv, Options& options) {
@@ -160,8 +157,6 @@ bool parse_args(int argc, char** argv, Options& options) {
                              options.read_timeout_ms)) {
         return false;
       }
-    } else if (arg == "--faults") {
-      if (!args.value_for(i, "faults", options.faults)) return false;
     } else if (arg == "--drive") {
       if (!args.value_for(i, "drive", value) ||
           !args.parse_number("drive", value, options.drive_port)) {
@@ -307,7 +302,6 @@ int serve_http(SessionPool& pool, const Options& options) {
       },
       frote::net::HttpLimits{
           /*max_body_bytes=*/options.max_request_bytes,
-          /*max_header_bytes=*/std::size_t{64} << 10,
           /*read_timeout_ms=*/options.read_timeout_ms,
       },
       workers);
@@ -364,17 +358,12 @@ int main(int argc, char** argv) {
   }
   if (options.drive_port >= 0) return drive(options);
 
-  // Fault injection arms only from explicit configuration — the env var
-  // or the flag (the flag wins). A malformed spec is a usage error: a
-  // typo'd spec that silently injected nothing would fake the coverage
-  // its user asked for.
+  // Fault injection arms only from explicit configuration, the
+  // FROTE_FAULTS environment variable. A malformed spec is a usage error: a
+  // typo'd spec that silently injected nothing would fake the coverage its
+  // user asked for.
   try {
     frote::faultsim::configure_from_env();
-    if (!options.faults.empty()) {
-      frote::faultsim::configure(
-          options.faults,
-          static_cast<std::uint64_t>(frote::env_int("FROTE_FAULTS_SEED", 0)));
-    }
   } catch (const frote::Error& e) {
     std::cerr << "frote_serve: " << e.what() << "\n";
     return 1;
