@@ -43,9 +43,11 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # borderline scoring fan out inside test_workspace;
 # test_ml pins the tree learners' outputs (the coded-column table build
 # fans features out);
-# test_extra_models/test_rule_pipeline pin NB, kNN, OnlineLogReg, induction.
+# test_extra_models/test_rule_pipeline pin NB, kNN, OnlineLogReg, induction;
+# bench_paper_fast_golden fans each paper setting's runs out on the pool and
+# must still print the committed golden byte for byte.
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_serve_rpc|test_incremental_learners|test_knn|test_ml|test_extra_models|test_rule_pipeline'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_serve_rpc|test_incremental_learners|test_knn|test_ml|test_extra_models|test_rule_pipeline|bench_paper_fast_golden'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run

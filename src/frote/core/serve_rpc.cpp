@@ -200,8 +200,9 @@ std::string serve_rpc(SessionPool& pool, std::string_view request,
                       std::size_t max_request_bytes) {
   if (request.size() > max_request_bytes) {
     return rpc_error_line(JsonValue(), net::kInvalidRequest,
-                          "request exceeds --max-request-bytes (" +
-                              std::to_string(max_request_bytes) + ")");
+                          "request exceeds the " +
+                              std::to_string(max_request_bytes) +
+                              "-byte request limit");
   }
   auto parsed = net::parse_rpc_request(request);
   if (!parsed) {

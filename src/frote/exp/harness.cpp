@@ -85,21 +85,26 @@ ExperimentContext make_context(UciDataset id, double scale,
   induction.min_rule_coverage =
       std::max<std::size_t>(12, ctx.data.size() / 20);
   induction.max_rules_per_class = 4;
+  PerturbConfig perturb;
+  perturb.pool_size = pool_size;
+  const auto perturb_seeds = [&](const std::vector<FeedbackRule>& rules) {
+    Rng pool_rng(derive_seed(seed, 13));
+    return generate_feedback_pool(ctx.data, rules, perturb, pool_rng);
+  };
   auto seeds = induce_rules(ctx.data, *model, induction);
-  if (seeds.empty()) {
-    // High-support induction can come up empty on hard-to-describe models;
-    // fall back to finer-grained rules rather than failing the experiment.
+  if (!seeds.empty()) ctx.pool = perturb_seeds(seeds);
+  if (ctx.pool.empty()) {
+    // High-support induction can come up empty on hard-to-describe models,
+    // or with seeds no perturbation keeps in the coverage band (one seed
+    // rule on a 350-row Adult draw); fall back to finer-grained rules
+    // rather than failing the experiment.
     induction.min_rule_coverage =
         std::max<std::size_t>(8, ctx.data.size() / 100);
     induction.max_rules_per_class = 8;
     seeds = induce_rules(ctx.data, *model, induction);
+    FROTE_CHECK_MSG(!seeds.empty(), "rule induction produced no seed rules");
+    ctx.pool = perturb_seeds(seeds);
   }
-  FROTE_CHECK_MSG(!seeds.empty(), "rule induction produced no seed rules");
-
-  PerturbConfig perturb;
-  perturb.pool_size = pool_size;
-  Rng pool_rng(derive_seed(seed, 13));
-  ctx.pool = generate_feedback_pool(ctx.data, seeds, perturb, pool_rng);
   FROTE_CHECK_MSG(!ctx.pool.empty(), "perturbation produced an empty pool");
   return ctx;
 }

@@ -1,5 +1,6 @@
 #include "frote/ml/naive_bayes.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "frote/ml/logistic_regression.hpp"  // softmax_inplace
@@ -40,6 +41,15 @@ std::vector<double> NaiveBayesModel::predict_proba(
     log_posterior[c] = acc;
   }
   softmax_inplace(log_posterior);
+  if (!std::all_of(log_posterior.begin(), log_posterior.end(),
+                   [](double p) { return std::isfinite(p); })) {
+    // A Gaussian term overflowed (a ±1e300 value or variance): the
+    // likelihoods carry no usable evidence, so the row gets the priors.
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      log_posterior[c] = classes_[c].log_prior;
+    }
+    softmax_inplace(log_posterior);
+  }
   return log_posterior;
 }
 

@@ -2,6 +2,7 @@
 // the model-agnosticism claim: FROTE must edit them too.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -91,14 +92,34 @@ TEST(KnnClassifier, MajorityVoteSmoothsNoise) {
 }
 
 // Pins of the extra learners (model_pins.hpp), at 1 and 4 threads. Naive
-// Bayes is pinned on the all-categorical grid (Laplace smoothing over unused
-// codes) and on the binary and multiclass draws of the LR pin (Gaussians
-// over the variance floor): on the adversarial columns its 1e300 magnitudes
-// overflow every class's likelihood and each probability is NaN.
+// Bayes is pinned on the adversarial columns, whose 1e300 magnitudes
+// overflow every class's likelihood (each row falls back to the class
+// priors), on the all-categorical grid (Laplace smoothing over unused codes)
+// and on the binary and multiclass draws of the LR pin (Gaussians over the
+// variance floor).
 TEST(ModelPins, NaiveBayes) {
   const auto fit = [](const Dataset& data, int) {
     return NaiveBayesLearner().train(data);
   };
+  for (const std::size_t classes : {2, 3}) {
+    const Dataset data = testing::adversarial_dataset(testing::kPinRows,
+                                                      classes, 17);
+    const Dataset probes = testing::probe_grid(classes);
+    const auto model = fit(data, 1);
+    for (const Dataset* rows : {&data, &probes}) {
+      for (std::size_t i = 0; i < rows->size(); ++i) {
+        const auto p = model->predict_proba(rows->row(i));
+        double total = 0.0;
+        for (double v : p) {
+          ASSERT_TRUE(std::isfinite(v)) << classes << " classes, row " << i;
+          total += v;
+        }
+        EXPECT_NEAR(total, 1.0, 1e-12);
+      }
+    }
+  }
+  testing::expect_pinned(2, 0x232d4d97522b7709ull, fit);
+  testing::expect_pinned(3, 0x06879c9114b1036dull, fit);
   testing::expect_pinned_on([] { return testing::categorical_dataset(3); },
                             testing::categorical_probes(3),
                             0x70dab2f6a72abb0aull, fit);

@@ -36,6 +36,17 @@ TEST(Harness, ContextHasPoolInCoverageBand) {
   }
 }
 
+// The Adult context of bench_paper's FROTE_FAST protocol: high-support
+// induction yields one seed rule whose perturbations all miss the coverage
+// band, so the pool comes from the finer-grained induction instead.
+TEST(Harness, EmptyPoolFallsBackToFinerRules) {
+  const auto ctx = make_context(UciDataset::kAdult, 350.0 / 45222.0);
+  EXPECT_EQ(ctx.pool.size(), 100u);
+  for (const auto& rule : ctx.pool) {
+    EXPECT_TRUE(rule.provenance.has_value());
+  }
+}
+
 TEST(Harness, FroteRunProducesValidOutcome) {
   const auto& ctx = small_context();
   const auto outcome =
